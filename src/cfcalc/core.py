@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -60,22 +61,15 @@ def _int_nth_root(n: int, k: int) -> int | None:
     """Exact integer k-th root of n >= 1, or None if not a perfect power."""
     if n == 1:
         return 1
-    root = round(n ** (1.0 / k))
-    for cand in (root - 1, root, root + 1):
-        if cand >= 1 and cand ** k == n:
-            return cand
-    # float estimate can be off for very large n; fall back to bisection
-    lo, hi = 1, n
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid ** k
-        if p == n:
-            return mid
-        if p < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    # Integer Newton from 2^ceil(bits/k) >= n^(1/k): the iterates decrease
+    # to floor(n^(1/k)) and stop there.  No floats, so n may have any size.
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x ** k == n else None
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -599,6 +593,12 @@ class Term:
 
     def signature(self):
         """Merging key: everything except coeff and unit."""
+        return self._signature
+
+    @cached_property
+    def _signature(self):
+        # computed on first use and kept in the instance dict; not a field,
+        # so equality and hashing are unchanged
         return (
             self.exps.exps,
             self.logpows,
@@ -788,6 +788,9 @@ def term_mul(a: Term, b: Term) -> list[Term]:
     logpows = tuple(x + y for x, y in zip(a.logpows, b.logpows))
     extras = list(a.extras) + list(b.extras)
     ratios = list(a.ratios) + list(b.ratios)
+    if a.unit.is_trivial and b.unit.is_trivial:
+        # 1 * 1 = 1: nothing to multiply out or certify
+        return [Term.make(coeff, exps, logpows, extras, ratios)]
     poly = poly_mul(a.unit.as_poly(nv), b.unit.as_poly(nv))
     return _terms_from_poly(coeff, exps, logpows, extras, ratios, poly, nv)
 
@@ -820,8 +823,14 @@ def normalize(e: CExpr) -> CExpr:
     Returns an equal function.  Same-signature terms merge by summing their
     coeff * unit polynomials; when the sum is not a certifiable unit the
     polynomial is distributed into plain monomial terms (which may enable
-    further merging, hence the fixpoint loop).
+    further merging, hence the fixpoint loop).  A sum of at most one term is
+    already normal and comes back unchanged.  The result is one CExpr built
+    once, so callers that add many sums should collect their terms in a list
+    and normalize the whole once, rather than add CExprs step by step (each
+    addition re-validates every term so far).
     """
+    if len(e.terms) <= 1:
+        return e
     terms = list(e.terms)
     nv = e.nvars
     # Merging can distribute an uncertifiable unit sum into plain monomial
@@ -964,10 +973,10 @@ def differentiate(t: Term, pos: int) -> CExpr:
 
 
 def differentiate_expr(e: CExpr, pos: int) -> CExpr:
-    out = CExpr.zero(e.nvars)
+    out: list[Term] = []
     for t in e.terms:
-        out = out + differentiate(t, pos)
-    return normalize(out)
+        out.extend(differentiate(t, pos).terms)
+    return normalize(CExpr(e.nvars, tuple(out)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .analyze import integrable_locus, sum_integrable_last
-from .cells import Cell, FatVar, MonomialBound, Zero
+from .cells import Cell, FatVar, Interval, MonomialBound, Zero
 from .core import (
     CExpr,
     ExpVec,
@@ -79,11 +79,11 @@ def antiderivative_pow_log_recursive(r: RatLike, s: int) -> CExpr:
     r = Fraction(r)
     if r == -1:
         return CExpr(1, (Term.make(Fraction(1, s + 1), [0], [s + 1]),))
-    out = CExpr(1, (Term.make(1 / (r + 1), [r + 1], [s]),))
+    terms = [Term.make(1 / (r + 1), [r + 1], [s])]
     if s > 0:
         rest = antiderivative_pow_log_recursive(r, s - 1)
-        out = out + rest.scaled(Fraction(-s, 1) / (r + 1))
-    return normalize(out)
+        terms.extend(rest.scaled(Fraction(-s, 1) / (r + 1)).terms)
+    return normalize(CExpr(1, tuple(terms)))
 
 
 def _anti_pieces(m: Fraction, s: int) -> list[tuple[Fraction, int, Fraction]]:
@@ -351,13 +351,15 @@ class SForm:
     eps_bound: Fraction = Fraction(1)
 
 
-def build_sform(t: Term, cell: Cell) -> SForm:
+def build_sform(t: Term, cell: Cell, fiber: Interval | None = None) -> SForm:
     """Put one prepared term into claim shape over the cell's base.
 
     The polynomial unit is distributed into finitely many monomial pieces
     (this is what keeps every series in sight finite), the last-variable
     exponent denominators are cleared by y = z^p, and the integer powers are
-    sorted into the Laurent/analytic slots."""
+    sorted into the Laurent/analytic slots.  `fiber` is the last variable's
+    certified range, cell.var_interval(last); callers building many forms
+    over one cell pass it in so it is computed once."""
     nv = t.nvars
     pos = nv - 1
     if pos in t.opaque_support():
@@ -394,7 +396,7 @@ def build_sform(t: Term, cell: Cell) -> SForm:
         else:
             analytic.setdefault(zpow, []).append(base_term)
     # the claim's smallness bound: sup of the z-range
-    _, y_hi = cell.var_interval(pos)
+    _, y_hi = fiber if fiber is not None else cell.var_interval(pos)
     eps = Fraction(1)
     if y_hi is not None and y_hi < 1:
         root = frac_pow(y_hi, Fraction(1, p))
@@ -463,13 +465,23 @@ def _eval_antider_at_bound(
     return normalize(CExpr(base_nv, tuple(out)))
 
 
+# Bound-evaluated fiber integrals of z^zpow (log z)^logpow with y = z^p,
+# keyed by (zpow, logpow, p, lower, upper).
+SlabMemo = dict[tuple, CExpr]
+
+
 def integrate_sform(
     sf: SForm,
     lower: Union[Zero, MonomialBound],
     upper: MonomialBound,
+    memo: SlabMemo | None = None,
 ) -> CExpr:
     """Exact integral of the claim form over (lower, upper); bounds are
-    monomials with trivial unit part."""
+    monomials with trivial unit part.
+
+    Each slab's definite integral up - lo depends only on (zpow, logpow, p)
+    and the bounds, so it is looked up in `memo` (filled on a miss) when the
+    caller integrates many forms over one fiber."""
     base_nv = sf.nvars - 1
     if isinstance(lower, Zero) and sf.laurent:
         raise NotIntegrable("Laurent part with a zero lower endpoint")
@@ -479,32 +491,50 @@ def integrate_sform(
         raise BoundUnitUnsupported(
             "symbolic bound evaluation needs a trivial unit part"
         )
-    total = CExpr.zero(base_nv)
+    if memo is None:
+        memo = {}
+    terms: list[Term] = []
     slabs = [(-i, coeff) for i, coeff in sf.laurent]
     slabs += [(k, coeff) for k, coeff in sf.analytic]
     for zpow, coeff_expr in slabs:
-        pieces = _anti_pieces(Fraction(zpow), sf.logpow)
-        up = _eval_antider_at_bound(pieces, upper, sf.p, base_nv)
-        lo = _eval_antider_at_bound(pieces, lower, sf.p, base_nv)
-        total = total + coeff_expr * (up - lo)
-    return normalize(total)
+        key = (zpow, sf.logpow, sf.p, lower, upper)
+        definite = memo.get(key)
+        if definite is None:
+            pieces = _anti_pieces(Fraction(zpow), sf.logpow)
+            up = _eval_antider_at_bound(pieces, upper, sf.p, base_nv)
+            lo = _eval_antider_at_bound(pieces, lower, sf.p, base_nv)
+            definite = memo[key] = up - lo
+        terms.extend((coeff_expr * definite).terms)
+    return normalize(CExpr(base_nv, tuple(terms)))
 
 
-def integrate_term_last(t: Term, cell: Cell) -> CExpr:
-    """Integrate one prepared term over the last-variable fiber."""
+def integrate_term_last(
+    t: Term,
+    cell: Cell,
+    memo: SlabMemo | None = None,
+    fiber: Interval | None = None,
+) -> CExpr:
+    """Integrate one prepared term over the last-variable fiber (`memo` and
+    `fiber` as in integrate_sform and build_sform)."""
     pos = cell.nvars - 1
     spec = cell.fat(pos)
     if isinstance(spec.lower, Zero) and t.exps[pos] <= -1:
         raise NotIntegrable(
             f"exponent {t.exps[pos]} <= -1 over an unconstrained fiber"
         )
-    sf = build_sform(t, cell)
-    return integrate_sform(sf, spec.lower, spec.upper)
+    sf = build_sform(t, cell, fiber)
+    return integrate_sform(sf, spec.lower, spec.upper, memo)
 
 
 def integrate_last(e: CExpr, cell: Cell) -> CExpr:
     """Exact parameterized integral of a prepared sum over the last fiber,
-    as a constructible expression over the base cell."""
+    as a constructible expression over the base cell.
+
+    Each term is integrated and normalized on its own; the per-term results
+    are collected in one list and normalized once, so the work is linear in
+    the number of terms.  The definite integral of each fiber slab is
+    computed once per call and shared between terms through a memo local to
+    this call (many terms of a large prepared sum share a few slabs)."""
     e = normalize(e)
     if e.nvars != cell.nvars:
         raise ValueError("expression/cell ambient size mismatch")
@@ -512,10 +542,12 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
     if not verdictless.verdict:
         bad = [i for i, ok in enumerate(verdictless.per_term) if not ok]
         raise NotIntegrable(f"terms {bad} are not fiberwise integrable")
-    total = CExpr.zero(cell.nvars - 1)
+    memo: SlabMemo = {}
+    fiber = cell.var_interval(cell.nvars - 1)
+    terms: list[Term] = []
     for t in e.terms:
-        total = total + integrate_term_last(t, cell)
-    return normalize(total)
+        terms.extend(integrate_term_last(t, cell, memo, fiber).terms)
+    return normalize(CExpr(cell.nvars - 1, tuple(terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +606,13 @@ def integrate_fubini(
             )
         if hypothesis == "dense":
             assumptions.extend(locus.assumptions)
-        merged: dict[Cell, CExpr] = {}
+        merged: dict[Cell, list[Term]] = {}
         for cell, e in locus.kept:
             base = cell.drop_last()
-            val = integrate_last(e, cell)
-            if base in merged:
-                merged[base] = merged[base] + val
-            else:
-                merged[base] = val
-        work = [(c, normalize(e)) for c, e in merged.items()]
+            merged.setdefault(base, []).extend(integrate_last(e, cell).terms)
+        work = [
+            (c, normalize(CExpr(c.nvars, tuple(ts)))) for c, ts in merged.items()
+        ]
         if not work:
             break
     return FubiniResult(tuple(work), tuple(assumptions))

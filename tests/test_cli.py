@@ -162,3 +162,13 @@ def test_nested_log_rejected_cleanly():
 def test_eval_point_arity_checked():
     code, _, err = run_cli("eval", "x1 on {0<x1<1}", "--at", "1/2,1/3")
     assert code == 1 and "arity" in err
+
+
+def test_integrate_fractional_power_of_huge_bound():
+    # the bound's denominator is far beyond float range; the exact root of
+    # 10^400 must still be found (integral = (2/3) * 10^-600)
+    code, out, err = run_cli(
+        "integrate", f"y1^(1/2) on {{0<y1<1/{10**400}}}"
+    )
+    assert code == 0, err
+    assert out.strip() == f"1/{15 * 10**599}"

@@ -56,6 +56,21 @@ def test_frac_pow_examples():
     assert frac_pow(F(5), 0) == 1
 
 
+def test_frac_pow_beyond_float_range():
+    # n ** (1.0 / k) overflows past ~1e308; roots must stay exact
+    assert frac_pow(F(1, 10**400), F(3, 2)) == F(1, 10**600)
+    assert frac_pow(F(3**1000, 7**500), F(1, 500)) == F(9, 7)
+    assert frac_pow(F(2 * 10**400), F(1, 2)) is None
+    assert frac_pow(F(3**999 + 1), F(1, 3)) is None
+
+
+@given(st.integers(min_value=1, max_value=10**60), st.integers(min_value=2, max_value=7))
+def test_frac_pow_integer_roots(n, k):
+    assert frac_pow(F(n**k), F(1, k)) == n
+    if n > 1:
+        assert frac_pow(F(n**k + 1), F(1, k)) is None
+
+
 def test_factorize():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}
@@ -274,3 +289,58 @@ def test_sum_normalize_agrees_pointwise(data):
     n = normalize(e)
     for y in (0.3, 0.7):
         assert abs(e.eval([y]) - n.eval([y])) <= 1e-9 * max(1.0, abs(e.eval([y])))
+
+
+# Terms over two variables with optional prime-log extras and unit; the unit
+# is trivial about half of the time so both term_mul routes are exercised.
+_small_exps = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+_units = st.sampled_from(
+    [
+        PolyUnit.one(),
+        PolyUnit.build(1, {ExpVec.of([1, 0]): F(1, 2)}),
+        PolyUnit.build(1, {ExpVec.of([0, 2]): F(-1, 4)}),
+        PolyUnit.build(1, {ExpVec.of([1, 1]): F(1, 3), ExpVec.of([0, 1]): F(-1, 3)}),
+    ]
+)
+terms2 = st.builds(
+    lambda c, e, l, x, u: Term.make(c, e, l, x, unit=u),
+    rationals.filter(bool),
+    st.lists(_small_exps, min_size=2, max_size=2),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=2),
+    st.lists(
+        st.tuples(st.sampled_from([LogPrime(2), LogPrime(3)]), st.integers(1, 2)),
+        max_size=2,
+    ),
+    st.one_of(st.just(PolyUnit.one()), _units),
+)
+
+
+@settings(max_examples=150)
+@given(terms2, terms2)
+def test_term_mul_matches_general_route(a, b):
+    from cfcalc.core import _terms_from_poly, poly_mul, term_mul
+
+    general = _terms_from_poly(
+        a.coeff * b.coeff,
+        a.exps + b.exps,
+        tuple(x + y for x, y in zip(a.logpows, b.logpows)),
+        list(a.extras) + list(b.extras),
+        list(a.ratios) + list(b.ratios),
+        poly_mul(a.unit.as_poly(2), b.unit.as_poly(2)),
+        2,
+    )
+    assert term_mul(a, b) == general
+
+
+@settings(max_examples=150)
+@given(st.lists(terms2, max_size=6))
+def test_normalize_idempotent(ts):
+    n = normalize(CExpr(2, tuple(ts)))
+    assert normalize(n) == n
+    if len(ts) <= 1:
+        assert n.terms == tuple(ts)
+    if len(ts) == 1:
+        # the one-term shortcut agrees with the merging route: two halves
+        # of the term merge back into the term itself
+        half = ts[0].scaled(F(1, 2))
+        assert normalize(CExpr(2, (half, half))) == n

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cfcalc import cli
 from cfcalc.cells import MonomialBound, ZERO
 from cfcalc.core import (
     CExpr,
@@ -13,7 +16,9 @@ from cfcalc.core import (
     PolyUnit,
     Term,
     differentiate_expr,
+    expand_log_power,
     is_zero,
+    log_of_monomial_unit,
     normalize,
 )
 from cfcalc.errors import BoundUnitUnsupported, FragmentEscape, NotIntegrable
@@ -29,9 +34,11 @@ from cfcalc.integrate import (
     integrate_fubini,
     integrate_last,
     integrate_sform,
+    integrate_term_last,
     split,
 )
 from cfcalc.oracle import adaptive_quadrature, fiber_bounds, quadrature_last
+from cfcalc.parser import print_expr
 from tests.conftest import cell_of, fat, mono, parabola_wedge, triangle, unit_fiber
 
 
@@ -303,3 +310,71 @@ class TestFubini:
         assert res.assumptions
         (cell0, val), = res.pieces
         assert val.eval_exact([]) == 2
+
+
+class TestLinearAccumulation:
+    """integrate_last builds each sum once and shares fiber slabs between
+    terms; neither may change a printed result."""
+
+    def test_terms_validated_stay_linear(self, monkeypatch, capsys):
+        # log(30030*y1)^8 prepares to C(8+6, 6) = 3003 terms.  Adding sums
+        # step by step re-validates the growing tuple (4.6e6 terms checked);
+        # building each sum once checks about 23 per output term.
+        checked = [0]
+        post_init = CExpr.__post_init__
+
+        def counting(self):
+            checked[0] += len(self.terms)
+            post_init(self)
+
+        monkeypatch.setattr(CExpr, "__post_init__", counting)
+        assert cli.main(["integrate", "log(30030*y1)^8 on {0<y1<1}"]) == 0
+        assert capsys.readouterr().out.strip()
+        assert checked[0] <= 30 * 3003
+
+    @staticmethod
+    def _per_term_reference(e, cell):
+        # a fresh slab memo and fiber range for every term
+        terms = []
+        for t in normalize(e).terms:
+            terms.extend(integrate_term_last(t, cell).terms)
+        return normalize(CExpr(cell.nvars - 1, tuple(terms)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([1, 2, 3]))
+    def test_memo_matches_per_term_on_generated(self, seed, nvars):
+        cell, e = random_integrable_instance(random.Random(seed), nvars)
+        names = [f"y{i + 1}" for i in range(nvars - 1)]
+        assert print_expr(integrate_last(e, cell), names) == print_expr(
+            self._per_term_reference(e, cell), names
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sets(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from([F(0), F(1, 2), F(-1, 2), F(2)]),
+        st.sampled_from([F(1), F(1, 4)]),
+        st.booleans(),
+    )
+    def test_memo_matches_per_term_on_log_powers(self, primes, k, a, q, two_vars):
+        # y^a * log(P*y)^k on the last fiber of {0<y<q} or {0<x<1, 0<y<q*x}
+        nv = 2 if two_vars else 1
+        cell = (
+            cell_of(fat(ZERO, mono(1, [0, 0])), fat(ZERO, mono(q, [1, 0])))
+            if two_vars
+            else cell_of(fat(ZERO, mono(q, [0])))
+        )
+        y = ExpVec.unit(nv, nv - 1)
+        items = log_of_monomial_unit(F(math.prod(primes)), y, PolyUnit.one())
+        e = CExpr(
+            nv,
+            tuple(
+                Term.make(c, y.scale(a), lp, ex)
+                for c, lp, ex in expand_log_power(items, k, nv)
+            ),
+        )
+        names = ["y1"][: nv - 1]
+        assert print_expr(integrate_last(e, cell), names) == print_expr(
+            self._per_term_reference(e, cell), names
+        )
