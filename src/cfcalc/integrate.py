@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .analyze import integrable_locus, sum_integrable_last
-from .cells import Cell, FatVar, Interval, MonomialBound, Zero
+from .cells import Cell, FatVar, MonomialBound, Zero
 from .core import (
     CExpr,
     ExpVec,
@@ -351,15 +351,13 @@ class SForm:
     eps_bound: Fraction = Fraction(1)
 
 
-def build_sform(t: Term, cell: Cell, fiber: Interval | None = None) -> SForm:
+def build_sform(t: Term, cell: Cell) -> SForm:
     """Put one prepared term into claim shape over the cell's base.
 
     The polynomial unit is distributed into finitely many monomial pieces
     (this is what keeps every series in sight finite), the last-variable
     exponent denominators are cleared by y = z^p, and the integer powers are
-    sorted into the Laurent/analytic slots.  `fiber` is the last variable's
-    certified range, cell.var_interval(last); callers building many forms
-    over one cell pass it in so it is computed once."""
+    sorted into the Laurent/analytic slots."""
     nv = t.nvars
     pos = nv - 1
     if pos in t.opaque_support():
@@ -396,7 +394,7 @@ def build_sform(t: Term, cell: Cell, fiber: Interval | None = None) -> SForm:
         else:
             analytic.setdefault(zpow, []).append(base_term)
     # the claim's smallness bound: sup of the z-range
-    _, y_hi = fiber if fiber is not None else cell.var_interval(pos)
+    _, y_hi = cell.var_interval(pos)
     eps = Fraction(1)
     if y_hi is not None and y_hi < 1:
         root = frac_pow(y_hi, Fraction(1, p))
@@ -509,20 +507,17 @@ def integrate_sform(
 
 
 def integrate_term_last(
-    t: Term,
-    cell: Cell,
-    memo: SlabMemo | None = None,
-    fiber: Interval | None = None,
+    t: Term, cell: Cell, memo: SlabMemo | None = None
 ) -> CExpr:
-    """Integrate one prepared term over the last-variable fiber (`memo` and
-    `fiber` as in integrate_sform and build_sform)."""
+    """Integrate one prepared term over the last-variable fiber (`memo` as
+    in integrate_sform)."""
     pos = cell.nvars - 1
     spec = cell.fat(pos)
     if isinstance(spec.lower, Zero) and t.exps[pos] <= -1:
         raise NotIntegrable(
             f"exponent {t.exps[pos]} <= -1 over an unconstrained fiber"
         )
-    sf = build_sform(t, cell, fiber)
+    sf = build_sform(t, cell)
     return integrate_sform(sf, spec.lower, spec.upper, memo)
 
 
@@ -543,10 +538,9 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
         bad = [i for i, ok in enumerate(verdictless.per_term) if not ok]
         raise NotIntegrable(f"terms {bad} are not fiberwise integrable")
     memo: SlabMemo = {}
-    fiber = cell.var_interval(cell.nvars - 1)
     terms: list[Term] = []
     for t in e.terms:
-        terms.extend(integrate_term_last(t, cell, memo, fiber).terms)
+        terms.extend(integrate_term_last(t, cell, memo).terms)
     return normalize(CExpr(cell.nvars - 1, tuple(terms)))
 
 

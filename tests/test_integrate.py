@@ -334,7 +334,7 @@ class TestLinearAccumulation:
 
     @staticmethod
     def _per_term_reference(e, cell):
-        # a fresh slab memo and fiber range for every term
+        # a fresh slab memo for every term
         terms = []
         for t in normalize(e).terms:
             terms.extend(integrate_term_last(t, cell).terms)
