@@ -72,16 +72,12 @@ from .analyze import (  # noqa: F401
     term_integrable_last,
 )
 from .integrate import (  # noqa: F401
-    AffineSubst,
     FubiniResult,
-    PowerSubst,
-    ReciprocalSubst,
     SForm,
     SplitSeries,
     antiderivative_pow_log,
     antiderivative_pow_log_recursive,
     build_sform,
-    change_of_variables,
     integrate_fubini,
     integrate_last,
     integrate_sform,

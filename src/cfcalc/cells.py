@@ -19,9 +19,7 @@ from .core import (
     CExpr,
     ExpVec,
     LogExprAtom,
-    LogPrime,
     LogUnitAtom,
-    LogVar,
     MonoPoly,
     PolyUnit,
     RatioFactor,
@@ -29,13 +27,13 @@ from .core import (
     Term,
     expand_log_power,
     frac_pow,
-    log_const_exponents,
     log_of_monomial_unit,
     normalize,
     poly_add,
     poly_is_certifiable_unit,
     poly_mul,
     poly_scale,
+    times_log_power,
     unit_from_poly,
 )
 from .errors import (
@@ -702,32 +700,22 @@ def _compose_term_axis(t: Term, step: AxisMap, nvars: int) -> list[Term]:
         if step.eps < 0:
             raise FragmentEscape("log of a negative coordinate")
         if step.theta == 0:
-            # log old = zeta*(log scale + log new)
-            items: list = [
-                (Fraction(step.zeta * e), LogPrime(p))
-                for p, e in sorted(log_const_exponents(step.scale).items())
-            ]
-            items.append((Fraction(step.zeta), LogVar(pos)))
+            # log old = zeta*(log scale + log new); (zeta*L)^s = zeta^s L^s
+            items = log_of_monomial_unit(
+                step.scale, ExpVec.unit(nvars, pos), PolyUnit.one()
+            )
+            coeff *= step.zeta ** s
         else:
             # log(theta + scale*new) = log theta + log(1 + (scale/theta)*new)
             w = PolyUnit.build(1, {ExpVec.unit(nvars, pos): step.scale / step.theta})
-            items = [
-                (Fraction(e), LogPrime(p))
-                for p, e in sorted(log_const_exponents(step.theta).items())
-            ]
-            items.append((Fraction(1), LogUnitAtom(w)))
+            items = log_of_monomial_unit(step.theta, ExpVec.zero(nvars), w)
         logpows[pos] = 0
         log_expansion = expand_log_power(items, s, nvars)
     # opaque log atoms
     for atom, k in t.extras:
         if isinstance(atom, LogUnitAtom) and pos in atom.unit.support():
             scale, u2 = _subst_unit_axis(atom.unit, step, nvars)
-            sub_items: list = [
-                (Fraction(e), LogPrime(p))
-                for p, e in sorted(log_const_exponents(scale).items())
-            ]
-            if not u2.is_trivial:
-                sub_items.append((Fraction(1), LogUnitAtom(u2)))
+            sub_items = log_of_monomial_unit(scale, ExpVec.zero(nvars), u2)
             sub = expand_log_power(sub_items, k, nvars)
             if len(sub) != 1:
                 raise FragmentEscape("axis map splits an opaque unit log into a sum")
@@ -762,20 +750,7 @@ def _compose_term_axis(t: Term, step: AxisMap, nvars: int) -> list[Term]:
     pieces = _carrier_terms(coeff, exps, tuple(logpows), extras, ratios, unit_poly, nvars)
     if log_expansion is None:
         return pieces
-    out: list[Term] = []
-    for base in pieces:
-        for c, lp, ex in log_expansion:
-            out.append(
-                Term.make(
-                    base.coeff * c,
-                    base.exps,
-                    tuple(a + b for a, b in zip(base.logpows, lp)),
-                    tuple(base.extras) + ex,
-                    base.ratios,
-                    base.unit,
-                )
-            )
-    return out
+    return [x for base in pieces for x in times_log_power(base, log_expansion)]
 
 
 def _carrier_terms(
@@ -866,20 +841,7 @@ def _compose_term_h(t: Term, step: HStep, nvars: int) -> list[Term]:
     )
     if log_expansion is None:
         return pieces
-    out = []
-    for base in pieces:
-        for c, lp, ex in log_expansion:
-            out.append(
-                Term.make(
-                    base.coeff * c,
-                    base.exps,
-                    tuple(a + b for a, b in zip(base.logpows, lp)),
-                    tuple(base.extras) + ex,
-                    base.ratios,
-                    base.unit,
-                )
-            )
-    return out
+    return [x for base in pieces for x in times_log_power(base, log_expansion)]
 
 
 def compose_with_map(

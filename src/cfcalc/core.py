@@ -1031,16 +1031,20 @@ def log_of_monomial_unit(
     return items
 
 
+# One summand of an expanded log power: (coefficient, logpows, extras).
+LogPowerPiece = tuple[Fraction, tuple[int, ...], tuple[tuple[LogAtom, int], ...]]
+
+
 def expand_log_power(
     items: Sequence[LogSumItem], power: int, nvars: int
-) -> list[tuple[Fraction, tuple[int, ...], tuple[tuple[LogAtom, int], ...]]]:
+) -> list[LogPowerPiece]:
     """Expand (sum coeff_i * log atom_i)^power multinomially.
 
     Returns (coefficient, logpows delta, extras delta) triples; exact.
     """
     if power == 0:
         return [(Fraction(1), (0,) * nvars, ())]
-    out: list[tuple[Fraction, tuple[int, ...], tuple[tuple[LogAtom, int], ...]]] = []
+    out: list[LogPowerPiece] = []
     for parts in compositions(power, len(items)):
         coeff = Fraction(_multinomial(power, parts))
         logpows = [0] * nvars
@@ -1056,3 +1060,18 @@ def expand_log_power(
         if coeff != 0:
             out.append((coeff, tuple(logpows), tuple(extras)))
     return out
+
+
+def times_log_power(base: Term, expansion: Sequence[LogPowerPiece]) -> list[Term]:
+    """base times an expanded log power, one term per piece."""
+    return [
+        Term.make(
+            base.coeff * c,
+            base.exps,
+            tuple(a + b for a, b in zip(base.logpows, lp)),
+            base.extras + ex,
+            base.ratios,
+            base.unit,
+        )
+        for c, lp, ex in expansion
+    ]

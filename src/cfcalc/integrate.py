@@ -23,17 +23,15 @@ from .core import (
     CExpr,
     ExpVec,
     LogExprAtom,
-    LogPrime,
-    LogUnitAtom,
-    LogVar,
     PolyUnit,
     RatLike,
     Term,
     expand_log_power,
     frac_pow,
-    log_const_exponents,
+    log_of_monomial_unit,
     normalize,
     poly_scale,
+    times_log_power,
 )
 from .errors import (
     BoundUnitUnsupported,
@@ -155,181 +153,6 @@ def split(F: Poly3) -> SplitSeries:
 
 
 # ---------------------------------------------------------------------------
-# Changes of variables in the last coordinate
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PowerSubst:
-    """y = z^p for a positive integer p (clears fractional exponents)."""
-
-    p: int
-
-
-@dataclass(frozen=True)
-class ReciprocalSubst:
-    """y = d(x)/z for a positive base monomial d."""
-
-    d: Term
-
-
-@dataclass(frozen=True)
-class AffineSubst:
-    """y = scale(x) * (z + shift) for a positive base monomial scale."""
-
-    scale: Term
-    shift: Fraction = Fraction(0)
-
-
-SubstRule = Union[PowerSubst, ReciprocalSubst, AffineSubst]
-
-
-def _require_base_monomial(d: Term, pos: int) -> None:
-    if d.coeff <= 0 or any(d.logpows) or d.extras or d.ratios or not d.unit.is_trivial:
-        raise FragmentEscape("substitution data must be a positive base monomial")
-    if d.exps[pos] != 0:
-        raise FragmentEscape("substitution data must not involve the last variable")
-
-
-def change_of_variables(t: Term, rule: SubstRule) -> CExpr:
-    """Rewrite a term under a last-variable change of coordinates, with the
-    exact Jacobian factor multiplied in (so integrals are preserved)."""
-    nv = t.nvars
-    pos = nv - 1
-    if pos in t.opaque_support():
-        raise FragmentEscape("opaque atoms involving the last variable")
-    r = t.exps[pos]
-    s = t.logpows[pos]
-
-    if isinstance(rule, PowerSubst):
-        p = rule.p
-        if p <= 0:
-            raise ValueError("power substitution needs a positive integer")
-        coeff = t.coeff * p ** (s + 1)
-        exps = t.exps.with_entry(pos, p * r + (p - 1))
-        unit_poly = {
-            (m.with_entry(pos, p * m[pos]) if m[pos] else m): c
-            for m, c in t.unit.as_poly(nv).items()
-        }
-        from .core import poly_is_certifiable_unit, unit_from_poly
-
-        if not poly_is_certifiable_unit(unit_poly):
-            raise FragmentEscape("power substitution breaks the unit certificate")
-        scale, u = unit_from_poly(unit_poly, nv).monic()
-        return CExpr(
-            nv,
-            (Term.make(coeff * scale, exps, t.logpows, t.extras, t.ratios, u),),
-        )
-
-    if isinstance(rule, ReciprocalSubst):
-        d = rule.d
-        _require_base_monomial(d, pos)
-        if pos in t.unit.support():
-            raise FragmentEscape("reciprocal substitution under a unit")
-        qr = frac_pow(d.coeff, r)
-        if qr is None:
-            raise FragmentEscape(f"{d.coeff}^{r} is irrational")
-        # y^r -> d^r z^-r ; Jacobian dy = d * z^-2 dz
-        coeff = t.coeff * qr * d.coeff
-        exps = t.exps + d.exps.scale(r) + d.exps
-        exps = exps.with_entry(pos, -r - 2)
-        base = Term.make(coeff, exps, tuple(t.logpows[:pos]) + (0,),
-                         t.extras, t.ratios, t.unit)
-        if s == 0:
-            return CExpr(nv, (base,))
-        # log y = log d - log z
-        items = [
-            (Fraction(e), LogPrime(pr))
-            for pr, e in sorted(log_const_exponents(d.coeff).items())
-        ]
-        for j, e in enumerate(d.exps):
-            if e:
-                items.append((e, LogVar(j)))
-        items.append((Fraction(-1), LogVar(pos)))
-        out = []
-        for c, lp, ex in expand_log_power(items, s, nv):
-            out.append(
-                Term.make(
-                    base.coeff * c,
-                    base.exps,
-                    tuple(a + b for a, b in zip(base.logpows, lp)),
-                    tuple(base.extras) + ex,
-                    base.ratios,
-                    base.unit,
-                )
-            )
-        return CExpr(nv, tuple(out))
-
-    if isinstance(rule, AffineSubst):
-        h, q = rule.scale, Fraction(rule.shift)
-        _require_base_monomial(h, pos)
-        if q < 0:
-            raise FragmentEscape("affine shifts must be nonnegative")
-        if pos in t.unit.support():
-            raise FragmentEscape("affine substitution under a unit")
-        if q == 0:
-            hr = frac_pow(h.coeff, r)
-            if hr is None:
-                raise FragmentEscape(f"{h.coeff}^{r} is irrational")
-            coeff = t.coeff * hr * h.coeff
-            exps = t.exps + h.exps.scale(r) + h.exps
-            base = Term.make(coeff, exps, tuple(t.logpows[:pos]) + (0,),
-                             t.extras, t.ratios, t.unit)
-            if s == 0:
-                return CExpr(nv, (base,))
-            items = [
-                (Fraction(e), LogPrime(pr))
-                for pr, e in sorted(log_const_exponents(h.coeff).items())
-            ]
-            for j, e in enumerate(h.exps):
-                if e:
-                    items.append((e, LogVar(j)))
-            items.append((Fraction(1), LogVar(pos)))
-        else:
-            if r.denominator != 1 or r < 0:
-                raise FragmentEscape(
-                    f"power {r} of a shifted coordinate leaves the fragment"
-                )
-            hr = frac_pow(h.coeff, r)
-            assert hr is not None  # integer power
-            # (z+q)^r = q^r (1 + z/q)^r, a certifiable unit
-            w = PolyUnit.build(1, {ExpVec.unit(nv, pos): 1 / q})
-            coeff = t.coeff * hr * (q ** int(r)) * h.coeff
-            exps = (t.exps + h.exps.scale(r) + h.exps).with_entry(pos, 0)
-            unit = t.unit * w.power(int(r))
-            scale, unit = unit.monic()
-            base = Term.make(coeff * scale, exps, tuple(t.logpows[:pos]) + (0,),
-                             t.extras, t.ratios, unit)
-            if s == 0:
-                return CExpr(nv, (base,))
-            items = [
-                (Fraction(e), LogPrime(pr))
-                for pr, e in sorted(
-                    log_const_exponents(h.coeff * q).items()
-                )
-            ]
-            for j, e in enumerate(h.exps):
-                if e:
-                    items.append((e, LogVar(j)))
-            items.append((Fraction(1), LogUnitAtom(w)))
-        out = []
-        for c, lp, ex in expand_log_power(items, s, nv):
-            out.append(
-                Term.make(
-                    base.coeff * c,
-                    base.exps,
-                    tuple(a + b for a, b in zip(base.logpows, lp)),
-                    tuple(base.extras) + ex,
-                    base.ratios,
-                    base.unit,
-                )
-            )
-        return CExpr(nv, tuple(out))
-
-    raise TypeError(f"unknown substitution rule {rule!r}")
-
-
-# ---------------------------------------------------------------------------
 # The claim form and its integration
 # ---------------------------------------------------------------------------
 
@@ -348,11 +171,10 @@ class SForm:
     p: int
     laurent: tuple[tuple[int, CExpr], ...]
     analytic: tuple[tuple[int, CExpr], ...]
-    eps_bound: Fraction = Fraction(1)
 
 
-def build_sform(t: Term, cell: Cell) -> SForm:
-    """Put one prepared term into claim shape over the cell's base.
+def build_sform(t: Term) -> SForm:
+    """Put one prepared term into claim shape over the base.
 
     The polynomial unit is distributed into finitely many monomial pieces
     (this is what keeps every series in sight finite), the last-variable
@@ -393,12 +215,6 @@ def build_sform(t: Term, cell: Cell) -> SForm:
             laurent.setdefault(-zpow, []).append(base_term)
         else:
             analytic.setdefault(zpow, []).append(base_term)
-    # the claim's smallness bound: sup of the z-range
-    _, y_hi = cell.var_interval(pos)
-    eps = Fraction(1)
-    if y_hi is not None and y_hi < 1:
-        root = frac_pow(y_hi, Fraction(1, p))
-        eps = root if root is not None else Fraction(1)
     return SForm(
         nv,
         s,
@@ -411,7 +227,6 @@ def build_sform(t: Term, cell: Cell) -> SForm:
             (k, normalize(CExpr(base_nv, tuple(ts))))
             for k, ts in sorted(analytic.items())
         ),
-        eps,
     )
 
 
@@ -451,15 +266,13 @@ def _eval_antider_at_bound(
             out.append(Term.make(c * qe, exps))
             continue
         # log z = (1/p)(log q + sum beta_j log y_j)
-        items = [
-            (Fraction(ee, p), LogPrime(pr))
-            for pr, ee in sorted(log_const_exponents(q).items())
-        ]
-        for j, b in enumerate(beta):
-            if b:
-                items.append((b / p, LogVar(j)))
-        for cc, lp, ex in expand_log_power(items, logpow, base_nv):
-            out.append(Term.make(c * qe * cc, exps, lp, ex))
+        items = log_of_monomial_unit(q, beta, PolyUnit.one())
+        out.extend(
+            times_log_power(
+                Term.make(c * qe / p**logpow, exps),
+                expand_log_power(items, logpow, base_nv),
+            )
+        )
     return normalize(CExpr(base_nv, tuple(out)))
 
 
@@ -475,7 +288,8 @@ def integrate_sform(
     memo: SlabMemo | None = None,
 ) -> CExpr:
     """Exact integral of the claim form over (lower, upper); bounds are
-    monomials with trivial unit part.
+    monomials with trivial unit part.  The sum is returned unnormalized:
+    integrate_last normalizes all terms' integrals together.
 
     Each slab's definite integral up - lo depends only on (zpow, logpow, p)
     and the bounds, so it is looked up in `memo` (filled on a miss) when the
@@ -503,21 +317,21 @@ def integrate_sform(
             lo = _eval_antider_at_bound(pieces, lower, sf.p, base_nv)
             definite = memo[key] = up - lo
         terms.extend((coeff_expr * definite).terms)
-    return normalize(CExpr(base_nv, tuple(terms)))
+    return CExpr(base_nv, tuple(terms))
 
 
 def integrate_term_last(
     t: Term, cell: Cell, memo: SlabMemo | None = None
 ) -> CExpr:
-    """Integrate one prepared term over the last-variable fiber (`memo` as
-    in integrate_sform)."""
+    """Integrate one prepared term over the last-variable fiber, unnormalized
+    (`memo` as in integrate_sform)."""
     pos = cell.nvars - 1
     spec = cell.fat(pos)
     if isinstance(spec.lower, Zero) and t.exps[pos] <= -1:
         raise NotIntegrable(
             f"exponent {t.exps[pos]} <= -1 over an unconstrained fiber"
         )
-    sf = build_sform(t, cell)
+    sf = build_sform(t)
     return integrate_sform(sf, spec.lower, spec.upper, memo)
 
 
@@ -525,11 +339,12 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
     """Exact parameterized integral of a prepared sum over the last fiber,
     as a constructible expression over the base cell.
 
-    Each term is integrated and normalized on its own; the per-term results
-    are collected in one list and normalized once, so the work is linear in
-    the number of terms.  The definite integral of each fiber slab is
-    computed once per call and shared between terms through a memo local to
-    this call (many terms of a large prepared sum share a few slabs)."""
+    Each term is integrated on its own; the per-term results are collected
+    in one list and normalized once, the only canonicalization of the sum,
+    so the work is linear in the number of terms.  The definite integral of
+    each fiber slab is computed once per call and shared between terms
+    through a memo local to this call (many terms of a large prepared sum
+    share a few slabs)."""
     e = normalize(e)
     if e.nvars != cell.nvars:
         raise ValueError("expression/cell ambient size mismatch")

@@ -33,12 +33,12 @@ from .core import (
     LogExprAtom,
     LogPrime,
     LogUnitAtom,
-    LogVar,
     PolyUnit,
     Term,
     expand_log_power,
-    log_const_exponents,
+    log_of_monomial_unit,
     normalize,
+    times_log_power,
 )
 from .errors import ParseError
 
@@ -328,20 +328,11 @@ class _ExprBuilder:
             exps = [Fraction(0)] * nvars
             for _, pos, power in pows:
                 exps[pos] += power
-            extras: list = []
-            logpows = [0] * nvars
-            variants = [(coeff, tuple(logpows), tuple(extras))]
+            variants = [Term.make(coeff, ExpVec(tuple(exps)))]
             for _, arg, power in logs:
-                arg_expr = arg.realize(nvars)
-                pieces = _log_pieces(arg_expr, power, nvars)
-                variants = [
-                    (c0 * cc, tuple(a + b for a, b in zip(l0, lp)), e0 + ex)
-                    for c0, l0, e0 in variants
-                    for cc, lp, ex in pieces
-                ]
-            for c0, l0, e0 in variants:
-                if c0 != 0:
-                    terms.append(Term.make(c0, ExpVec(tuple(exps)), l0, e0))
+                pieces = _log_pieces(arg.realize(nvars), power, nvars)
+                variants = [x for v in variants for x in times_log_power(v, pieces)]
+            terms.extend(variants)
         return normalize(CExpr(nvars, tuple(terms)))
 
 
@@ -357,13 +348,7 @@ def _log_pieces(arg: CExpr, power: int, nvars: int):
             and t.unit.is_trivial
             and t.coeff > 0
         ):
-            items = [
-                (Fraction(e), LogPrime(p))
-                for p, e in sorted(log_const_exponents(t.coeff).items())
-            ]
-            for j, e in enumerate(t.exps):
-                if e:
-                    items.append((e, LogVar(j)))
+            items = log_of_monomial_unit(t.coeff, t.exps, PolyUnit.one())
             return expand_log_power(items, power, nvars)
     if not arg.terms:
         raise ParseError("log of zero")

@@ -33,19 +33,17 @@ from .core import (
     CExpr,
     ExpVec,
     LogExprAtom,
-    LogPrime,
-    LogUnitAtom,
-    LogVar,
     MonoPoly,
     PolyUnit,
     RatioFactor,
     Term,
     expand_log_power,
     frac_pow,
-    log_const_exponents,
+    log_of_monomial_unit,
     normalize,
     poly_add,
     poly_scale,
+    times_log_power,
 )
 from .errors import (
     EqualCenters,
@@ -319,27 +317,21 @@ def prepare_shifted_log(
             # |y - theta2| = |delta| * (1 + (y-theta1)/delta); the scale is
             # the piece span <= a*|delta|, so the coefficient obeys the
             # dominance certificate with margin 1 - a
-            items: list = [
-                (Fraction(ee), LogPrime(pr))
-                for pr, ee in sorted(log_const_exponents(abs(delta)).items())
-            ]
             unit = PolyUnit.build(
                 1, {ExpVec.unit(nv, pos): Fraction(step.eps) * step.scale / delta}
             )
             norm.cell.certify_unit_monomials(unit)
-            items.append((Fraction(1), LogUnitAtom(unit)))
+            items = log_of_monomial_unit(abs(delta), ExpVec.zero(nv), unit)
         else:
             # cases i and iii: theta2 is itself an admissible center here
             norm = _normalize_constant_piece(raw, pc.lo, pc.hi, theta2)
             step = norm.steps[pos]
-            items = [
-                (Fraction(ee), LogPrime(pr))
-                for pr, ee in sorted(log_const_exponents(step.scale).items())
-            ]
-            items.append((Fraction(1), LogVar(pos)))
-        terms = []
-        for cc, lp, ex in expand_log_power(items, power, nv):
-            terms.append(Term.make(cc, ExpVec.zero(nv), lp, ex))
+            items = log_of_monomial_unit(
+                step.scale, ExpVec.unit(nv, pos), PolyUnit.one()
+            )
+        terms = times_log_power(
+            Term.constant(1, nv), expand_log_power(items, power, nv)
+        )
         out.append((norm, normalize(CExpr(nv, tuple(terms)))))
     return out
 
@@ -445,26 +437,12 @@ def substitute_thin(raw: RawCell, e: CExpr) -> tuple[RawCell, CExpr]:
             s = logpows[i]
             if s:
                 logpows[i] = 0
-                items = [
-                    (Fraction(ee), LogPrime(pr))
-                    for pr, ee in sorted(log_const_exponents(g.coeff).items())
-                ]
-                for j, ge in enumerate(g.exps):
-                    if ge:
-                        items.append((ge, LogVar(j)))
+                items = log_of_monomial_unit(g.coeff, g.exps, PolyUnit.one())
                 occurrences.append(expand_log_power(items, s, nv))
-        acc = [(coeff, tuple(logpows), ())]
+        acc = [Term.make(coeff, ExpVec(tuple(exps)), logpows)]
         for alternatives in occurrences:
-            acc = [
-                (c0 * cc,
-                 tuple(a + b for a, b in zip(l0, lp)),
-                 e0 + ex)
-                for c0, l0, e0 in acc
-                for cc, lp, ex in alternatives
-            ]
-        for c0, l0, e0 in acc:
-            if c0 != 0:
-                out_terms.append(Term.make(c0, ExpVec(tuple(exps)), l0, e0))
+            acc = [x for a in acc for x in times_log_power(a, alternatives)]
+        out_terms.extend(acc)
     # project away the thin coordinates
     proj_terms = []
     for t in out_terms:
@@ -550,29 +528,12 @@ def _expand_composite_logs(e: CExpr, cell: Cell) -> CExpr:
             q, gamma, u = extract_unit(_flatten_to_poly(arg), cell)
             if q <= 0:
                 raise FragmentEscape("log of a non-positive argument")
-            items = [
-                (Fraction(ee), LogPrime(pr))
-                for pr, ee in sorted(log_const_exponents(q).items())
-            ]
-            for j, ge in enumerate(gamma):
-                if ge:
-                    items.append((ge, LogVar(j)))
             if not u.is_trivial:
                 cell.certify_unit_monomials(u)
-                items.append((Fraction(1), LogUnitAtom(u)))
-            expansion = expand_log_power(items, k, e.nvars)
-            variants = [
-                Term.make(
-                    v.coeff * cc,
-                    v.exps,
-                    tuple(a + b for a, b in zip(v.logpows, lp)),
-                    tuple(v.extras) + ex,
-                    v.ratios,
-                    v.unit,
-                )
-                for v in variants
-                for cc, lp, ex in expansion
-            ]
+            expansion = expand_log_power(
+                log_of_monomial_unit(q, gamma, u), k, e.nvars
+            )
+            variants = [x for v in variants for x in times_log_power(v, expansion)]
         out.extend(variants)
     return CExpr(e.nvars, tuple(out))
 

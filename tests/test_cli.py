@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, JSON schema, determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -172,3 +173,20 @@ def test_integrate_fractional_power_of_huge_bound():
     )
     assert code == 0, err
     assert out.strip() == f"1/{15 * 10**599}"
+
+
+def test_bench_tracer_names_exist():
+    # bench/tracing.py wraps these names by attribute lookup, so removing
+    # one from the package breaks the traced benchmark run
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr, _, _ in tracing.WRAPPED:
+        owner = importlib.import_module(f"cfcalc.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"cfcalc.{module}.{attr}")
+    assert not missing

@@ -14,16 +14,20 @@ from cfcalc.core import (
     LogExprAtom,
     LogPrime,
     LogUnitAtom,
+    LogVar,
     PolyUnit,
     Term,
     differentiate,
     differentiate_expr,
+    expand_log_power,
     expand_ratios,
     factorize,
     frac_pow,
     is_zero,
     log_const,
+    log_of_monomial_unit,
     normalize,
+    times_log_power,
 )
 from cfcalc.errors import (
     NotNormalized,
@@ -347,3 +351,80 @@ def test_normalize_one_term_is_identity(t, c):
     one = CExpr(2, (t,))
     assert normalize(one) == one
     assert normalize(CExpr(2, (t.scaled(c), t.scaled(1 - c)))) == one
+
+
+_positive = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
+_gammas = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def log_arguments(draw):
+    """(q, gamma, unit, point): q * y^gamma * unit on the unit box (the unit
+    certified there, not necessarily monic) and a point inside the box."""
+    nv = draw(st.integers(min_value=1, max_value=3))
+    q = draw(_positive)
+    gamma = ExpVec.of(draw(st.lists(_gammas, min_size=nv, max_size=nv)))
+    constant = draw(_positive)
+    monos = draw(
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=nv, max_size=nv).filter(any),
+            max_size=3,
+            unique_by=tuple,
+        )
+    )
+    shares = draw(
+        st.lists(
+            st.fractions(min_value=-1, max_value=1, max_denominator=8),
+            min_size=len(monos),
+            max_size=len(monos),
+        )
+    )
+    # the opposing coefficients sum to less than the constant: certified
+    unit = PolyUnit.build(
+        constant,
+        {ExpVec.of(m): constant * f / (len(monos) + 1) for m, f in zip(monos, shares)},
+    )
+    point = draw(st.lists(st.floats(0.01, 0.99), min_size=nv, max_size=nv))
+    return q, gamma, unit, point
+
+
+def _log_sum(items, point):
+    total = 0.0
+    for c, atom in items:
+        if isinstance(atom, LogVar):
+            total += float(c) * math.log(point[atom.pos])
+        elif isinstance(atom, LogPrime):
+            total += float(c) * math.log(atom.prime)
+        else:
+            total += float(c) * math.log(atom.unit.eval(point))
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_arguments())
+def test_log_of_monomial_unit_sums_to_the_log(arg):
+    q, gamma, unit, point = arg
+    value = float(q) * unit.eval(point)
+    for y, g in zip(point, gamma):
+        value *= y ** float(g)
+    items = log_of_monomial_unit(q, gamma, unit)
+    assert math.isclose(_log_sum(items, point), math.log(value), abs_tol=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_arguments(), st.integers(min_value=0, max_value=4), st.data())
+def test_times_log_power_multiplies_out(arg, k, data):
+    q, gamma, unit, point = arg
+    nv = len(gamma)
+    t = Term.make(
+        data.draw(rationals.filter(bool)),
+        data.draw(st.lists(_gammas, min_size=nv, max_size=nv)),
+        data.draw(st.lists(st.integers(0, 2), min_size=nv, max_size=nv)),
+    )
+    items = log_of_monomial_unit(q, gamma, unit)
+    values = [x.eval(point) for x in times_log_power(t, expand_log_power(items, k, nv))]
+    expected = t.eval(point) * _log_sum(items, point) ** k
+    assert math.isclose(
+        sum(values), expected, rel_tol=1e-9,
+        abs_tol=1e-9 * sum(abs(v) for v in values),
+    )
