@@ -38,7 +38,6 @@ from .cells import (  # noqa: F401
     compose_with_map,
     normalize_cell,
     transform_H,
-    unit_cube,
 )
 from .prepare import (  # noqa: F401
     CenterPiece,

@@ -397,9 +397,6 @@ class Majorant:
     def eval(self, point: Sequence[float]) -> float:
         return max(1.0, sum(t.eval(point) for t in self.terms))
 
-    def eval_sum_exact(self, point) -> Fraction:
-        return sum((t.eval_exact(point) for t in self.terms), Fraction(0))
-
 
 def _log_upper(x_lo: Fraction, x_hi: Fraction) -> Fraction:
     """Rational L with |log x| < L on (x_lo, x_hi), via |log t| < max(1/t, t)."""
@@ -455,21 +452,6 @@ class DecayRate:
     def threshold(self, base_point: Sequence[float]) -> float:
         h = self.majorant.eval(base_point)
         return min(float(self.delta), h ** (-1.0 / float(self.kappa)))
-
-    def threshold_term(self) -> Term | None:
-        """The threshold min(delta, h^(-1/kappa)) as an exact constant term
-        when the majorant is constant and the power is representable; None
-        when only the numeric threshold() is available."""
-        if len(self.majorant.terms) != 1:
-            return None
-        (t,) = self.majorant.terms
-        if not t.exps.is_zero():
-            return None
-        hval = max(Fraction(1), t.coeff)
-        coeff = frac_pow(hval, Fraction(-1) / self.kappa)
-        if coeff is None:
-            return None
-        return Term.make(min(coeff, self.delta), t.exps)
 
 
 def _delta_for_epsilon(eps: Fraction) -> Fraction:

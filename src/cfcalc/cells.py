@@ -100,9 +100,6 @@ class MonomialBound:
                 total *= v
         return total * self.unit.eval_exact(point)
 
-    def as_term(self, nvars: int) -> Term:
-        return Term.make(self.coeff, self.exps.pad(nvars), unit=self.unit)
-
 
 BoundSpec = Union[Zero, Inf, MonomialBound]
 
@@ -132,20 +129,6 @@ def _pow_upper(q: Fraction, e: Fraction) -> Fraction:
         return v
     f = float(q) ** float(e)
     return Fraction(f * (1 + 1e-9)).limit_denominator(10 ** 12)
-
-
-def interval_pow(iv: Interval, e: Fraction) -> Interval:
-    lo, hi = iv
-    if e == 0:
-        return (Fraction(1), Fraction(1))
-    if e > 0:
-        new_lo = _pow_lower(lo, e) if lo > 0 else Fraction(0)
-        new_hi = None if hi is None else _pow_upper(hi, e)
-        return (new_lo, new_hi)
-    # e < 0: decreasing
-    new_lo = Fraction(0) if hi is None else _pow_lower(hi, e)
-    new_hi = None if lo == 0 else _pow_upper(lo, e)
-    return (new_lo, new_hi)
 
 
 def interval_mul(a: Interval, b: Interval) -> Interval:
@@ -208,10 +191,6 @@ class Cell:
     def fat_positions(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.specs) if isinstance(s, FatVar))
 
-    @property
-    def dim(self) -> int:
-        return len(self.fat_positions)
-
     def is_open(self) -> bool:
         return all(isinstance(s, FatVar) for s in self.specs)
 
@@ -234,18 +213,6 @@ class Cell:
         return Cell(tuple(specs))
 
     # -- interval estimates -------------------------------------------------
-
-    def var_interval(self, pos: int) -> Interval:
-        spec = self.specs[pos]
-        if isinstance(spec, ThinVar):
-            return self.bound_interval(spec.offset)
-        lo = (
-            Fraction(0)
-            if isinstance(spec.lower, Zero)
-            else self.bound_interval(spec.lower)[0]
-        )
-        hi = self.bound_interval(spec.upper)[1]
-        return (lo, hi)
 
     def monomial_interval(self, exps: ExpVec) -> Interval:
         """Certified range of y^exps by last-to-first bound substitution.
@@ -408,14 +375,6 @@ class Cell:
             if not (lo - slack < point[i] < hi + slack):
                 return False
         return True
-
-
-def unit_cube(nvars: int) -> Cell:
-    return Cell(
-        tuple(
-            FatVar(ZERO, MonomialBound.const(1, nvars)) for _ in range(nvars)
-        )
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -45,10 +44,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _Usage(message)
 
 
-def _rat_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _read_source(args) -> str:
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -58,12 +53,26 @@ def _read_source(args) -> str:
     raise _Usage("provide SOURCE text or --input FILE")
 
 
-def _emit(args, report: dict, text_lines: list[str]) -> None:
+_STATUS = {0: "ok", 4: "not-integrable", 5: "failed"}
+
+
+def _emit(args, source: str, result: dict, lines: list[str], code: int = 0) -> int:
+    """Print the command's report, the JSON envelope around ``result`` with
+    --json and the text lines otherwise, and return the exit code."""
     if args.json:
+        report = {
+            "command": args.cmd,
+            "input": source.strip(),
+            "result": result,
+            "status": _STATUS[code],
+            "tool": "cfcalc",
+            "version": __version__,
+        }
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
+    return code
 
 
 def _pipeline(source: str, with_jacobian: bool):
@@ -72,42 +81,33 @@ def _pipeline(source: str, with_jacobian: bool):
     form = parse(source)
     raw, expr = substitute_thin(form.raw_cell, form.expr)
     norm = normalize_cell(raw)
-    pulled = norm.pull_back(expr, with_jacobian=with_jacobian)
-    return form, raw, norm, pulled
+    return norm, norm.pull_back(expr, with_jacobian=with_jacobian)
 
 
 def _cmd_prepare(args) -> int:
     source = _read_source(args)
-    form, raw, norm, pulled = _pipeline(source, with_jacobian=False)
+    norm, pulled = _pipeline(source, with_jacobian=False)
     pieces = prepare_expr(pulled, norm.cell)
-    report = {
-        "command": "prepare",
-        "input": source.strip(),
-        "result": {
-            "pieces": [
-                {
-                    "vars": list(norm.names),
-                    "terms": print_expr(p.terms, norm.names),
-                    "J": list(p.J),
-                    "centers": [_rat_str(c) for c in p.centers],
-                }
-                for p in pieces
-            ]
-        },
-        "status": "ok",
-        "tool": "cfcalc",
-        "version": __version__,
+    result = {
+        "pieces": [
+            {
+                "vars": list(norm.names),
+                "terms": print_expr(p.terms, norm.names),
+                "J": list(p.J),
+                "centers": [str(c) for c in p.centers],
+            }
+            for p in pieces
+        ]
     }
     lines = [f"prepared pieces: {len(pieces)}"]
     for p in pieces:
         lines.append(f"  J = {list(p.J)}: {print_expr(p.terms, norm.names)}")
-    _emit(args, report, lines)
-    return 0
+    return _emit(args, source, result, lines)
 
 
 def _cmd_integrate(args) -> int:
     source = _read_source(args)
-    form, raw, norm, pulled = _pipeline(source, with_jacobian=True)
+    norm, pulled = _pipeline(source, with_jacobian=True)
     m = args.vars
     if m < 1 or m > norm.cell.nvars:
         raise _Usage(f"--vars must be between 1 and {norm.cell.nvars}")
@@ -119,27 +119,19 @@ def _cmd_integrate(args) -> int:
     exact = None
     if len(res.pieces) == 1 and res.pieces[0][0].nvars == 0:
         try:
-            exact = _rat_str(res.pieces[0][1].eval_exact([]))
+            exact = str(res.pieces[0][1].eval_exact([]))
         except (FragmentEscape, CalcError):
             exact = None
-    report = {
-        "command": "integrate",
-        "input": source.strip(),
-        "result": {
-            "vars": m,
-            "values": values,
-            "exact": exact,
-            "assumptions": list(res.assumptions),
-        },
-        "status": "ok",
-        "tool": "cfcalc",
-        "version": __version__,
+    result = {
+        "vars": m,
+        "values": values,
+        "exact": exact,
+        "assumptions": list(res.assumptions),
     }
-    lines = [v for v in values] or ["0"]
+    lines = list(values) or ["0"]
     if exact is not None and exact not in values:
         lines.append(f"= {exact}")
-    _emit(args, report, lines)
-    return 0
+    return _emit(args, source, result, lines)
 
 
 def _drop_ratio_free(e: CExpr) -> CExpr:
@@ -151,7 +143,7 @@ def _drop_ratio_free(e: CExpr) -> CExpr:
 
 def _cmd_check(args) -> int:
     source = _read_source(args)
-    form, raw, norm, pulled = _pipeline(source, with_jacobian=True)
+    norm, pulled = _pipeline(source, with_jacobian=True)
     prepared = prepare_expr(pulled, norm.cell)[0]
     res = sum_integrable_last(
         _drop_ratio_free(prepared.terms), norm.cell, args.hypothesis
@@ -161,87 +153,65 @@ def _cmd_check(args) -> int:
     certificate = None
     if res.report is not None:
         rep = res.report
-        rbar = _rat_str(rep.rbar)
+        rbar = str(rep.rbar)
         wtext = print_expr(CExpr(norm.cell.nvars, (rep.W,)), norm.names)
         certificate = {
             "lbar": rep.lbar,
             "lbar_prime": rep.lbar_prime,
             "chain": [list(ix) for ix in rep.chain],
-            "margin": _rat_str(rep.margin),
+            "margin": str(rep.margin),
             "sliver": {
-                "epsilon": _rat_str(rep.sliver.epsilon),
-                "box": [[_rat_str(lo), _rat_str(hi)] for lo, hi in rep.sliver.box],
+                "epsilon": str(rep.sliver.epsilon),
+                "box": [[str(lo), str(hi)] for lo, hi in rep.sliver.box],
             },
         }
-    report = {
-        "command": "check-integrability",
-        "input": source.strip(),
-        "result": {
-            "integrable": res.verdict,
-            "per_term": list(res.per_term),
-            "hypothesis": res.hypothesis,
-            "rbar": rbar,
-            "W": wtext,
-            "certificate": certificate,
-        },
-        "status": "ok" if res.verdict else "not-integrable",
-        "tool": "cfcalc",
-        "version": __version__,
+    result = {
+        "integrable": res.verdict,
+        "per_term": list(res.per_term),
+        "hypothesis": res.hypothesis,
+        "rbar": rbar,
+        "W": wtext,
+        "certificate": certificate,
     }
     lines = [f"integrable: {res.verdict}"]
     if rbar is not None:
         lines.append(f"rbar = {rbar}, W = {wtext}")
-    _emit(args, report, lines)
-    return 0 if res.verdict else 4
+    return _emit(args, source, result, lines, 0 if res.verdict else 4)
 
 
 def _cmd_decay(args) -> int:
     source = _read_source(args)
-    form, raw, norm, pulled = _pipeline(source, with_jacobian=False)
+    norm, pulled = _pipeline(source, with_jacobian=False)
     prepared = prepare_expr(pulled, norm.cell)[0]
     dr = decay_rate(_drop_ratio_free(prepared.terms), norm.cell)
-    report = {
-        "command": "decay-rate",
-        "input": source.strip(),
-        "result": {
-            "r": _rat_str(dr.r),
-            "epsilon": _rat_str(dr.epsilon),
-            "delta": _rat_str(dr.delta),
-            "rbar": _rat_str(dr.report.rbar),
-            "lbar": dr.report.lbar,
-        },
-        "status": "ok",
-        "tool": "cfcalc",
-        "version": __version__,
+    result = {
+        "r": str(dr.r),
+        "epsilon": str(dr.epsilon),
+        "delta": str(dr.delta),
+        "rbar": str(dr.report.rbar),
+        "lbar": dr.report.lbar,
     }
-    _emit(args, report, [f"r = {dr.r} (rbar = {dr.report.rbar}, "
-                         f"eps = {dr.epsilon}, delta = {dr.delta})"])
-    return 0
+    return _emit(args, source, result, [
+        f"r = {dr.r} (rbar = {dr.report.rbar}, "
+        f"eps = {dr.epsilon}, delta = {dr.delta})"
+    ])
 
 
 def _cmd_sliver(args) -> int:
     source = _read_source(args)
-    form, raw, norm, pulled = _pipeline(source, with_jacobian=False)
+    norm, _ = _pipeline(source, with_jacobian=False)
     ht = transform_H(norm.cell)
     sl = build_sliver(ht.cell)
-    report = {
-        "command": "sliver",
-        "input": source.strip(),
-        "result": {
-            "epsilon": _rat_str(sl.epsilon),
-            "box": [[_rat_str(lo), _rat_str(hi)] for lo, hi in sl.box],
-            "notes": list(sl.notes),
-            "transform_steps": len(ht.steps),
-        },
-        "status": "ok",
-        "tool": "cfcalc",
-        "version": __version__,
+    result = {
+        "epsilon": str(sl.epsilon),
+        "box": [[str(lo), str(hi)] for lo, hi in sl.box],
+        "notes": list(sl.notes),
+        "transform_steps": len(ht.steps),
     }
     lines = [f"epsilon = {sl.epsilon}"]
     for (lo, hi), note in zip(sl.box, sl.notes[1:]):
         lines.append(f"  ({lo}, {hi})")
-    _emit(args, report, lines)
-    return 0
+    return _emit(args, source, result, lines)
 
 
 def _cmd_eval(args) -> int:
@@ -256,28 +226,18 @@ def _cmd_eval(args) -> int:
             f"point arity {len(point)} != variable count {form.raw_cell.nvars}"
         )
     value = form.expr.eval(point)
-    report = {
-        "command": "eval",
-        "input": source.strip(),
-        "result": {"point": args.at, "value": value},
-        "status": "ok",
-        "tool": "cfcalc",
-        "version": __version__,
-    }
-    _emit(args, report, [repr(value)])
-    return 0
+    return _emit(args, source, {"point": args.at, "value": value}, [repr(value)])
 
 
 def _cmd_validate(args) -> int:
     seed = args.seed
     rng = random.Random(seed)
-    samples = int(os.environ.get("CF_ORACLE_SAMPLES", "20"))
+    samples = 20
     tol = args.tol
     checks = []
 
     # antiderivative round trip and route agreement (exact)
     ok = True
-    dev = 0.0
     for _ in range(samples):
         r = Fraction(rng.randint(-6, 6), 2)
         s = rng.randint(0, 4)
@@ -342,22 +302,14 @@ def _cmd_validate(args) -> int:
                    "max_deviation": dev})
 
     passed = all(c["passed"] for c in checks)
-    report = {
-        "command": "validate",
-        "input": "",
-        "result": {"seed": seed, "samples": samples, "checks": checks,
-                   "passed": passed},
-        "status": "ok" if passed else "failed",
-        "tool": "cfcalc",
-        "version": __version__,
-    }
+    result = {"seed": seed, "samples": samples, "checks": checks,
+              "passed": passed}
     lines = [
         f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} "
         f"(max deviation {c['max_deviation']:.3e})"
         for c in checks
     ]
-    _emit(args, report, lines)
-    return 0 if passed else 5
+    return _emit(args, "", result, lines, 0 if passed else 5)
 
 
 def build_parser() -> _ArgumentParser:
@@ -369,8 +321,6 @@ def build_parser() -> _ArgumentParser:
             p.add_argument("source", nargs="?", help="source text")
             p.add_argument("--input", help="read source from a file")
         p.add_argument("--json", action="store_true", help="JSON report output")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("prepare")
     common(p)
@@ -402,6 +352,8 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("validate")
     common(p, needs_source=False)
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_validate)
 
     return ap

@@ -33,11 +33,6 @@ Rat = Fraction
 RatLike = Union[int, Fraction]
 
 
-def rat(x: RatLike, y: RatLike = 1) -> Fraction:
-    """Build an exact rational (convenience constructor)."""
-    return Fraction(x) / Fraction(y)
-
-
 def frac_pow(q: Fraction, r: Fraction) -> Fraction | None:
     """Exact q**r for positive rational q, or None when irrational.
 
@@ -605,10 +600,6 @@ class Term:
             tuple((_atom_sort_key(a), k) for a, k in self.extras),
             tuple(r.key() for r in self.ratios),
         )
-
-    def signature_vars(self):
-        """The monomial/log-variable part only (dominance bookkeeping)."""
-        return (self.exps.exps, self.logpows)
 
     def has_opaque(self) -> bool:
         return bool(self.ratios) or any(

@@ -1,8 +1,8 @@
 """CLI behavior: subcommands, exit codes, JSON schema, determinism."""
 
+import gzip
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +12,8 @@ import pytest
 
 from cfcalc.cli import main
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "schemas" / "report.schema.json")
-    .read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "schemas" / "report.schema.json").read_text())
 
 
 def run_cli(*args):
@@ -122,14 +120,15 @@ def test_validate_deterministic():
     assert report["result"]["passed"] is True
 
 
-def test_validate_env_override():
-    env = dict(os.environ, CF_ORACLE_SAMPLES="4")
-    proc = subprocess.run(
-        [sys.executable, "-m", "cfcalc.cli", "validate", "--seed", "3", "--json"],
-        capture_output=True, text=True, env=env,
-    )
-    report = json.loads(proc.stdout)
-    assert report["result"]["samples"] == 4
+def test_seed_and_tol_belong_to_validate_only():
+    code, _, err = run_cli("integrate", "1 on {0<y1<1}", "--seed", "1")
+    assert code == 1 and "--seed" in err
+    code, _, err = run_cli("prepare", "1 on {0<y1<1}", "--tol", "1e-6")
+    assert code == 1 and "--tol" in err
+    code, report = run_json("validate", "--seed", "3", "--tol", "1e-6")
+    assert code == 0
+    assert report["result"]["seed"] == 3
+    assert report["result"]["samples"] == 20
 
 
 def test_main_callable_directly(capsys):
@@ -178,7 +177,7 @@ def test_integrate_fractional_power_of_huge_bound():
 def test_bench_tracer_names_exist():
     # bench/tracing.py wraps these names by attribute lookup, so removing
     # one from the package breaks the traced benchmark run
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    path = ROOT / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -190,3 +189,17 @@ def test_bench_tracer_names_exist():
         if owner is None:
             missing.append(f"cfcalc.{module}.{attr}")
     assert not missing
+
+
+def test_cli_mix_goldens_replay(capsys):
+    # the benchmark's pinned cli-mix calls: same exit code, byte-identical
+    # stdout (text and --json reports over six subcommands)
+    golden = ROOT / "bench" / "goldens" / "cli-mix.json.gz"
+    entries = json.loads(gzip.decompress(golden.read_bytes()))["entries"]
+    assert len(entries) == 576
+    mismatched = []
+    for entry in entries:
+        code = main(list(entry["argv"]))
+        if (code, capsys.readouterr().out) != (entry["exit"], entry["stdout"]):
+            mismatched.append(entry["argv"])
+    assert not mismatched, mismatched[:5]
