@@ -233,7 +233,6 @@ def _cmd_validate(args) -> int:
     seed = args.seed
     rng = random.Random(seed)
     samples = 20
-    tol = args.tol
     checks = []
 
     # antiderivative round trip and route agreement (exact)
@@ -269,7 +268,7 @@ def _cmd_validate(args) -> int:
             want = val.eval(base_pt)
             d = abs(num - want) / max(1.0, abs(want))
             dev = max(dev, d)
-            if d > max(tol, 1e-8):
+            if d > 1e-8:
                 ok = False
     checks.append({"name": "quadrature-oracle", "passed": ok,
                    "max_deviation": dev})
@@ -352,7 +351,6 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("validate")
     common(p, needs_source=False)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_validate)
 

@@ -344,9 +344,8 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
     so the work is linear in the number of terms.  The definite integral of
     each fiber slab is computed once per call and shared between terms
     through a memo local to this call (many terms of a large prepared sum
-    share a few slabs).  The terms of e must have distinct signatures, as
-    prepare_expr and normalize return them: the gate decides on the
-    normalized sum, but the terms are integrated as given."""
+    share a few slabs)."""
+    e = normalize(e)
     if e.nvars != cell.nvars:
         raise ValueError("expression/cell ambient size mismatch")
     verdictless = sum_integrable_last(e, cell, "all")
@@ -393,9 +392,7 @@ def integrate_fubini(
 ) -> FubiniResult:
     """Integrate the last m variables, cell by cell, gating each round on
     fiberwise integrability; discarded cells contribute zero (the
-    characteristic-function step) and a gating assumption is recorded.
-    Each piece's sum must have distinct term signatures (see
-    integrate_last)."""
+    characteristic-function step) and a gating assumption is recorded."""
     work = list(pieces)
     assumptions: list[str] = []
     for round_no in range(m):

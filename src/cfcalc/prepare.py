@@ -547,7 +547,7 @@ def prepare_expr(e: CExpr, cell: Cell) -> list[PreparedCellData]:
     cls = classify(cell)
     J = cls.undetermined_positions()
     undet = set(J)
-    e = normalize(_expand_composite_logs(e, cell))
+    e = normalize(_expand_composite_logs(normalize(e), cell))
     out_terms: list[Term] = []
     for t in e.terms:
         for pos in range(cell.nvars):

@@ -120,12 +120,10 @@ def test_validate_deterministic():
     assert report["result"]["passed"] is True
 
 
-def test_seed_and_tol_belong_to_validate_only():
+def test_seed_belongs_to_validate_only():
     code, _, err = run_cli("integrate", "1 on {0<y1<1}", "--seed", "1")
     assert code == 1 and "--seed" in err
-    code, _, err = run_cli("prepare", "1 on {0<y1<1}", "--tol", "1e-6")
-    assert code == 1 and "--tol" in err
-    code, report = run_json("validate", "--seed", "3", "--tol", "1e-6")
+    code, report = run_json("validate", "--seed", "3")
     assert code == 0
     assert report["result"]["seed"] == 3
     assert report["result"]["samples"] == 20

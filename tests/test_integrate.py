@@ -141,6 +141,14 @@ class TestSFormAndIntegration:
         with pytest.raises(BoundUnitUnsupported):
             integrate_sform(sf, ZERO, MonomialBound(F(1, 2), ExpVec.of([0]), u))
 
+    def test_cancelling_terms_merge_before_integration(self):
+        # y1^(-1) - y1^(-1) + 1 as three terms: the non-integrable pair
+        # cancels, so the sum integrates to 1 over {0<y1<1}
+        cell = unit_fiber(1)
+        e = CExpr(1, (Term.make(1, [-1]), Term.make(-1, [-1]), Term.make(1, [0])))
+        assert integrate_last(e, cell) == CExpr.const(1, 0)
+        assert integrate_fubini([(cell, e)], 1).constant() == 1
+
     def test_trivial_constant(self):
         cell = triangle()
         out = integrate_last(CExpr.const(1, 2), cell)

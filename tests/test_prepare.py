@@ -198,6 +198,17 @@ class TestPrepareExpr:
         val = p.terms.eval([0.25])
         assert abs(val - math.log(4 * 0.5)) < 1e-12
 
+    def test_cancelling_composite_logs_merge_first(self):
+        # log(-y1) - log(-y1) + 1: the pair cancels before its (invalid)
+        # argument is prepared
+        cell = unit_fiber(1)
+        arg = CExpr(1, (Term.make(-1, [1]),))
+        e = CExpr(1, tuple(
+            Term.make(c, [0], extras=[(LogExprAtom(arg), 1)]) for c in (1, -1)
+        ) + (Term.make(1, [0]),))
+        (p,) = prepare_expr(e, cell)
+        assert p.terms == CExpr.const(1, 1)
+
     def test_idempotent(self):
         cell = triangle()
         arg = CExpr(2, (Term.make(1, [1, 0]), Term.make(F(1, 2), [1, 1])))
