@@ -395,7 +395,7 @@ class Majorant:
     terms: tuple[Term, ...]
 
     def eval(self, point: Sequence[float]) -> float:
-        return max(1.0, sum(t.eval(point) for t in self.terms))
+        return max(1.0, CExpr(self.nvars, self.terms).eval(point))
 
 
 def _log_upper(x_lo: Fraction, x_hi: Fraction) -> Fraction:

@@ -84,6 +84,10 @@ class MonomialBound:
         return self.exps.support | self.unit.support()
 
     def eval(self, point: Sequence[float]) -> float:
+        # multiplies the coefficient into each power in turn, unlike
+        # Term.eval, which forms the monomial product first: (c*a)*b is not
+        # always c*(a*b) in floats, so routing this through the term plan
+        # would change the bits of sample_point
         total = float(self.coeff)
         for i, e in enumerate(self.exps):
             if e:

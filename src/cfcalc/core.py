@@ -343,11 +343,16 @@ class PolyUnit:
                 out[dm] = s
         return out
 
+    @cached_property
+    def _float_plan(self):
+        # the float conversions of eval, made once on first use
+        return (
+            float(self.constant),
+            tuple((float(c), _float_monomial(m)) for c, m in self.monos),
+        )
+
     def eval(self, point: Sequence[float]) -> float:
-        total = float(self.constant)
-        for c, m in self.monos:
-            total += float(c) * _eval_monomial(m, point)
-        return total
+        return _unit_value(self._float_plan, point)
 
     def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
         total = self.constant
@@ -631,18 +636,21 @@ class Term:
         return Term(self.coeff, exps, self.logpows, self.extras, self.ratios,
                     self.unit)
 
+    @cached_property
+    def _float_plan(self):
+        # everything eval needs in floats, converted once on first use (a
+        # term that is never evaluated never builds it); see _term_values
+        return (
+            float(self.coeff),
+            _float_monomial(self.exps),
+            tuple((i, p) for i, p in enumerate(self.logpows) if p),
+            tuple((_float_atom(a), k) for a, k in self.extras),
+            tuple((_float_monomial(r.exps), float(r.power)) for r in self.ratios),
+            None if self.unit.is_trivial else self.unit._float_plan,
+        )
+
     def eval(self, point: Sequence[float]) -> float:
-        total = float(self.coeff)
-        total *= _eval_monomial(self.exps, point)
-        for i, p in enumerate(self.logpows):
-            if p:
-                total *= math.log(point[i]) ** p
-        for atom, k in self.extras:
-            total *= _eval_atom(atom, point) ** k
-        for r in self.ratios:
-            total *= _eval_monomial(r.exps, point) ** float(r.power)
-        total *= self.unit.eval(point)
-        return total
+        return _term_values((self._float_plan,), point)[0]
 
     def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value at a rational point; requires a log-free term whose
@@ -665,12 +673,60 @@ class Term:
         return total * self.unit.eval_exact(point)
 
 
-def _eval_monomial(m: ExpVec, point: Sequence[float]) -> float:
+def _float_monomial(m: ExpVec) -> tuple[tuple[int, float], ...]:
+    return tuple((i, float(e)) for i, e in enumerate(m.exps) if e)
+
+
+def _float_atom(atom: LogAtom):
+    """log p as a float for a prime log; otherwise the unit or expression
+    whose log the atom is, evaluated at each point."""
+    if isinstance(atom, LogPrime):
+        return math.log(atom.prime)
+    if isinstance(atom, LogUnitAtom):
+        return atom.unit
+    if isinstance(atom, LogExprAtom):
+        return atom.arg
+    raise TypeError(f"unexpected atom {atom!r}")
+
+
+def _monomial_value(
+    mono: tuple[tuple[int, float], ...], point: Sequence[float]
+) -> float:
     total = 1.0
-    for i, e in enumerate(m.exps):
-        if e:
-            total *= float(point[i]) ** float(e)
+    for i, e in mono:
+        total *= point[i] ** e
     return total
+
+
+def _unit_value(plan, point: Sequence[float]) -> float:
+    constant, monos = plan
+    total = constant
+    for c, mono in monos:
+        total += c * _monomial_value(mono, point)
+    return total
+
+
+def _term_values(plans, point: Sequence[float]) -> list[float]:
+    """The value of each term at a point, from the terms' _float_plan.
+
+    The floats do not depend on the plan: they are those of evaluating the
+    term factor by factor in this order, the coefficient times the monomial
+    product (formed on its own first: (c*a)*b is not always c*(a*b) in
+    floats), then the variable logs, the extras, the ratios and the unit.
+    """
+    values = []
+    for coeff, mono, logs, extras, ratios, unit in plans:
+        total = coeff * _monomial_value(mono, point)
+        for i, p in logs:
+            total *= math.log(point[i]) ** p
+        for a, k in extras:
+            total *= (a if a.__class__ is float else math.log(a.eval(point))) ** k
+        for rmono, power in ratios:
+            total *= _monomial_value(rmono, point) ** power
+        if unit is not None:
+            total *= _unit_value(unit, point)
+        values.append(total)
+    return values
 
 
 def _eval_monomial_exact(m: ExpVec, point: Sequence[Fraction]) -> Fraction:
@@ -682,16 +738,6 @@ def _eval_monomial_exact(m: ExpVec, point: Sequence[Fraction]) -> Fraction:
                 raise FragmentEscape(f"{point[i]}^{e} is irrational")
             total *= v
     return total
-
-
-def _eval_atom(atom: LogAtom, point: Sequence[float]) -> float:
-    if isinstance(atom, LogPrime):
-        return math.log(atom.prime)
-    if isinstance(atom, LogUnitAtom):
-        return math.log(atom.unit.eval(point))
-    if isinstance(atom, LogExprAtom):
-        return math.log(atom.arg.eval(point))
-    raise TypeError(f"unexpected atom {atom!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +795,13 @@ class CExpr:
             return CExpr.zero(self.nvars)
         return CExpr(self.nvars, tuple(t.scaled(c) for t in self.terms))
 
+    @cached_property
+    def _float_plan(self):
+        return tuple(t._float_plan for t in self.terms)
+
     def eval(self, point: Sequence[float]) -> float:
-        return sum(t.eval(point) for t in self.terms)
+        # sum() adds the values as it always has (from int 0, left to right)
+        return sum(_term_values(self._float_plan, point))
 
     def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
         return sum((t.eval_exact(point) for t in self.terms), Fraction(0))

@@ -110,6 +110,16 @@ def adaptive_quadrature(
     return total_val, total_err
 
 
+def _fiber(e: CExpr, base_point: Sequence[float]) -> Callable[[float], float]:
+    """y -> e(base_point, y), with the base point copied once."""
+    prefix = list(base_point)
+
+    def integrand(y: float) -> float:
+        return e.eval(prefix + [y])
+
+    return integrand
+
+
 def quadrature_last(
     e: CExpr,
     base_point: Sequence[float],
@@ -141,10 +151,7 @@ def quadrature_last(
         for t in e.terms:
             k = k * t.exps[pos].denominator // math.gcd(k, t.exps[pos].denominator)
 
-    def integrand(y: float) -> float:
-        pt = list(base_point) + [y]
-        return e.eval(pt)
-
+    integrand = _fiber(e, base_point)
     if k == 1 and lo > 0:
         return adaptive_quadrature(integrand, lo, hi, tol)
 
@@ -206,11 +213,7 @@ def divergence_probe(
     """Partial integrals over (2^-k, hi), k = 1..kmax, with a growth-model
     fit on the dyadic increments.  Never raises: inconclusive is a verdict.
     """
-
-    def integrand(y: float) -> float:
-        pt = list(base_point) + [y]
-        return e.eval(pt)
-
+    integrand = _fiber(e, base_point)
     partials: list[float] = []
     increments: list[float] = []
     total = 0.0

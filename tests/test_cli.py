@@ -201,3 +201,23 @@ def test_cli_mix_goldens_replay(capsys):
         if (code, capsys.readouterr().out) != (entry["exit"], entry["stdout"]):
             mismatched.append(entry["argv"])
     assert not mismatched, mismatched[:5]
+
+
+def test_validate_goldens_replay(capsys):
+    # every 8th pinned validate call, text and --json: the JSON reports
+    # print each max_deviation in full, so this pins the float evaluation
+    # bit for bit
+    golden = ROOT / "bench" / "goldens" / "validate.json.gz"
+    entries = json.loads(gzip.decompress(golden.read_bytes()))["entries"]
+    picked = [
+        entry
+        for stratum in ("validate-text", "validate-json")
+        for entry in [e for e in entries if e["stratum"] == stratum][::8]
+    ]
+    assert len(picked) == 24
+    mismatched = []
+    for entry in picked:
+        code = main(list(entry["argv"]))
+        if (code, capsys.readouterr().out) != (entry["exit"], entry["stdout"]):
+            mismatched.append(entry["argv"])
+    assert not mismatched, mismatched[:5]

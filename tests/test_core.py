@@ -16,6 +16,7 @@ from cfcalc.core import (
     LogUnitAtom,
     LogVar,
     PolyUnit,
+    RatioFactor,
     Term,
     differentiate,
     differentiate_expr,
@@ -34,6 +35,7 @@ from cfcalc.errors import (
     UnitCertificateViolated,
     ZeroTestUnsupported,
 )
+from cfcalc.generators import random_integrable_instance
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64
@@ -428,3 +430,102 @@ def test_times_log_power_multiplies_out(arg, k, data):
         sum(values), expected, rel_tol=1e-9,
         abs_tol=1e-9 * sum(abs(v) for v in values),
     )
+
+
+# The direct float evaluator that the cached float plans replaced, kept as
+# the reference: a plan must give the same floats bit for bit, since
+# `validate --json` prints deviations with every digit.
+def _ref_monomial(m, point):
+    total = 1.0
+    for i, e in enumerate(m.exps):
+        if e:
+            total *= float(point[i]) ** float(e)
+    return total
+
+
+def _ref_unit(u, point):
+    total = float(u.constant)
+    for c, m in u.monos:
+        total += float(c) * _ref_monomial(m, point)
+    return total
+
+
+def _ref_atom(atom, point):
+    if isinstance(atom, LogPrime):
+        return math.log(atom.prime)
+    if isinstance(atom, LogUnitAtom):
+        return math.log(_ref_unit(atom.unit, point))
+    return math.log(_ref_expr(atom.arg, point))
+
+
+def _ref_term(t, point):
+    total = float(t.coeff)
+    total *= _ref_monomial(t.exps, point)
+    for i, p in enumerate(t.logpows):
+        if p:
+            total *= math.log(point[i]) ** p
+    for atom, k in t.extras:
+        total *= _ref_atom(atom, point) ** k
+    for r in t.ratios:
+        total *= _ref_monomial(r.exps, point) ** float(r.power)
+    total *= _ref_unit(t.unit, point)
+    return total
+
+
+def _ref_expr(e, point):
+    return sum(_ref_term(t, point) for t in e.terms)
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_eval_matches_direct_evaluation_bit_for_bit_on_generated():
+    compared = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        cell, e = random_integrable_instance(rng, 1 + seed % 3)
+        for _ in range(4):
+            pt = cell.sample_point(rng)
+            assert _same_float(e.eval(pt), _ref_expr(e, pt)), (seed, pt)
+            for t in e.terms:
+                assert _same_float(t.eval(pt), _ref_term(t, pt)), (seed, t, pt)
+            compared += 1
+    assert compared == 1200
+
+
+def test_eval_matches_direct_evaluation_bit_for_bit_on_opaque_factors():
+    unit = PolyUnit.build(
+        1, {ExpVec.of([1, 0]): F(1, 3), ExpVec.of([0, F(1, 2)]): F(-1, 4)}
+    )
+    log_unit = LogUnitAtom(PolyUnit.build(1, {ExpVec.of([F(2, 3), 1]): F(2, 5)}))
+    log_expr = LogExprAtom(CExpr(2, (
+        Term.make(F(7, 4), [0, 0]),
+        Term.make(F(-1, 3), [F(1, 2), F(3, 2)]),
+    )))
+    ratio = RatioFactor(ExpVec.of([1, F(-1, 2)]), F(5, 3), F(1, 4), F(4))
+    terms = (
+        Term.make(F(3, 7), [F(1, 2), F(-2, 3)], [1, 2],
+                  extras=[(LogPrime(3), 2), (log_unit, 1)], ratios=[ratio],
+                  unit=unit),
+        Term.make(F(-11, 5), [F(5, 3), 0], [0, 1], extras=[(log_expr, 2)]),
+        Term.make(F(13, 9), [F(-1, 4), F(7, 2)],
+                  extras=[(LogPrime(5), 1), (LogPrime(7), 3)], ratios=[ratio],
+                  unit=unit),
+        Term.make(F(-3, 10), [0, 0], unit=unit),
+    )
+    e = CExpr(2, terms)
+    rng = random.Random(5)
+    for _ in range(500):
+        pt = [0.01 + 0.98 * rng.random() for _ in range(2)]
+        assert _same_float(e.eval(pt), _ref_expr(e, pt)), pt
+        for t in terms:
+            assert _same_float(t.eval(pt), _ref_term(t, pt)), (t, pt)
+        assert _same_float(unit.eval(pt), _ref_unit(unit, pt))
+
+
+def test_eval_keeps_the_sign_of_a_zero_sum():
+    # sum() starts from int 0, so a lone -0.0 term sums to 0.0
+    t = Term.make(-1, [1])
+    assert math.copysign(1.0, t.eval([0.0])) == -1.0
+    assert math.copysign(1.0, CExpr(1, (t,)).eval([0.0])) == 1.0

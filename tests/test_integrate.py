@@ -295,6 +295,22 @@ class TestLinearAccumulation:
         assert capsys.readouterr().out.strip()
         assert checked[0] <= 30 * 3003
 
+    def test_float_conversions_made_once_per_expression(self, monkeypatch, capsys):
+        # validate evaluates each sum at thousands of quadrature nodes; the
+        # cached float plans convert its Fractions once, not at every node
+        # (86,190 conversions when every evaluation converted)
+        converted = [0]
+        to_float = F.__float__
+
+        def counting(self):
+            converted[0] += 1
+            return to_float(self)
+
+        monkeypatch.setattr(F, "__float__", counting)
+        assert cli.main(["validate", "--seed", "7"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+        assert converted[0] <= 2000
+
     @staticmethod
     def _per_term_reference(e, cell):
         # a fresh slab memo for every term
