@@ -25,6 +25,7 @@ from .core import (
     PolyUnit,
     Term,
     frac_pow,
+    left_sum,
     normalize,
 )
 from .errors import (
@@ -131,7 +132,7 @@ def _bound_away_poly(
     """Shrink the box until |P| is certifiably bounded away from 0, for
     P(t) = sum c_M prod t^M with float coefficients; Lipschitz certificate."""
     if not box:
-        val = abs(sum(coeffs.values()))
+        val = abs(left_sum(coeffs.values()))
         if val <= 1e-12:
             raise FragmentEscape(
                 "leading-coefficient sum is numerically zero; cannot certify"
@@ -157,7 +158,7 @@ def _bound_away_poly(
     for _ in range(200):
         radius = max(float(hi - lo) for lo, hi in cur)
         big = max(max(abs(float(lo)), abs(float(hi))) for lo, hi in cur)
-        lip = sum(
+        lip = left_sum(
             abs(c) * sum(m) * max(1.0, big) ** max(0, sum(m) - 1)
             for m, c in coeffs.items()
         )
@@ -207,7 +208,7 @@ def dominance(e: CExpr, cell: Cell) -> DominanceReport:
         lbar_prime = 0
         I4 = I3
         margin = Fraction(1)
-        coeff_sum = sum(_extras_constant(terms[i]) for i in I4)
+        coeff_sum = left_sum(_extras_constant(terms[i]) for i in I4)
         if abs(coeff_sum) <= 1e-12:
             raise FragmentEscape("leading coefficients cancel numerically")
         W = Term.make(1, ExpVec.unit(1, 0, rbar), (lbar,))

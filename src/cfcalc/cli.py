@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage, 2 parse error, 3 fragment escape,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -311,7 +312,11 @@ def _cmd_validate(args) -> int:
     return _emit(args, "", result, lines, 0 if passed else 5)
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process, so nothing may change it once built;
+    ``parse_args`` returns a fresh namespace each time."""
     ap = _ArgumentParser(prog="cfcalc", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

@@ -706,6 +706,16 @@ def _unit_value(plan, point: Sequence[float]) -> float:
     return total
 
 
+def left_sum(values) -> float | int:
+    """Add floats left to right from int 0, as sum() does up to Python 3.11.
+    From 3.12 on, sum() compensates float rounding, which changes the last
+    bits of a result; this keeps every result the same on every version."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _term_values(plans, point: Sequence[float]) -> list[float]:
     """The value of each term at a point, from the terms' _float_plan.
 
@@ -800,8 +810,7 @@ class CExpr:
         return tuple(t._float_plan for t in self.terms)
 
     def eval(self, point: Sequence[float]) -> float:
-        # sum() adds the values as it always has (from int 0, left to right)
-        return sum(_term_values(self._float_plan, point))
+        return left_sum(_term_values(self._float_plan, point))
 
     def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
         return sum((t.eval_exact(point) for t in self.terms), Fraction(0))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cells import Cell, Zero
-from .core import CExpr
+from .core import CExpr, left_sum
 from .errors import DomainError, SingularityTooStrong
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1].
@@ -96,7 +96,7 @@ def adaptive_quadrature(
         m = 0.5 * (x0 + x1)
         if m <= x0 or m >= x1:  # float resolution exhausted
             heapq.heappush(heap, (0.0, x0, x1, v, e))
-            total_err = sum(item[4] for item in heap)
+            total_err = left_sum(item[4] for item in heap)
             if all(item[0] == 0.0 for item in heap):
                 break
             continue
@@ -181,8 +181,9 @@ def _fit_growth(ks: list[float], logs: list[float]) -> tuple[float, float, float
     increments behave like C * 2^(-(r+1)k) * k^s; returns (b, c, r2)."""
     rows = [(1.0, k, math.log(k)) for k in ks]
     # normal equations (3x3), solved by Gaussian elimination
-    ata = [[sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
-    atb = [sum(r[i] * y for r, y in zip(rows, logs)) for i in range(3)]
+    ata = [[left_sum(r[i] * r[j] for r in rows) for j in range(3)]
+           for i in range(3)]
+    atb = [left_sum(r[i] * y for r, y in zip(rows, logs)) for i in range(3)]
     m = [ata[i] + [atb[i]] for i in range(3)]
     for col in range(3):
         piv = max(range(col, 3), key=lambda r: abs(m[r][col]))
@@ -194,11 +195,11 @@ def _fit_growth(ks: list[float], logs: list[float]) -> tuple[float, float, float
                 f = m[r][col] / m[col][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     a, b, c = (m[i][3] / m[i][i] for i in range(3))
-    mean = sum(logs) / len(logs)
-    ss_res = sum(
+    mean = left_sum(logs) / len(logs)
+    ss_res = left_sum(
         (y - (a + b * k + c * math.log(k))) ** 2 for k, y in zip(ks, logs)
     )
-    ss_tot = sum((y - mean) ** 2 for y in logs)
+    ss_tot = left_sum((y - mean) ** 2 for y in logs)
     r2 = 1.0 if ss_tot < 1e-12 else 1.0 - ss_res / ss_tot
     return b, c, r2
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cells import INF, Inf, RawCell, RawMono, RawVar, ZERO, Zero
 from .core import (
@@ -50,8 +50,7 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"log", "on", "cell", "inf"}
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # "num" | "name" | "op" | "eof"
     text: str
     line: int
@@ -59,36 +58,39 @@ class _Tok:
 
 
 def _tokenize(src: str) -> list[_Tok]:
+    """One pass over ``src``.  Tokens hold no newline, so the current line
+    and the offset where it starts are carried from token to token."""
     toks: list[_Tok] = []
+    match = _TOKEN_RE.match
     line = 1
     line_start = 0
     pos = 0
-    while pos < len(src):
-        nl = src.rfind("\n", 0, pos)
-        m = _TOKEN_RE.match(src, pos)
-        if not m or m.end() == pos:
+    end = len(src)
+    while pos < end:
+        m = match(src, pos)
+        if m is None:
             stripped = src[pos:].lstrip()
             if not stripped:
                 break
-            bad_at = len(src) - len(stripped)
-            line = src.count("\n", 0, bad_at) + 1
-            col = bad_at - (src.rfind("\n", 0, bad_at) + 1)
+            start = end - len(stripped)
+        else:
+            kind = m.lastgroup
+            start = m.start(kind)
+        nl = src.rfind("\n", pos, start)
+        if nl >= 0:
+            line += src.count("\n", pos, nl + 1)
+            line_start = nl + 1
+        if m is None:
             if stripped[0] == ".":
                 raise ParseError(
                     "decimal literals are rejected; use exact rationals",
-                    line, col,
+                    line, start - line_start,
                 )
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
-        start = m.start() + len(m.group(0)) - len(m.group(0).lstrip())
-        line = src.count("\n", 0, start) + 1
-        col = start - (src.rfind("\n", 0, start) + 1)
-        if m.group("num"):
-            toks.append(_Tok("num", m.group("num"), line, col))
-        elif m.group("name"):
-            toks.append(_Tok("name", m.group("name"), line, col))
-        else:
-            toks.append(_Tok("op", m.group("op"), line, col))
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             line, start - line_start)
+        toks.append(_Tok(kind, m.group(kind), line, start - line_start))
         pos = m.end()
+    # the eof token keeps the last token's line
     toks.append(_Tok("eof", "", line, 0))
     return toks
 

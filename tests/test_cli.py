@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from cfcalc import cli
 from cfcalc.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,6 +134,65 @@ def test_main_callable_directly(capsys):
     code = main(["integrate", "1 on {0<y1<1, 0<y2<y1}", "--vars", "2"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "1/2"
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys):
+    # main reuses one parser per process; every call starts from its own
+    # subcommand's defaults
+    tri = "1 on {0<y1<1, 0<y2<y1}"
+    assert main(["integrate", tri, "--vars", "2"]) == 0
+    assert capsys.readouterr().out == "1/2\n"
+    assert main(["integrate", tri]) == 0
+    assert capsys.readouterr().out == "y1\n"  # --vars 1
+
+    src = "y1^(-1/2) on {0<y1<1}"
+    assert main(["check-integrability", src, "--hypothesis", "all", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["hypothesis"] == "all"
+    assert main(["check-integrability", src, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["hypothesis"] == "dense"
+
+    assert main(["integrate", tri, "--vars", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["exact"] == "1/2"
+    assert main(["integrate", tri, "--vars", "2"]) == 0
+    assert capsys.readouterr().out == "1/2\n"
+
+    assert main(["validate", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["seed"] == 0
+
+    assert main(["eval", "x1 on {0<x1<1}"]) == 1  # --at is required
+    assert "--at" in capsys.readouterr().err
+    assert main(["eval", "x1 on {0<x1<1}", "--at", "1/2"]) == 0
+    assert capsys.readouterr().out == "0.5\n"
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    # one tree is the root parser and its seven subcommand parsers; a
+    # build per call would make 160 over these 20 calls
+    built = [0]
+    init = cli._ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    argvs = [
+        ["integrate", "1 on {0<y1<1, 0<y2<y1}", "--vars", "2"],
+        ["prepare", "log(2*y1) on {0<y1<1}", "--json"],
+        ["check-integrability", "y1^(-1) on {0<y1<1}"],
+        ["decay-rate", "y1^(1/2) on {0<y1<1}"],
+        ["eval", "x1 on {0<x1<1}", "--at", "1/3"],
+        ["integrate", "x1 +"],
+        ["integrate"],
+        ["sliver", "y1 on {0<y1<1}"],
+        ["integrate", "1 on {0<y1<1}", "--seed", "1"],
+        ["eval", "x1 on {0<x1<1}"],
+    ]
+    for argv in argvs * 2:
+        main(argv)
+    capsys.readouterr()
+    assert built[0] <= 8
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from cfcalc.core import (
     factorize,
     frac_pow,
     is_zero,
+    left_sum,
     log_const,
     log_of_monomial_unit,
     normalize,
@@ -473,7 +474,11 @@ def _ref_term(t, point):
 
 
 def _ref_expr(e, point):
-    return sum(_ref_term(t, point) for t in e.terms)
+    # left to right from int 0, as sum() adds floats up to Python 3.11
+    total = 0
+    for t in e.terms:
+        total += _ref_term(t, point)
+    return total
 
 
 def _same_float(a, b):
@@ -525,7 +530,17 @@ def test_eval_matches_direct_evaluation_bit_for_bit_on_opaque_factors():
 
 
 def test_eval_keeps_the_sign_of_a_zero_sum():
-    # sum() starts from int 0, so a lone -0.0 term sums to 0.0
+    # the sum starts from int 0, so a lone -0.0 term sums to 0.0
     t = Term.make(-1, [1])
     assert math.copysign(1.0, t.eval([0.0])) == -1.0
     assert math.copysign(1.0, CExpr(1, (t,)).eval([0.0])) == 1.0
+
+
+def test_eval_adds_terms_left_to_right_uncompensated():
+    # 1e16 + 1 rounds back to 1e16, so the plain sum is 0.0; sum() from
+    # Python 3.12 on compensates the rounding and would give 1.0
+    e = CExpr(1, (Term.make(10**16, [1]), Term.make(1, [0]),
+                  Term.make(-(10**16), [1])))
+    assert e.eval([1.0]) == 0.0
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([]) == 0 and type(left_sum([])) is int

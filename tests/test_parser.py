@@ -2,14 +2,24 @@
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfcalc.cells import Inf, RawMono, Zero
 from cfcalc.core import CExpr, LogExprAtom, Term
 from cfcalc.errors import ParseError
-from cfcalc.parser import parse, print_cell, print_expr, print_source
+from cfcalc.parser import (
+    _TOKEN_RE,
+    _tokenize,
+    parse,
+    print_cell,
+    print_expr,
+    print_source,
+)
 
 
 def test_single_term_with_cell():
@@ -142,3 +152,79 @@ def test_expr_only_gets_unit_cube():
 def test_keyword_collision():
     with pytest.raises(ParseError):
         parse("log on {0 < x1 < 1}")
+
+
+# The tokenizer as it was before it carried the line along: it recounted the
+# newlines from the start of the source for every token.  Kept as the
+# reference for positions and error messages.
+@dataclass(frozen=True)
+class _OldTok:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def _old_tokenize(src):
+    toks = []
+    line = 1
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN_RE.match(src, pos)
+        if not m or m.end() == pos:
+            stripped = src[pos:].lstrip()
+            if not stripped:
+                break
+            bad_at = len(src) - len(stripped)
+            line = src.count("\n", 0, bad_at) + 1
+            col = bad_at - (src.rfind("\n", 0, bad_at) + 1)
+            if stripped[0] == ".":
+                raise ParseError(
+                    "decimal literals are rejected; use exact rationals",
+                    line, col,
+                )
+            raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
+        start = m.start() + len(m.group(0)) - len(m.group(0).lstrip())
+        line = src.count("\n", 0, start) + 1
+        col = start - (src.rfind("\n", 0, start) + 1)
+        if m.group("num"):
+            toks.append(_OldTok("num", m.group("num"), line, col))
+        elif m.group("name"):
+            toks.append(_OldTok("name", m.group("name"), line, col))
+        else:
+            toks.append(_OldTok("op", m.group("op"), line, col))
+        pos = m.end()
+    toks.append(_OldTok("eof", "", line, 0))
+    return toks
+
+
+def _tokenized(tokenize, src):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
+    except ParseError as exc:
+        return ("error", exc.line, exc.column, str(exc))
+
+
+_FRAGMENTS = [
+    "log", "on", "cell", "inf", "x1", "y2", "_a9", "logx", "3", "12/5", "0",
+    "1/0", "1.5", ".5", "2.", "-", "+", "*", "^", "(", ")", "{", "}", "<", "=",
+    ",", " ", "  ", "\t", "\n", "\n\n", "\r\n", "\x0b", "\u00a0", "\u2028",
+    "#", "$", ".", "!", "\u00e9", "\u0663", "/", "[",
+]
+_SOURCES = st.lists(
+    st.one_of(st.sampled_from(_FRAGMENTS), st.text(max_size=3)), max_size=40
+).map("".join)
+
+
+@settings(max_examples=400)
+@given(_SOURCES)
+def test_tokenize_matches_old_tokenizer(src):
+    assert _tokenized(_tokenize, src) == _tokenized(_old_tokenize, src)
+
+
+@pytest.mark.parametrize("src", [
+    "", "  \n\t ", "x1 +\n\n  y1\n  ", "x1\n\t+ 1.5", "x1 +\n  #",
+    "log(y1)^2 on\n{0<y1<1}\n\n", "\n\n  .5",
+])
+def test_tokenize_matches_old_tokenizer_on_fixed_sources(src):
+    assert _tokenized(_tokenize, src) == _tokenized(_old_tokenize, src)
