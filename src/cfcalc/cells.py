@@ -555,8 +555,6 @@ def map_jacobian(steps: Iterable[MapStep], nvars: int) -> Term:
 
 def _subst_poly_axis(poly: MonoPoly, step: AxisMap, nvars: int) -> MonoPoly:
     """Rewrite a polynomial in cell monomials through an axis map."""
-    if step.is_identity():
-        return poly
     out: MonoPoly = {}
     if step.theta == 0:
         for m, c in poly.items():
@@ -605,7 +603,7 @@ def _subst_unit_axis(
     """Rewrite a unit through an axis map; returns (scale, monic unit).
 
     The recertification must succeed (units inside logs cannot distribute)."""
-    if step.is_identity() or step.pos not in unit.support():
+    if step.pos not in unit.support():
         return unit.monic()
     poly = _subst_poly_axis(unit.as_poly(nvars), step, nvars)
     if not poly_is_certifiable_unit(poly):
@@ -614,8 +612,6 @@ def _subst_unit_axis(
 
 
 def _compose_term_axis(t: Term, step: AxisMap, nvars: int) -> list[Term]:
-    if step.is_identity():
-        return [t]
     pos = step.pos
     coeff = t.coeff
     exps = t.exps
@@ -814,10 +810,16 @@ def compose_with_map(
 
     `steps` describe each old coordinate in terms of the new ones; the
     result is the function e(old(new)).  With `with_jacobian`, the |det| of
-    the map's derivative is multiplied in (the integration use)."""
+    the map's derivative is multiplied in (the integration use).  Identity
+    axis steps change no term and contribute the factor 1 to the Jacobian,
+    so they are skipped; without other steps the result is normalize(e)."""
     nv = e.nvars
+    steps = [
+        s for s in steps if not (isinstance(s, AxisMap) and s.is_identity())
+    ]
+    if not steps:
+        return normalize(e)
     terms = list(e.terms)
-    steps = list(steps)
     for step in steps:
         out: list[Term] = []
         for t in terms:

@@ -529,7 +529,8 @@ class Term:
             exps = ExpVec.of(exps)
         nv = len(exps)
         lp = list(logpows) if logpows is not None else [0] * nv
-        coeff = Fraction(coeff)
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
         atom_pows: dict[LogAtom, int] = {}
         for atom, k in extras:
             if k == 0:
@@ -563,8 +564,9 @@ class Term:
                         "split the constant with log_const first"
                     )
             atom_pows[atom] = atom_pows.get(atom, 0) + k
-        scale, unit = unit.monic()
-        coeff *= scale
+        if unit is not _UNIT_ONE:
+            scale, unit = unit.monic()
+            coeff *= scale
         ext = tuple(
             sorted(
                 ((a, k) for a, k in atom_pows.items() if k != 0),
@@ -761,6 +763,9 @@ class CExpr:
 
     nvars: int
     terms: tuple[Term, ...] = ()
+    # True on the results of normalize, which returns such a sum unchanged;
+    # not a field, so equality and hashing are unchanged
+    _normal = False
 
     def __post_init__(self):
         for t in self.terms:
@@ -819,14 +824,20 @@ class CExpr:
         return any(t.has_opaque() for t in self.terms)
 
     def map_terms(self, f) -> "CExpr":
+        """The sum of f(t) over the terms t; f returns a term or a list of
+        terms.  When f returns every term itself, this sum comes back (still
+        marked if normalize made it)."""
         out: list[Term] = []
+        same = True
         for t in self.terms:
             r = f(t)
             if isinstance(r, Term):
                 out.append(r)
+                same = same and r is t
             else:
                 out.extend(r)
-        return CExpr(self.nvars, tuple(out))
+                same = False
+        return self if same else CExpr(self.nvars, tuple(out))
 
 
 def term_mul(a: Term, b: Term) -> list[Term]:
@@ -841,6 +852,11 @@ def term_mul(a: Term, b: Term) -> list[Term]:
     ratios = list(a.ratios) + list(b.ratios)
     if a.unit.is_trivial and b.unit.is_trivial:
         # 1 * 1 = 1: nothing to multiply out or certify
+        if (not a.extras or not b.extras) and (not a.ratios or not b.ratios):
+            # extras and ratios each come from one side, canonical there,
+            # so Term.make would rebuild the same term
+            return [Term(coeff, exps, logpows, a.extras or b.extras,
+                         a.ratios or b.ratios)]
         return [Term.make(coeff, exps, logpows, extras, ratios)]
     poly = poly_mul(a.unit.as_poly(nv), b.unit.as_poly(nv))
     return _terms_from_poly(coeff, exps, logpows, extras, ratios, poly, nv)
@@ -875,12 +891,14 @@ def normalize(e: CExpr) -> CExpr:
     coeff * unit polynomials; when the sum is not a certifiable unit the
     polynomial is distributed into plain monomial terms (which may enable
     further merging, hence the fixpoint loop).  A sum of at most one term is
-    already normal and comes back unchanged.  The result is one CExpr built
-    once, so callers that add many sums should collect their terms in a list
-    and normalize the whole once, rather than add CExprs step by step (each
+    already normal and comes back unchanged, and so does a result of
+    normalize: its signatures are distinct and sorted, so a second pass
+    would rebuild the same terms.  The result is one CExpr built once, so
+    callers that add many sums should collect their terms in a list and
+    normalize the whole once, rather than add CExprs step by step (each
     addition re-validates every term so far).
     """
-    if len(e.terms) <= 1:
+    if len(e.terms) <= 1 or e._normal:
         return e
     terms = list(e.terms)
     nv = e.nvars
@@ -914,7 +932,9 @@ def normalize(e: CExpr) -> CExpr:
     else:  # pragma: no cover - see the termination note above
         raise RuntimeError("normalize did not reach a fixpoint")
     terms.sort(key=lambda t: t.signature())
-    return CExpr(nv, tuple(terms))
+    result = CExpr(nv, tuple(terms))
+    object.__setattr__(result, "_normal", True)
+    return result
 
 
 def is_normalized(e: CExpr) -> bool:
@@ -926,14 +946,18 @@ def is_normalized(e: CExpr) -> bool:
 
 
 def is_zero(e: CExpr) -> bool:
-    """Sound zero test for normalized expressions.
+    """Zero test for normalized expressions.
 
     Distinct (monomial, variable-log, prime-log) signatures are linearly
     independent: for variable logs this is the distinct-asymptotic-scale
-    argument, for prime logs degree 1 it is unique factorization.  Products
-    of two or more distinct prime logs are treated as independent as well
-    (no counterexample is expressible here).  Unit logs and ratio factors
-    have no such independence, so they are rejected.
+    argument, for prime logs in degree 1 it is unique factorization (and
+    Lindemann's theorem against a rational constant).  Both are proven.
+    Products of two or more prime logs, such as log 2 * log 3 or (log 2)^2,
+    are treated as independent as well.  That rests on Schanuel-type
+    algebraic independence of the logs of primes, which is a conjecture,
+    not a theorem, so a "nonzero" verdict that depends on it is
+    conditional.  Unit logs and ratio factors have no such independence,
+    so they are rejected.
     """
     sigs = [t.signature() for t in e.terms]
     if len(sigs) != len(set(sigs)):

@@ -190,9 +190,13 @@ def build_sform(t: Term) -> SForm:
         if isinstance(atom, LogExprAtom):
             raise NotPrepared("prepare composite logs before integrating")
     s = t.logpows[pos]
-    pieces: list[tuple[Fraction, ExpVec]] = []
-    for m, c in poly_scale(t.unit.as_poly(nv), t.coeff).items():
-        pieces.append((c, t.exps + m))
+    if t.unit.is_trivial:
+        pieces = [(t.coeff, t.exps)]
+    else:
+        pieces = [
+            (c, t.exps + m)
+            for m, c in poly_scale(t.unit.as_poly(nv), t.coeff).items()
+        ]
     p = 1
     for _, exps in pieces:
         den = exps[pos].denominator
@@ -200,16 +204,15 @@ def build_sform(t: Term) -> SForm:
     laurent: dict[int, list[Term]] = {}
     analytic: dict[int, list[Term]] = {}
     base_nv = nv - 1
+    logpows = t.logpows[:pos]
     for c, exps in pieces:
         zpow = p * exps[pos] + (p - 1)
         assert zpow.denominator == 1
         zpow = int(zpow)
-        base_term = Term.make(
-            c * p ** (s + 1),
-            ExpVec(exps.exps[:pos]),
-            tuple(t.logpows[:pos]),
-            t.extras,
-            t.ratios,
+        # a unit-free term with t's canonical extras and ratios is canonical
+        # as it stands, so Term.make would rebuild the same term
+        base_term = Term(
+            c * p ** (s + 1), ExpVec(exps.exps[:pos]), logpows, t.extras, t.ratios
         )
         if zpow <= -1:
             laurent.setdefault(-zpow, []).append(base_term)
@@ -415,13 +418,16 @@ def integrate_fubini(
             )
         if hypothesis == "dense":
             assumptions.extend(locus.assumptions)
-        merged: dict[Cell, list[Term]] = {}
+        merged: dict[Cell, list[CExpr]] = {}
         for cell, e in locus.kept:
-            base = cell.drop_last()
-            merged.setdefault(base, []).extend(integrate_last(e, cell).terms)
-        work = [
-            (c, normalize(CExpr(c.nvars, tuple(ts)))) for c, ts in merged.items()
-        ]
+            merged.setdefault(cell.drop_last(), []).append(integrate_last(e, cell))
+        work = []
+        for c, es in merged.items():
+            # a base cell with one fiber keeps that fiber's normalized integral
+            total = es[0] if len(es) == 1 else CExpr(
+                c.nvars, tuple(t for e in es for t in e.terms)
+            )
+            work.append((c, normalize(total)))
         if not work:
             break
     return FubiniResult(tuple(work), tuple(assumptions))

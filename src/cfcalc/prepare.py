@@ -509,14 +509,12 @@ class PreparedCellData:
 
 
 def _expand_composite_logs(e: CExpr, cell: Cell) -> CExpr:
-    out: list[Term] = []
-    for t in e.terms:
+    def expand(t: Term) -> Term | list[Term]:
         pending = [
             (atom, k) for atom, k in t.extras if isinstance(atom, LogExprAtom)
         ]
         if not pending:
-            out.append(t)
-            continue
+            return t
         kept = tuple(
             (atom, k) for atom, k in t.extras
             if not isinstance(atom, LogExprAtom)
@@ -534,8 +532,9 @@ def _expand_composite_logs(e: CExpr, cell: Cell) -> CExpr:
                 log_of_monomial_unit(q, gamma, u), k, e.nvars
             )
             variants = [x for v in variants for x in times_log_power(v, expansion)]
-        out.extend(variants)
-    return CExpr(e.nvars, tuple(out))
+        return variants
+
+    return e.map_terms(expand)
 
 
 def prepare_expr(e: CExpr, cell: Cell) -> list[PreparedCellData]:
@@ -548,8 +547,8 @@ def prepare_expr(e: CExpr, cell: Cell) -> list[PreparedCellData]:
     J = cls.undetermined_positions()
     undet = set(J)
     e = normalize(_expand_composite_logs(normalize(e), cell))
-    out_terms: list[Term] = []
-    for t in e.terms:
+
+    def absorb(t: Term) -> Term:
         for pos in range(cell.nvars):
             if pos in undet:
                 continue
@@ -560,8 +559,9 @@ def prepare_expr(e: CExpr, cell: Cell) -> list[PreparedCellData]:
                 )
             if t.exps[pos] != 0:
                 t = absorb_determined(t, cell, pos)
-        out_terms.append(t)
-    prepared = normalize(CExpr(e.nvars, tuple(out_terms)))
+        return t
+
+    prepared = normalize(e.map_terms(absorb))
     data = PreparedCellData(
         cell, (Fraction(0),) * cell.nvars, prepared, J
     )

@@ -1,0 +1,266 @@
+"""Shortcuts that reuse canonical data instead of rebuilding it.
+
+term_mul and build_sform build unit-free terms directly from canonical
+parts, compose_with_map skips identity axis steps, and normalize gives its
+own results back unchanged.  Each shortcut is checked against a copy of the
+route it replaces, kept here as the reference.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cfcalc.cells import (
+    AxisMap,
+    HStep,
+    _compose_term_axis,
+    _compose_term_h,
+    compose_with_map,
+    map_jacobian,
+)
+from cfcalc.core import (
+    CExpr,
+    ExpVec,
+    LogPrime,
+    LogUnitAtom,
+    LogVar,
+    PolyUnit,
+    RatioFactor,
+    Term,
+    _terms_from_poly,
+    expand_ratios,
+    normalize,
+    poly_mul,
+    poly_scale,
+    term_mul,
+)
+from cfcalc.errors import CalcError
+from cfcalc.generators import random_integrable_instance
+from cfcalc.integrate import SForm, build_sform
+
+# -- reference copies of the rebuilding routes --------------------------------
+
+
+def _term_mul_reference(a: Term, b: Term) -> list[Term]:
+    # every product goes through Term.make
+    nv = a.nvars
+    coeff = a.coeff * b.coeff
+    exps = a.exps + b.exps
+    logpows = tuple(x + y for x, y in zip(a.logpows, b.logpows))
+    extras = list(a.extras) + list(b.extras)
+    ratios = list(a.ratios) + list(b.ratios)
+    if a.unit.is_trivial and b.unit.is_trivial:
+        return [Term.make(coeff, exps, logpows, extras, ratios)]
+    poly = poly_mul(a.unit.as_poly(nv), b.unit.as_poly(nv))
+    return _terms_from_poly(coeff, exps, logpows, extras, ratios, poly, nv)
+
+
+def _build_sform_reference(t: Term) -> SForm:
+    # every piece, trivial unit or not, through as_poly and Term.make
+    nv = t.nvars
+    pos = nv - 1
+    s = t.logpows[pos]
+    pieces = [
+        (c, t.exps + m) for m, c in poly_scale(t.unit.as_poly(nv), t.coeff).items()
+    ]
+    p = 1
+    for _, exps in pieces:
+        den = exps[pos].denominator
+        p = p * den // math.gcd(p, den)
+    laurent: dict[int, list[Term]] = {}
+    analytic: dict[int, list[Term]] = {}
+    for c, exps in pieces:
+        zpow = int(p * exps[pos] + (p - 1))
+        base_term = Term.make(
+            c * p ** (s + 1),
+            ExpVec(exps.exps[:pos]),
+            tuple(t.logpows[:pos]),
+            t.extras,
+            t.ratios,
+        )
+        if zpow <= -1:
+            laurent.setdefault(-zpow, []).append(base_term)
+        else:
+            analytic.setdefault(zpow, []).append(base_term)
+
+    def slots(by_power):
+        return tuple(
+            (i, normalize(CExpr(nv - 1, tuple(ts)))) for i, ts in sorted(by_power.items())
+        )
+
+    return SForm(nv, s, p, slots(laurent), slots(analytic))
+
+
+def _compose_reference(e: CExpr, steps, with_jacobian: bool) -> CExpr:
+    # every step maps every term (an identity step gives the term back),
+    # and the Jacobian of all steps is multiplied in
+    nv = e.nvars
+    terms = list(e.terms)
+    for step in steps:
+        out: list[Term] = []
+        for t in terms:
+            if isinstance(step, HStep):
+                out.extend(_compose_term_h(t, step, nv))
+            elif step.is_identity():
+                out.append(t)
+            else:
+                out.extend(_compose_term_axis(t, step, nv))
+        terms = out
+    if with_jacobian:
+        jac = map_jacobian(steps, nv)
+        terms = [x for t in terms for x in _term_mul_reference(t, jac)]
+    return normalize(CExpr(nv, tuple(terms)))
+
+
+def _outcome(f, *args):
+    try:
+        return ("value", f(*args))
+    except CalcError as exc:
+        return ("refused", type(exc))
+
+
+# -- generated canonical terms over two variables ------------------------------
+
+# opaque atoms and ratio factors involve y1 only, so build_sform may
+# integrate out y2; the two ratio factors of key ((1, 0), 1/2) differ in
+# range and merge when a product meets both
+_LOG_UNITS = [
+    PolyUnit.build(1, {ExpVec.of([1, 0]): F(1, 2)}),
+    PolyUnit.build(1, {ExpVec.of([2, 0]): F(-1, 3)}),
+]
+_ATOMS = st.sampled_from(
+    [LogPrime(2), LogPrime(3), LogPrime(5), LogVar(0), LogVar(1)]
+    + [LogUnitAtom(u) for u in _LOG_UNITS]
+)
+_RATIOS = st.sampled_from(
+    [
+        RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 4), F(1)),
+        RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 8), F(1, 2)),
+        RatioFactor(ExpVec.of([2, 0]), F(-1), F(1, 2), F(2)),
+    ]
+)
+_UNITS = st.sampled_from(
+    [
+        PolyUnit(F(1)),  # trivial, but not the shared instance
+        PolyUnit(F(-3, 2)),
+        PolyUnit.build(1, {ExpVec.of([1, 0]): F(1, 2)}),
+        PolyUnit.build(2, {ExpVec.of([0, 1]): F(-1, 2)}),
+        PolyUnit.build(1, {ExpVec.of([1, 1]): F(1, 3), ExpVec.of([0, 2]): F(-1, 3)}),
+    ]
+)
+_EXPS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+terms = st.builds(
+    Term.make,
+    st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool),
+    st.lists(_EXPS, min_size=2, max_size=2),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=2),
+    st.lists(st.tuples(_ATOMS, st.integers(min_value=1, max_value=2)), max_size=3),
+    st.lists(_RATIOS, max_size=2),
+    st.one_of(st.just(PolyUnit.one()), _UNITS),
+)
+
+
+def _all_fraction_coeffs(ts) -> bool:
+    return all(type(t.coeff) is F for t in ts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms, terms)
+def test_term_mul_matches_term_make_route(a, b):
+    got = term_mul(a, b)
+    assert got == _term_mul_reference(a, b)
+    assert _all_fraction_coeffs(got)
+
+
+def test_term_mul_direct_route_cases():
+    # trivial units, extras on at most one side and ratios on at most one
+    # side: the products that term_mul builds directly
+    rf = RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 4), F(1))
+    u = PolyUnit.build(1, {ExpVec.of([1, 0]): F(1, 2)})
+    plain = Term.make(F(3, 2), [1, 0], [0, 1])
+    opaque = Term.make(
+        -2, [F(1, 2), 0], [1, 0], [(LogPrime(3), 2), (LogUnitAtom(u), 1)], [rf]
+    )
+    logs = Term.make(5, [0, 1], [0, 0], [(LogPrime(2), 1)])
+    ratio = Term.make(F(1, 3), [0, 0], [0, 0], (), [rf])
+    for a, b in [(plain, opaque), (opaque, plain), (logs, ratio), (ratio, logs)]:
+        assert term_mul(a, b) == _term_mul_reference(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms)
+def test_build_sform_matches_term_make_route(t):
+    got = build_sform(t)
+    assert got == _build_sform_reference(t)
+    for _, e in got.laurent + got.analytic:
+        assert _all_fraction_coeffs(e.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms)
+def test_make_is_idempotent_on_canonical_parts(t):
+    # Term.make skips monic() only for the shared trivial unit and Fraction()
+    # only for a Fraction coefficient; any other trivial unit or an int
+    # coefficient still takes the full route
+    assert Term.make(t.coeff, t.exps, t.logpows, t.extras, t.ratios, t.unit) == t
+    again = Term.make(t.coeff, t.exps, t.logpows, t.extras, t.ratios, PolyUnit(F(2)))
+    assert again.coeff == 2 * t.coeff and again.unit.is_trivial
+    n = Term.make(7, t.exps)
+    assert type(n.coeff) is F and n.coeff == 7
+
+
+_STEPS = st.sampled_from(
+    [
+        AxisMap(0),
+        AxisMap(1),
+        AxisMap(0, scale=F(1, 4)),
+        AxisMap(1, zeta=-1, scale=F(1, 2)),
+        AxisMap(1, theta=F(1, 2), scale=F(1, 2)),
+        AxisMap(0, eps=-1),
+        HStep(1, ExpVec.of([1, 0]), PolyUnit(F(1, 4)), F(1, 2)),
+    ]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(terms, max_size=4), st.lists(_STEPS, max_size=4), st.booleans())
+def test_compose_with_map_skips_identity_steps_exactly(ts, steps, with_jacobian):
+    # a repeated signature as well, so the final merge has work to do
+    e = CExpr(2, tuple(ts + [t.scaled(F(-1, 2)) for t in ts[:1]]))
+    got = _outcome(compose_with_map, e, steps, with_jacobian)
+    assert got == _outcome(_compose_reference, e, steps, with_jacobian)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(terms, max_size=4), st.booleans())
+def test_compose_with_identity_steps_only_is_normalize(ts, with_jacobian):
+    e = CExpr(2, tuple(ts))
+    assert compose_with_map(e, [AxisMap(1), AxisMap(0)], with_jacobian) == normalize(e)
+    assert compose_with_map(e, [], with_jacobian) == normalize(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([1, 2, 3]))
+def test_unmarked_copy_renormalizes_to_the_same_sum(seed, nvars):
+    _, e = random_integrable_instance(random.Random(seed), nvars)
+    n = normalize(e)
+    assert normalize(n) is n
+    # a copy of the normal sum is equal and hashes alike (the mark is not
+    # a field), carries no mark, and normalizes to the same sum
+    copy = CExpr(e.nvars, n.terms)
+    assert copy == n and hash(copy) == hash(n)
+    assert normalize(copy) == n
+
+
+def test_map_terms_returns_the_sum_when_no_term_changes():
+    t = Term.make(2, [1, 0], [0, 1], [(LogPrime(2), 1)])
+    n = normalize(CExpr(2, (t, Term.make(1, [0, 1]))))
+    assert n.map_terms(lambda x: x) is n
+    assert expand_ratios(n) is n
+    assert normalize(expand_ratios(n)) is n
+    doubled = n.map_terms(lambda x: x.scaled(2))
+    assert doubled is not n and doubled == CExpr(2, tuple(x.scaled(2) for x in n.terms))

@@ -281,3 +281,19 @@ def test_validate_goldens_replay(capsys):
         if (code, capsys.readouterr().out) != (entry["exit"], entry["stdout"]):
             mismatched.append(entry["argv"])
     assert not mismatched, mismatched[:5]
+
+
+def test_log_growth_goldens_replay(capsys):
+    # the benchmark's pinned log-growth calls: integrate y^a * log(P*y)^k
+    # over 1- and 2-variable cells, up to 3003 prepared terms; same exit
+    # code and byte-identical stdout on the path that reuses canonical
+    # terms instead of rebuilding them
+    golden = ROOT / "bench" / "goldens" / "log-growth.json.gz"
+    entries = json.loads(gzip.decompress(golden.read_bytes()))["entries"]
+    assert len(entries) == 158
+    mismatched = []
+    for entry in entries:
+        code = main(list(entry["argv"]))
+        if (code, capsys.readouterr().out) != (entry["exit"], entry["stdout"]):
+            mismatched.append(entry["argv"])
+    assert not mismatched, mismatched[:5]

@@ -149,6 +149,16 @@ class TestSFormAndIntegration:
         assert integrate_last(e, cell) == CExpr.const(1, 0)
         assert integrate_fubini([(cell, e)], 1).constant() == 1
 
+    def test_fibers_over_one_base_cell_are_summed(self):
+        # two pieces on one cell share its base: the Fubini merge adds both
+        # integrals (a base cell with a single fiber keeps its integral)
+        cube = unit_fiber(2)
+        a = CExpr(2, (Term.make(1, [0, 1]), Term.make(2, [1, 0], [0, 1])))
+        b = CExpr(2, (Term.make(3, [1, 0]),))
+        (_, merged), = integrate_fubini([(cube, a), (cube, b)], 1).pieces
+        assert merged == integrate_last(a + b, cube)
+        assert print_expr(merged, ["y1"]) == "1/2 + y1"
+
     def test_trivial_constant(self):
         cell = triangle()
         out = integrate_last(CExpr.const(1, 2), cell)
@@ -294,6 +304,43 @@ class TestLinearAccumulation:
         assert cli.main(["integrate", "log(30030*y1)^8 on {0<y1<1}"]) == 0
         assert capsys.readouterr().out.strip()
         assert checked[0] <= 30 * 3003
+
+    def test_canonical_terms_are_not_rebuilt(self, monkeypatch, capsys):
+        # the 3003 prepared terms are built once by the parser; identity
+        # cell maps, the unit Jacobian, build_sform and the slab products
+        # reuse canonical parts instead of rebuilding each term through
+        # Term.make (12,106 terms built, all through Term.make, before)
+        built = [0]
+        made = [0]
+        post_init = Term.__post_init__
+        make = Term.make
+
+        def counting_post_init(self):
+            built[0] += 1
+            post_init(self)
+
+        def counting_make(*args, **kwargs):
+            made[0] += 1
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(Term, "__post_init__", counting_post_init)
+        monkeypatch.setattr(Term, "make", staticmethod(counting_make))
+        assert cli.main(["integrate", "log(30030*y1)^8 on {0<y1<1}"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" + ") + out.count(" - ") + 1 == 3003
+        assert built[0] <= 10_000
+        assert made[0] <= 4_000
+
+    def test_normalized_sum_is_returned_unchanged(self):
+        # normalize marks its result and gives a marked sum back as it is
+        y = ExpVec.unit(1, 0)
+        items = log_of_monomial_unit(F(30030), y, PolyUnit.one())
+        e = CExpr(1, tuple(
+            Term.make(c, y, lp, ex) for c, lp, ex in expand_log_power(items, 8, 1)
+        ))
+        n = normalize(e)
+        assert len(n.terms) == 3003
+        assert normalize(n) is n
 
     def test_float_conversions_made_once_per_expression(self, monkeypatch, capsys):
         # validate evaluates each sum at thousands of quadrature nodes; the
