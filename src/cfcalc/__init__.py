@@ -40,13 +40,9 @@ from .cells import (  # noqa: F401
     transform_H,
 )
 from .prepare import (  # noqa: F401
-    CenterPiece,
     PreparedCellData,
     absorb_determined,
-    compare_centers,
     prepare_expr,
-    prepare_shifted_log,
-    recenter_case2,
     substitute_thin,
 )
 from .sliver import (  # noqa: F401

@@ -3,10 +3,10 @@
 An engine `Cell` is an open cell inside (0,1)^n with center 0: each variable
 y_i satisfies  a_i(y_<i) < y_i < b_i(y_<i)  where a_i is zero or a monomial
 bound q * y^exps * unit and b_i is a monomial bound, both certified to take
-values in (0,1] over the base.  Raw user cells (arbitrary rational constant
-centers, unbounded fibers, bounds not yet inside the unit box) normalize to
-this shape through a per-variable chain of shift / reciprocal / scale steps,
-and expressions follow through `compose_with_map`.
+values in (0,1] over the base.  Raw user cells (also centered at 0, with
+unbounded or negative fibers and bounds not yet inside the unit box)
+normalize to this shape through one reciprocal / mirror / rescale map per
+variable, and expressions follow through `compose_with_map`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .core import (
     RatioFactor,
     RatLike,
     Term,
+    exact_pow,
     expand_log_power,
     frac_pow,
     log_of_monomial_unit,
@@ -98,10 +99,7 @@ class MonomialBound:
         total = self.coeff
         for i, e in enumerate(self.exps):
             if e:
-                v = frac_pow(Fraction(point[i]), e)
-                if v is None:
-                    raise FragmentEscape(f"{point[i]}^{e} is irrational")
-                total *= v
+                total *= exact_pow(Fraction(point[i]), e)
         return total * self.unit.eval_exact(point)
 
 
@@ -445,22 +443,21 @@ def assert_prepared_shape(cell: Cell) -> AsymClass:
 
 @dataclass(frozen=True)
 class AxisMap:
-    """old_pos = theta + eps * (scale * new_pos)^zeta."""
+    """old_pos = eps * (scale * new_pos)^zeta."""
 
     pos: int
-    theta: Fraction = Fraction(0)
     eps: int = 1
     zeta: int = 1
     scale: Fraction = Fraction(1)
 
     def is_identity(self) -> bool:
-        return self.theta == 0 and self.eps == 1 and self.zeta == 1 and self.scale == 1
+        return self.eps == 1 and self.zeta == 1 and self.scale == 1
 
     def apply(self, z: Fraction) -> Fraction:
-        return self.theta + self.eps * (self.scale * z) ** self.zeta
+        return self.eps * (self.scale * z) ** self.zeta
 
     def invert(self, x: Fraction) -> Fraction:
-        w = self.eps * (x - self.theta)
+        w = self.eps * x
         if self.zeta == -1:
             w = 1 / w
         return w / self.scale
@@ -490,10 +487,7 @@ class HStep:
         total = self.unit.eval_exact(z) + self.R * z[self.pos]
         for i, e in enumerate(self.alpha):
             if e:
-                v = frac_pow(Fraction(z[i]), e)
-                if v is None:
-                    raise FragmentEscape(f"{z[i]}^{e} is irrational")
-                total *= v
+                total *= exact_pow(Fraction(z[i]), e)
         return total
 
 
@@ -521,10 +515,7 @@ def unmap_point(steps: Iterable[MapStep], x: Sequence[RatLike]) -> list[Fraction
             mono = Fraction(1)
             for i, e in enumerate(step.alpha):
                 if e:
-                    v = frac_pow(z[i], e)
-                    if v is None:
-                        raise FragmentEscape(f"{z[i]}^{e} is irrational")
-                    mono *= v
+                    mono *= exact_pow(z[i], e)
             z[step.pos] = (z[step.pos] / mono - step.unit.eval_exact(prefix)) / step.R
         else:
             z[step.pos] = step.invert(z[step.pos])
@@ -553,47 +544,20 @@ def map_jacobian(steps: Iterable[MapStep], nvars: int) -> Term:
 # -- term composition --------------------------------------------------------
 
 
-def _subst_poly_axis(poly: MonoPoly, step: AxisMap, nvars: int) -> MonoPoly:
+def _subst_poly_axis(poly: MonoPoly, step: AxisMap) -> MonoPoly:
     """Rewrite a polynomial in cell monomials through an axis map."""
     out: MonoPoly = {}
-    if step.theta == 0:
-        for m, c in poly.items():
-            e = m[step.pos]
-            if e == 0:
-                out[m] = out.get(m, Fraction(0)) + c
-                continue
-            if step.eps < 0 and e.denominator != 1:
-                raise FragmentEscape("fractional power of a negative coordinate")
-            factor = frac_pow(step.scale, step.zeta * e)
-            if factor is None:
-                raise FragmentEscape(
-                    f"scale {step.scale}^{step.zeta * e} is irrational"
-                )
-            c2 = c * factor * (step.eps ** int(e) if step.eps < 0 else 1)
-            m2 = m.with_entry(step.pos, step.zeta * e)
-            out[m2] = out.get(m2, Fraction(0)) + c2
-        return {m: c for m, c in out.items() if c != 0}
-    if step.zeta != 1:
-        raise FragmentEscape("shifted reciprocal axis maps are unsupported")
-    # old = theta + eps*scale*new: binomial expansion, integer powers only
-    lin: MonoPoly = {
-        ExpVec.zero(nvars): step.theta,
-        ExpVec.unit(nvars, step.pos): Fraction(step.eps) * step.scale,
-    }
     for m, c in poly.items():
         e = m[step.pos]
         if e == 0:
             out[m] = out.get(m, Fraction(0)) + c
             continue
-        if e.denominator != 1 or e < 0:
-            raise FragmentEscape(
-                f"power {e} of a shifted coordinate leaves the fragment"
-            )
-        piece: MonoPoly = {m.with_entry(step.pos, 0): c}
-        for _ in range(int(e)):
-            piece = poly_mul(piece, lin)
-        for mm, cc in piece.items():
-            out[mm] = out.get(mm, Fraction(0)) + cc
+        if step.eps < 0 and e.denominator != 1:
+            raise FragmentEscape("fractional power of a negative coordinate")
+        factor = exact_pow(step.scale, step.zeta * e)
+        c2 = c * factor * (step.eps ** int(e) if step.eps < 0 else 1)
+        m2 = m.with_entry(step.pos, step.zeta * e)
+        out[m2] = out.get(m2, Fraction(0)) + c2
     return {m: c for m, c in out.items() if c != 0}
 
 
@@ -605,7 +569,7 @@ def _subst_unit_axis(
     The recertification must succeed (units inside logs cannot distribute)."""
     if step.pos not in unit.support():
         return unit.monic()
-    poly = _subst_poly_axis(unit.as_poly(nvars), step, nvars)
+    poly = _subst_poly_axis(unit.as_poly(nvars), step)
     if not poly_is_certifiable_unit(poly):
         raise FragmentEscape("substituted unit loses its certificate")
     return unit_from_poly(poly, nvars).monic()
@@ -620,54 +584,27 @@ def _compose_term_axis(t: Term, step: AxisMap, nvars: int) -> list[Term]:
     ratios: list[RatioFactor] = []
     # substituted unit as a polynomial carrier (may fail recertification,
     # in which case it distributes at the end)
-    unit_poly = _subst_poly_axis(t.unit.as_poly(nvars), step, nvars)
+    unit_poly = _subst_poly_axis(t.unit.as_poly(nvars), step)
 
     r = exps[pos]
     # monomial part
     if r != 0:
-        if step.theta == 0:
-            if step.eps < 0 and r.denominator != 1:
-                raise FragmentEscape("fractional power of a negative coordinate")
-            factor = frac_pow(step.scale, step.zeta * r)
-            if factor is None:
-                raise FragmentEscape(
-                    f"scale {step.scale}^{step.zeta * r} is irrational"
-                )
-            coeff *= factor * (step.eps ** int(r) if step.eps < 0 else 1)
-            exps = exps.with_entry(pos, step.zeta * r)
-        else:
-            if step.zeta != 1 or step.eps != 1:
-                raise FragmentEscape("shifted axis maps need eps = zeta = 1")
-            if r.denominator != 1 or r < 0:
-                raise FragmentEscape(
-                    f"power {r} of a shifted coordinate leaves the fragment"
-                )
-            # (theta + scale*new)^r folds into the polynomial carrier
-            lin: MonoPoly = {
-                ExpVec.zero(nvars): step.theta,
-                ExpVec.unit(nvars, pos): step.scale,
-            }
-            piece: MonoPoly = {ExpVec.zero(nvars): Fraction(1)}
-            for _ in range(int(r)):
-                piece = poly_mul(piece, lin)
-            exps = exps.with_entry(pos, 0)
-            unit_poly = poly_mul(unit_poly, piece)
+        if step.eps < 0 and r.denominator != 1:
+            raise FragmentEscape("fractional power of a negative coordinate")
+        factor = exact_pow(step.scale, step.zeta * r)
+        coeff *= factor * (step.eps ** int(r) if step.eps < 0 else 1)
+        exps = exps.with_entry(pos, step.zeta * r)
     # log part
     log_expansion = None
     s = logpows[pos]
     if s > 0:
         if step.eps < 0:
             raise FragmentEscape("log of a negative coordinate")
-        if step.theta == 0:
-            # log old = zeta*(log scale + log new); (zeta*L)^s = zeta^s L^s
-            items = log_of_monomial_unit(
-                step.scale, ExpVec.unit(nvars, pos), PolyUnit.one()
-            )
-            coeff *= step.zeta ** s
-        else:
-            # log(theta + scale*new) = log theta + log(1 + (scale/theta)*new)
-            w = PolyUnit.build(1, {ExpVec.unit(nvars, pos): step.scale / step.theta})
-            items = log_of_monomial_unit(step.theta, ExpVec.zero(nvars), w)
+        # log old = zeta*(log scale + log new); (zeta*L)^s = zeta^s L^s
+        items = log_of_monomial_unit(
+            step.scale, ExpVec.unit(nvars, pos), PolyUnit.one()
+        )
+        coeff *= step.zeta ** s
         logpows[pos] = 0
         log_expansion = expand_log_power(items, s, nvars)
     # opaque log atoms
@@ -689,15 +626,10 @@ def _compose_term_axis(t: Term, step: AxisMap, nvars: int) -> list[Term]:
     # ratio factors
     for rf in t.ratios:
         if pos in rf.support():
-            if step.theta != 0:
-                raise FragmentEscape("shifted axis maps cannot pass ratio factors")
             if step.eps < 0:
                 raise FragmentEscape("ratio factor over a negative coordinate")
             e = rf.exps[pos]
-            factor = frac_pow(step.scale, step.zeta * e * rf.power)
-            if factor is None:
-                raise FragmentEscape("ratio factor scale is irrational")
-            coeff *= factor
+            coeff *= exact_pow(step.scale, step.zeta * e * rf.power)
             ratios.append(
                 RatioFactor(
                     rf.exps.with_entry(pos, step.zeta * e), rf.power, rf.lo, rf.hi
@@ -920,7 +852,6 @@ class RawVar:
     name: str
     lower: RawBound
     upper: RawBound
-    center: Fraction = Fraction(0)
     thin: RawMono | None = None
 
 
@@ -961,7 +892,7 @@ def _transform_raw_bound(
     b: RawBound, steps: Sequence[AxisMap], nv: int
 ) -> RawBound:
     """Rewrite a raw monomial bound through the axis maps of earlier
-    variables (requires centers 0 on referenced variables)."""
+    variables."""
     if not isinstance(b, RawMono):
         return b
     coeff = b.coeff
@@ -970,18 +901,11 @@ def _transform_raw_bound(
         e = exps[step.pos]
         if e == 0:
             continue
-        if step.theta != 0:
-            raise InconsistentOrientation(
-                "dependent bounds may only reference variables with center 0"
-            )
         if step.eps < 0:
             raise InconsistentOrientation(
                 "dependent bounds may only reference positive variables"
             )
-        factor = frac_pow(step.scale, step.zeta * e)
-        if factor is None:
-            raise FragmentEscape("bound scale power is irrational")
-        coeff *= factor
+        coeff *= exact_pow(step.scale, step.zeta * e)
         exps[step.pos] = step.zeta * e
     return RawMono(coeff, ExpVec(tuple(exps)))
 
@@ -1009,9 +933,9 @@ def _dyadic_at_least(q: Fraction) -> Fraction:
 def normalize_cell(raw: RawCell) -> CellNormalization:
     """Map a raw cell onto a normalized cell in (0,1)^n with center 0.
 
-    Per variable: an optional recentering (constant fibers), an optional
-    reciprocal for fibers inside [1, inf), a mirror for negative fibers and
-    an optional power-of-two rescale to push the upper bound into (0,1].
+    Per variable: a mirror for negative fibers, then a reciprocal for fibers
+    inside [1, inf) or else an optional power-of-two rescale to push the
+    upper bound into (0,1].
     Raises InconsistentOrientation for fibers that no single-piece map of
     this shape can handle (e.g. fibers containing 0)."""
     nv = raw.nvars
@@ -1025,12 +949,7 @@ def normalize_cell(raw: RawCell) -> CellNormalization:
         cell_so_far = Cell(tuple(specs))
         lower = _transform_raw_bound(rv.lower, steps, nv)
         upper = _transform_raw_bound(rv.upper, steps, nv)
-        theta = Fraction(rv.center)
         if isinstance(upper, Inf):
-            if theta != 0:
-                raise InconsistentOrientation(
-                    "variables with unbounded fibers must have center 0"
-                )
             if isinstance(lower, Zero):
                 raise InconsistentOrientation(
                     "the fiber (0, inf) has no single-piece normalization"
@@ -1042,44 +961,12 @@ def normalize_cell(raw: RawCell) -> CellNormalization:
                     f"unbounded fiber with lower bound below 1 (from {llo}); "
                     "split the cell at 1"
                 )
-            steps.append(AxisMap(i, Fraction(0), 1, -1, Fraction(1)))
+            steps.append(AxisMap(i, zeta=-1))
             new_upper = MonomialBound(
                 1 / lower.coeff, lower.exps.pad(nv).scale(-1)
             )
             specs.append(FatVar(ZERO, new_upper))
             continue
-        if theta != 0:
-            if not (
-                isinstance(lower, (Zero, RawMono))
-                and isinstance(upper, RawMono)
-                and upper.exps.is_zero()
-                and (isinstance(lower, Zero) or lower.exps.is_zero())
-            ):
-                raise InconsistentOrientation(
-                    "nonzero centers need constant fibers"
-                )
-            p = Fraction(0) if isinstance(lower, Zero) else lower.coeff
-            q = upper.coeff
-            pt, qt = p - theta, q - theta
-            if pt >= 0:
-                side = 1
-            elif qt <= 0:
-                side, pt, qt = -1, -qt, -pt
-            else:
-                raise InconsistentOrientation(
-                    f"center {theta} lies inside the fiber ({p}, {q})"
-                )
-            if qt > 1:
-                s = _dyadic_at_least(qt)
-            else:
-                s = Fraction(1)
-            steps.append(AxisMap(i, theta, side, 1, s))
-            new_lower: Union[Zero, MonomialBound] = (
-                ZERO if pt == 0 else MonomialBound.const(pt / s, nv)
-            )
-            specs.append(FatVar(new_lower, MonomialBound.const(qt / s, nv)))
-            continue
-        # center 0
         assert isinstance(upper, RawMono)
         eps = 1
         if upper.coeff < 0 or (upper.coeff > 0 and upper.exps.is_zero()
@@ -1114,7 +1001,7 @@ def normalize_cell(raw: RawCell) -> CellNormalization:
         if llo >= 1:
             # reciprocal: new = 1/old in (0, 1/lower]
             assert isinstance(lower, RawMono)
-            steps.append(AxisMap(i, Fraction(0), eps, -1, Fraction(1)))
+            steps.append(AxisMap(i, eps=eps, zeta=-1))
             new_upper = MonomialBound(1 / lower.coeff, lower.exps.pad(nv).scale(-1))
             new_lower: Union[Zero, MonomialBound] = MonomialBound(
                 1 / upper.coeff, upper.exps.pad(nv).scale(-1)
@@ -1126,7 +1013,7 @@ def normalize_cell(raw: RawCell) -> CellNormalization:
                 "unbounded fiber with lower bound below 1; split the cell at 1"
             )
         s = _dyadic_at_least(bhi) if bhi > 1 else Fraction(1)
-        steps.append(AxisMap(i, Fraction(0), eps, 1, s))
+        steps.append(AxisMap(i, eps=eps, scale=s))
         new_upper = MonomialBound(upper.coeff / s, upper.exps.pad(nv))
         new_lower = (
             ZERO

@@ -95,7 +95,8 @@ def _cmd_prepare(args) -> int:
                 "vars": list(norm.names),
                 "terms": print_expr(p.terms, norm.names),
                 "J": list(p.J),
-                "centers": [str(c) for c in p.centers],
+                # cells are centered at 0; the report schema keeps the key
+                "centers": ["0"] * norm.cell.nvars,
             }
             for p in pieces
         ]

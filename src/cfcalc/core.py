@@ -52,6 +52,20 @@ def frac_pow(q: Fraction, r: Fraction) -> Fraction | None:
     return Fraction(num, den) ** r.numerator
 
 
+def exact_pow(q: Fraction, r: Fraction) -> Fraction:
+    """Exact q**r for positive rational q; an irrational power is refused
+    with the quantity written in source syntax, e.g. (1/5)^(-3/2)."""
+    v = frac_pow(q, r)
+    if v is None:
+        raise FragmentEscape(f"{_source_rat(q)}^{_source_rat(r)} is irrational")
+    return v
+
+
+def _source_rat(q: Fraction) -> str:
+    """A rational as a source-language power base or exponent."""
+    return str(q) if q.denominator == 1 and q >= 0 else f"({q})"
+
+
 def _int_nth_root(n: int, k: int) -> int | None:
     """Exact integer k-th root of n >= 1, or None if not a perfect power."""
     if n == 1:
@@ -667,11 +681,7 @@ class Term:
             raise FragmentEscape("exact evaluation requires a log-free term")
         total = self.coeff * _eval_monomial_exact(self.exps, point)
         for r in self.ratios:
-            base = _eval_monomial_exact(r.exps, point)
-            v = frac_pow(base, r.power)
-            if v is None:
-                raise FragmentEscape(f"{base}^{r.power} is irrational")
-            total *= v
+            total *= exact_pow(_eval_monomial_exact(r.exps, point), r.power)
         return total * self.unit.eval_exact(point)
 
 
@@ -745,10 +755,7 @@ def _eval_monomial_exact(m: ExpVec, point: Sequence[Fraction]) -> Fraction:
     total = Fraction(1)
     for i, e in enumerate(m.exps):
         if e:
-            v = frac_pow(Fraction(point[i]), e)
-            if v is None:
-                raise FragmentEscape(f"{point[i]}^{e} is irrational")
-            total *= v
+            total *= exact_pow(Fraction(point[i]), e)
     return total
 
 

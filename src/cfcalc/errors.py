@@ -41,14 +41,6 @@ class NotDetermined(CalcError):
     determined with a pure monomial lower bound."""
 
 
-class NotCase2(CalcError):
-    """recenter_case2 called although the lower bound's closure contains 0."""
-
-
-class EqualCenters(CalcError):
-    """compare_centers called with two identical centers."""
-
-
 class NotAllUndetermined(CalcError):
     """A sliver was requested for a cell with asymptotically determined
     variables (run the coordinate transform first)."""

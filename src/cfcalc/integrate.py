@@ -26,8 +26,8 @@ from .core import (
     PolyUnit,
     RatLike,
     Term,
+    exact_pow,
     expand_log_power,
-    frac_pow,
     log_of_monomial_unit,
     normalize,
     poly_scale,
@@ -261,9 +261,7 @@ def _eval_antider_at_bound(
     out: list[Term] = []
     for zpow, logpow, c in pieces:
         e = Fraction(zpow) / p
-        qe = frac_pow(q, e)
-        if qe is None:
-            raise FragmentEscape(f"{q}^{e} is irrational")
+        qe = exact_pow(q, e)
         exps = beta.scale(e)
         if logpow == 0:
             out.append(Term.make(c * qe, exps))

@@ -219,7 +219,6 @@ _STEPS = st.sampled_from(
         AxisMap(1),
         AxisMap(0, scale=F(1, 4)),
         AxisMap(1, zeta=-1, scale=F(1, 2)),
-        AxisMap(1, theta=F(1, 2), scale=F(1, 2)),
         AxisMap(0, eps=-1),
         HStep(1, ExpVec.of([1, 0]), PolyUnit(F(1, 4)), F(1, 2)),
     ]

@@ -39,7 +39,7 @@ def test_reciprocal_normalization():
     spec = n.cell.fat(0)
     assert isinstance(spec.lower, type(ZERO))
     assert spec.upper.coeff == F(1, 2)
-    assert n.steps == (AxisMap(0, F(0), 1, -1, F(1)),)
+    assert n.steps == (AxisMap(0, 1, -1, F(1)),)
     # Jacobian |dx/dz| = z^-2
     assert n.jacobian.coeff == 1 and n.jacobian.exps[0] == -2
 
@@ -48,14 +48,6 @@ def test_identity_normalization():
     raw = RawCell((RawVar("x1", ZERO, RawMono.const(1, 1)),))
     n = normalize_cell(raw)
     assert n.jacobian.coeff == 1 and n.jacobian.exps.is_zero()
-
-
-def test_shift_normalization_endpoints():
-    raw = RawCell((RawVar("x1", RawMono.const(3, 1), RawMono.const(4, 1), center=F(3)),))
-    n = normalize_cell(raw)
-    assert n.to_normalized([F(3)]) == [F(0)]
-    assert n.to_normalized([F(4)]) == [F(1)]
-    assert n.to_original([F(1, 2)]) == [F(7, 2)]
 
 
 def test_rescale_normalization():
@@ -86,16 +78,10 @@ def test_fiber_containing_zero_rejected():
         normalize_cell(raw)
 
 
-def test_unbounded_fiber_requires_zero_center():
-    raw = RawCell((RawVar("x1", RawMono.const(2, 1), INF, center=F(1)),))
-    with pytest.raises(InconsistentOrientation):
-        normalize_cell(raw)
-
-
 def test_roundtrip_exact(rng):
     raws = [
         RawCell((RawVar("x1", RawMono.const(2, 1), INF),)),
-        RawCell((RawVar("x1", RawMono.const(3, 1), RawMono.const(4, 1), center=F(3)),)),
+        RawCell((RawVar("x1", RawMono.const(3, 1), RawMono.const(4, 1)),)),
         RawCell(
             (
                 RawVar("x1", ZERO, RawMono.const(1, 2)),

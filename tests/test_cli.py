@@ -74,6 +74,20 @@ def test_decay_rate_worked_example():
     assert report["result"]["epsilon"] == "1/12"
 
 
+def test_check_integrability_sliver_separate():
+    # two terms with the same rbar = -1 and different y1 exponents: the
+    # dominance certificate separates their affine forms on a sliver
+    code, report = run_json(
+        "check-integrability",
+        "y1^(1/2)*y2^(-1) + y1^(1/3)*y2^(-1) on {0<y1<1, 0<y2<1}",
+    )
+    assert code == 4
+    result = report["result"]
+    assert result["W"] == "y1^(1/3) * y2^(-1)"
+    assert result["certificate"]["margin"] == "1/6"
+    assert result["certificate"]["sliver"]["epsilon"] == "1/32"
+
+
 def test_sliver_report():
     code, report = run_json("sliver", "1 on {0<x1<1, x1^(2) < x2 < x1}")
     assert code == 0
@@ -99,11 +113,20 @@ def test_usage_error_exit_code():
 
 
 def test_fragment_escape_exit_code():
-    # fractional power of a shifted coordinate cannot stay in the fragment
+    # the integral evaluates a fractional power at the rational bound 1/3
+    # of the reciprocal coordinate, and that power is irrational
     code, _, err = run_cli(
         "integrate", "x1^(1/2) on {3 < x1 < 4}", "--vars", "1"
     )
     assert code == 3 and "fragment" in err
+
+
+def test_irrational_power_refusal_in_source_syntax():
+    # the refused quantity is (1/5)^(-3/2), printed so that it parses back
+    # as that power and not as 1/(5^(-3/2))
+    code, out, err = run_cli("integrate", "x1^(1/2) on {5<x1<6}")
+    assert code == 3 and out == ""
+    assert err == "fragment escape: (1/5)^(-3/2) is irrational\n"
 
 
 def test_not_integrable_exit_code():
