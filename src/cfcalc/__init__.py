@@ -32,7 +32,6 @@ from .cells import (  # noqa: F401
     RawCell,
     RawMono,
     RawVar,
-    ThinVar,
     Zero,
     classify,
     compose_with_map,
@@ -69,14 +68,12 @@ from .analyze import (  # noqa: F401
 from .integrate import (  # noqa: F401
     FubiniResult,
     SForm,
-    SplitSeries,
     antiderivative_pow_log,
     antiderivative_pow_log_recursive,
     build_sform,
     integrate_fubini,
     integrate_last,
     integrate_sform,
-    split,
 )
 from .oracle import (  # noqa: F401
     ProbeReport,

@@ -67,7 +67,7 @@ def term_integrable_last(t: Term, cell: Cell) -> bool:
     unconstrained ones integrate iff the exponent exceeds -1 (log powers
     never rescue the harmonic threshold)."""
     pos = cell.nvars - 1
-    spec = cell.fat(pos)
+    spec = cell.specs[pos]
     _check_last_var_atoms(t, pos)
     if isinstance(spec.lower, MonomialBound):
         return True
@@ -355,18 +355,12 @@ class IntegrableLocus:
 def integrable_locus(
     pieces: Sequence[tuple[Cell, CExpr]], hypothesis: str = "dense"
 ) -> IntegrableLocus:
-    """Keep exactly the cells fat in the last variable whose fibers pass the
-    integrability test; density of the kept fibers is recorded as an
-    assumption, never verified (it is not checkable from samples)."""
-    from .cells import FatVar
-
+    """Keep exactly the cells whose fibers pass the integrability test;
+    density of the kept fibers is recorded as an assumption, never verified
+    (it is not checkable from samples)."""
     kept: list[tuple[Cell, CExpr]] = []
     discarded: list[tuple[Cell, CExpr]] = []
     for cell, e in pieces:
-        pos = cell.nvars - 1
-        if not isinstance(cell.specs[pos], FatVar):
-            discarded.append((cell, e))
-            continue
         if sum_integrable_last(e, cell, hypothesis).verdict:
             kept.append((cell, e))
         else:

@@ -34,6 +34,7 @@ from .core import (
     poly_is_certifiable_unit,
     poly_mul,
     poly_scale,
+    terms_from_poly,
     times_log_power,
     unit_from_poly,
 )
@@ -155,27 +156,15 @@ class FatVar:
 
 
 @dataclass(frozen=True)
-class ThinVar:
-    """Graph variable y_i = offset(y_<i); eliminated before analysis."""
-
-    offset: MonomialBound
-
-
-VarSpec = Union[FatVar, ThinVar]
-
-
-@dataclass(frozen=True)
 class Cell:
-    """Normalized cell in (0,1)^n with center 0."""
+    """Normalized cell in (0,1)^n with center 0.  Every variable is fat:
+    thin (graph) variables are substituted away at the source level."""
 
-    specs: tuple[VarSpec, ...]
+    specs: tuple[FatVar, ...]
 
     def __post_init__(self):
         for i, spec in enumerate(self.specs):
-            bounds = (
-                (spec.lower, spec.upper) if isinstance(spec, FatVar) else (spec.offset,)
-            )
-            for b in bounds:
+            for b in (spec.lower, spec.upper):
                 if isinstance(b, Inf):
                     raise CellError("normalized cells have bounded fibers")
                 if isinstance(b, MonomialBound) and any(
@@ -189,19 +178,6 @@ class Cell:
     def nvars(self) -> int:
         return len(self.specs)
 
-    @property
-    def fat_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.specs) if isinstance(s, FatVar))
-
-    def is_open(self) -> bool:
-        return all(isinstance(s, FatVar) for s in self.specs)
-
-    def fat(self, pos: int) -> FatVar:
-        spec = self.specs[pos]
-        if not isinstance(spec, FatVar):
-            raise CellError(f"variable {pos} is thin")
-        return spec
-
     def prefix(self, n: int) -> "Cell":
         """The projection onto the first n variables (itself a cell)."""
         return Cell(self.specs[:n])
@@ -209,7 +185,7 @@ class Cell:
     def drop_last(self) -> "Cell":
         return Cell(self.specs[:-1])
 
-    def with_spec(self, pos: int, spec: VarSpec) -> "Cell":
+    def with_spec(self, pos: int, spec: FatVar) -> "Cell":
         specs = list(self.specs)
         specs[pos] = spec
         return Cell(tuple(specs))
@@ -237,9 +213,7 @@ class Cell:
             exps[i] = Fraction(0)
             spec = self.specs[i]
             bound: MonomialBound
-            if isinstance(spec, ThinVar):
-                bound = spec.offset
-            elif e > 0:
+            if e > 0:
                 bound = spec.upper
             else:
                 if isinstance(spec.lower, Zero):
@@ -262,9 +236,7 @@ class Cell:
             exps[i] = Fraction(0)
             spec = self.specs[i]
             bound: MonomialBound
-            if isinstance(spec, ThinVar):
-                bound = spec.offset
-            elif e > 0:
+            if e > 0:
                 if isinstance(spec.lower, Zero):
                     return Fraction(0)
                 bound = spec.lower
@@ -343,9 +315,6 @@ class Cell:
     def validate(self) -> None:
         for i, spec in enumerate(self.specs):
             prefix = self.prefix(i)
-            if isinstance(spec, ThinVar):
-                prefix.certify_bound(i, spec.offset)
-                continue
             prefix.certify_bound(i, spec.upper)
             if isinstance(spec.lower, MonomialBound):
                 prefix.certify_bound(i, spec.lower)
@@ -357,9 +326,6 @@ class Cell:
         """A random interior point, fraction `margin` away from the bounds."""
         pt: list[float] = []
         for spec in self.specs:
-            if isinstance(spec, ThinVar):
-                pt.append(spec.offset.eval(pt))
-                continue
             lo = 0.0 if isinstance(spec.lower, Zero) else spec.lower.eval(pt)
             hi = spec.upper.eval(pt)
             u = margin + (1 - 2 * margin) * rng.random()
@@ -368,10 +334,6 @@ class Cell:
 
     def contains(self, point: Sequence[float], slack: float = 0.0) -> bool:
         for i, spec in enumerate(self.specs):
-            if isinstance(spec, ThinVar):
-                if abs(point[i] - spec.offset.eval(point)) > slack:
-                    return False
-                continue
             lo = 0.0 if isinstance(spec.lower, Zero) else spec.lower.eval(point)
             hi = spec.upper.eval(point)
             if not (lo - slack < point[i] < hi + slack):
@@ -386,7 +348,7 @@ class Cell:
 
 @dataclass(frozen=True)
 class AsymClass:
-    """Per fat position: asymptotically determined / constrained flags."""
+    """Per position: asymptotically determined / constrained flags."""
 
     determined: tuple[bool, ...]
     constrained: tuple[bool, ...]
@@ -405,10 +367,6 @@ def classify(cell: Cell) -> AsymClass:
     det: list[bool] = []
     con: list[bool] = []
     for spec in cell.specs:
-        if isinstance(spec, ThinVar):
-            det.append(True)
-            con.append(True)
-            continue
         constrained = isinstance(spec.lower, MonomialBound)
         determined = constrained and spec.lower.exps == spec.upper.exps
         det.append(determined)
@@ -422,8 +380,6 @@ def assert_prepared_shape(cell: Cell) -> AsymClass:
     cls = classify(cell)
     undet = set(cls.undetermined_positions())
     for i, spec in enumerate(cell.specs):
-        if not isinstance(spec, FatVar):
-            raise NotPrepared(f"variable {i} is thin")
         bounds = [spec.upper]
         if isinstance(spec.lower, MonomialBound):
             bounds.append(spec.lower)
@@ -638,32 +594,10 @@ def _compose_term_axis(t: Term, step: AxisMap, nvars: int) -> list[Term]:
         else:
             ratios.append(rf)
 
-    pieces = _carrier_terms(coeff, exps, tuple(logpows), extras, ratios, unit_poly, nvars)
+    pieces = terms_from_poly(coeff, exps, tuple(logpows), extras, ratios, unit_poly, nvars)
     if log_expansion is None:
         return pieces
     return [x for base in pieces for x in times_log_power(base, log_expansion)]
-
-
-def _carrier_terms(
-    coeff: Fraction,
-    exps: ExpVec,
-    logpows: tuple[int, ...],
-    extras: list,
-    ratios: list[RatioFactor],
-    poly: MonoPoly,
-    nvars: int,
-) -> list[Term]:
-    if not poly:
-        return []
-    if poly_is_certifiable_unit(poly):
-        scale, u = unit_from_poly(poly, nvars).monic()
-        return [
-            Term.make(coeff * scale, exps, logpows, tuple(extras), tuple(ratios), u)
-        ]
-    return [
-        Term.make(coeff * c, exps + m, logpows, tuple(extras), tuple(ratios))
-        for m, c in sorted(poly.items(), key=lambda mc: mc[0].exps)
-    ]
 
 
 def _compose_term_h(t: Term, step: HStep, nvars: int) -> list[Term]:
@@ -727,7 +661,7 @@ def _compose_term_h(t: Term, step: HStep, nvars: int) -> list[Term]:
         else:
             ratios.append(rf)
 
-    pieces = _carrier_terms(
+    pieces = terms_from_poly(
         coeff, exps, tuple(logpows), extras, ratios, new_poly, nvars
     )
     if log_expansion is None:
@@ -792,7 +726,7 @@ def transform_H(cell: Cell) -> HTransform:
     for d in range(nv):
         if not classify(cur).determined[d]:
             continue
-        spec = cur.fat(d)
+        spec = cur.specs[d]
         lower = spec.lower
         assert isinstance(lower, MonomialBound)
         upper = spec.upper
@@ -940,7 +874,7 @@ def normalize_cell(raw: RawCell) -> CellNormalization:
     this shape can handle (e.g. fibers containing 0)."""
     nv = raw.nvars
     steps: list[AxisMap] = []
-    specs: list[VarSpec] = []
+    specs: list[FatVar] = []
     for i, rv in enumerate(raw.vars):
         if rv.thin is not None:
             raise CellError(

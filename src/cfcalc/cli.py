@@ -76,10 +76,19 @@ def _emit(args, source: str, result: dict, lines: list[str], code: int = 0) -> i
     return code
 
 
-def _pipeline(source: str, with_jacobian: bool):
+def _pipeline(source: str, with_jacobian: bool, fibers: int = 0):
     """parse -> eliminate thins -> normalize the cell -> pull the expression
-    back to the unit box (optionally with the Jacobian folded in)."""
+    back to the unit box (optionally with the Jacobian folded in).
+
+    The last ``fibers`` source variables are integrated or analyzed over
+    their fibers, so none of them may be thin: eliminating it would make an
+    earlier variable the last one and answer for the wrong fiber."""
     form = parse(source)
+    for rv in form.raw_cell.vars[max(0, form.raw_cell.nvars - fibers):]:
+        if rv.thin is not None:
+            raise FragmentEscape(
+                f"variable {rv.name} is thin: its fiber is a single point"
+            )
     raw, expr = substitute_thin(form.raw_cell, form.expr)
     norm = normalize_cell(raw)
     return norm, norm.pull_back(expr, with_jacobian=with_jacobian)
@@ -109,8 +118,8 @@ def _cmd_prepare(args) -> int:
 
 def _cmd_integrate(args) -> int:
     source = _read_source(args)
-    norm, pulled = _pipeline(source, with_jacobian=True)
     m = args.vars
+    norm, pulled = _pipeline(source, with_jacobian=True, fibers=m)
     if m < 1 or m > norm.cell.nvars:
         raise _Usage(f"--vars must be between 1 and {norm.cell.nvars}")
     prepared = prepare_expr(pulled, norm.cell)
@@ -145,7 +154,7 @@ def _drop_ratio_free(e: CExpr) -> CExpr:
 
 def _cmd_check(args) -> int:
     source = _read_source(args)
-    norm, pulled = _pipeline(source, with_jacobian=True)
+    norm, pulled = _pipeline(source, with_jacobian=True, fibers=1)
     prepared = prepare_expr(pulled, norm.cell)[0]
     res = sum_integrable_last(
         _drop_ratio_free(prepared.terms), norm.cell, args.hypothesis
@@ -183,7 +192,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_decay(args) -> int:
     source = _read_source(args)
-    norm, pulled = _pipeline(source, with_jacobian=False)
+    norm, pulled = _pipeline(source, with_jacobian=False, fibers=1)
     prepared = prepare_expr(pulled, norm.cell)[0]
     dr = decay_rate(_drop_ratio_free(prepared.terms), norm.cell)
     result = {

@@ -866,10 +866,10 @@ def term_mul(a: Term, b: Term) -> list[Term]:
                          a.ratios or b.ratios)]
         return [Term.make(coeff, exps, logpows, extras, ratios)]
     poly = poly_mul(a.unit.as_poly(nv), b.unit.as_poly(nv))
-    return _terms_from_poly(coeff, exps, logpows, extras, ratios, poly, nv)
+    return terms_from_poly(coeff, exps, logpows, extras, ratios, poly, nv)
 
 
-def _terms_from_poly(
+def terms_from_poly(
     coeff: Fraction,
     exps: ExpVec,
     logpows: tuple[int, ...],
@@ -928,7 +928,7 @@ def normalize(e: CExpr) -> CExpr:
                 poly = poly_add(poly, poly_scale(t.unit.as_poly(nv), t.coeff))
             rep = group[0]
             out.extend(
-                _terms_from_poly(
+                terms_from_poly(
                     Fraction(1), rep.exps, rep.logpows, list(rep.extras),
                     list(rep.ratios), poly, nv,
                 )
@@ -1046,7 +1046,7 @@ def differentiate(t: Term, pos: int) -> CExpr:
     dpoly = t.unit.derivative(pos, nv)
     if dpoly:
         out.extend(
-            _terms_from_poly(
+            terms_from_poly(
                 t.coeff, t.exps, t.logpows, list(t.extras), list(t.ratios),
                 dpoly, nv,
             )

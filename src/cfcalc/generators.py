@@ -128,7 +128,7 @@ def random_integrable_instance(
     check: when the last fiber reaches 0 every term exponent stays > -1."""
     cell = random_cell(rng, nvars, constrained_prob=0.5)
     pos = nvars - 1
-    unconstrained = isinstance(cell.fat(pos).lower, Zero)
+    unconstrained = isinstance(cell.specs[pos].lower, Zero)
     pool = (
         [Fraction(k, 2) for k in range(-1, 5)]
         if unconstrained

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .analyze import integrable_locus, sum_integrable_last
-from .cells import Cell, FatVar, MonomialBound, Zero
+# sum_integrable_last is not called here: bench/tracing.py wraps it by name
+from .analyze import integrable_locus, sum_integrable_last  # noqa: F401
+from .cells import Cell, MonomialBound, Zero
 from .core import (
     CExpr,
     ExpVec,
@@ -90,66 +91,6 @@ def _anti_pieces(m: Fraction, s: int) -> list[tuple[Fraction, int, Fraction]]:
         (t.exps[0], t.logpows[0], t.coeff)
         for t in antiderivative_pow_log(m, s).terms
     ]
-
-
-# ---------------------------------------------------------------------------
-# The splitting lemma (three-way split by Y^i Z^j degree difference)
-# ---------------------------------------------------------------------------
-
-# polynomial in (X_1..X_N, Y, Z): {(x multidegree, i, j): coefficient}
-Poly3 = dict[tuple[tuple[int, ...], int, int], Fraction]
-
-
-@dataclass(frozen=True)
-class SplitSeries:
-    """Exact three-way split of F(X, Y, Z) by the degree difference i - j.
-
-    With D standing for the product YZ, the parts reconstruct F as
-
-        Z^2 * part_leq_minus2(X, D, Z) + Z * part_minus1(X, D)
-            + part_geq0(X, D, Y).
-    """
-
-    part_leq_minus2: dict[tuple[tuple[int, ...], int, int], Fraction]
-    part_minus1: dict[tuple[tuple[int, ...], int], Fraction]
-    part_geq0: dict[tuple[tuple[int, ...], int, int], Fraction]
-
-    def reconstruct(self) -> Poly3:
-        """Substitute D = YZ and expand; must equal the original exactly."""
-        out: Poly3 = {}
-
-        def add(key, c):
-            out[key] = out.get(key, Fraction(0)) + c
-            if out[key] == 0:
-                del out[key]
-
-        for (x, d, z), c in self.part_leq_minus2.items():
-            add((x, d, d + z + 2), c)
-        for (x, d), c in self.part_minus1.items():
-            add((x, d, d + 1), c)
-        for (x, d, y), c in self.part_geq0.items():
-            add((x, d + y, d), c)
-        return out
-
-
-def split(F: Poly3) -> SplitSeries:
-    """Split a finite polynomial by i - j of its Y^i Z^j monomials."""
-    leq: dict[tuple[tuple[int, ...], int, int], Fraction] = {}
-    minus1: dict[tuple[tuple[int, ...], int], Fraction] = {}
-    geq: dict[tuple[tuple[int, ...], int, int], Fraction] = {}
-    for (x, i, j), c in F.items():
-        if c == 0:
-            continue
-        if i - j <= -2:
-            key = (x, i, j - i - 2)
-            leq[key] = leq.get(key, Fraction(0)) + c
-        elif i - j == -1:
-            key2 = (x, i)
-            minus1[key2] = minus1.get(key2, Fraction(0)) + c
-        else:
-            key = (x, j, i - j)
-            geq[key] = geq.get(key, Fraction(0)) + c
-    return SplitSeries(leq, minus1, geq)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +268,7 @@ def integrate_term_last(
     """Integrate one prepared term over the last-variable fiber, unnormalized
     (`memo` as in integrate_sform)."""
     pos = cell.nvars - 1
-    spec = cell.fat(pos)
+    spec = cell.specs[pos]
     if isinstance(spec.lower, Zero) and t.exps[pos] <= -1:
         raise NotIntegrable(
             f"exponent {t.exps[pos]} <= -1 over an unconstrained fiber"
@@ -340,7 +281,11 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
     """Exact parameterized integral of a prepared sum over the last fiber,
     as a constructible expression over the base cell.
 
-    Each term is integrated on its own; the per-term results are collected
+    The integrability gate is the caller's (integrate_fubini runs
+    integrable_locus first); a term that is not integrable, or whose opaque
+    atoms involve the last variable, still raises NotIntegrable or
+    FragmentEscape from integrate_term_last and build_sform.  Each term is
+    integrated on its own; the per-term results are collected
     in one list and normalized once, the only canonicalization of the sum,
     so the work is linear in the number of terms.  The definite integral of
     each fiber slab is computed once per call and shared between terms
@@ -349,10 +294,6 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
     e = normalize(e)
     if e.nvars != cell.nvars:
         raise ValueError("expression/cell ambient size mismatch")
-    verdictless = sum_integrable_last(e, cell, "all")
-    if not verdictless.verdict:
-        bad = [i for i, ok in enumerate(verdictless.per_term) if not ok]
-        raise NotIntegrable(f"terms {bad} are not fiberwise integrable")
     memo: SlabMemo = {}
     terms: list[Term] = []
     for t in e.terms:
@@ -400,15 +341,10 @@ def integrate_fubini(
         locus = integrable_locus(work, hypothesis)
         if locus.discarded:
             if hypothesis == "all":
-                failing = [
-                    (c, e) for c, e in locus.discarded
-                    if isinstance(c.specs[c.nvars - 1], FatVar)
-                ]
-                if failing:
-                    raise NotIntegrable(
-                        f"round {round_no + 1}: {len(failing)} cell(s) fail "
-                        "fiberwise integrability under the 'all' hypothesis"
-                    )
+                raise NotIntegrable(
+                    f"round {round_no + 1}: {len(locus.discarded)} cell(s) "
+                    "fail fiberwise integrability under the 'all' hypothesis"
+                )
             assumptions.append(
                 f"round {round_no + 1}: {len(locus.discarded)} cell(s) "
                 "discarded as non-integrable or thin; their contribution is "

@@ -279,7 +279,7 @@ def fiber_bounds(
     cell: Cell, base_point: Sequence[float]
 ) -> tuple[float, float]:
     """Evaluate the last variable's bounds at a base point."""
-    spec = cell.fat(cell.nvars - 1)
+    spec = cell.specs[cell.nvars - 1]
     lo = 0.0 if isinstance(spec.lower, Zero) else spec.lower.eval(base_point)
     hi = spec.upper.eval(base_point)
     return lo, hi

@@ -109,7 +109,7 @@ def absorb_determined(t: Term, cell: Cell, pos: int | None = None) -> Term:
     cls = classify(cell)
     if not cls.determined[pos]:
         raise NotDetermined(f"variable {pos} is not asymptotically determined")
-    spec = cell.fat(pos)
+    spec = cell.specs[pos]
     lower = spec.lower
     assert isinstance(lower, MonomialBound)
     if not lower.unit.is_trivial:

@@ -214,8 +214,6 @@ def build_sliver(cell: Cell) -> Sliver:
     against the affine exponent forms of the bounds; epsilon is then shrunk
     (dyadically) until every bound's coefficient/unit perturbation
     |log(q*u)| / |log t_1| fits inside its delta."""
-    if not cell.is_open():
-        raise NotPrepared("slivers need open cells")
     cls = classify(cell)
     if not cls.all_undetermined():
         raise NotAllUndetermined(
@@ -223,7 +221,7 @@ def build_sliver(cell: Cell) -> Sliver:
             f"at positions {[i for i, d in enumerate(cls.determined) if d]}"
         )
     n = cell.nvars
-    first = cell.fat(0)
+    first = cell.specs[0]
     if not isinstance(first.lower, Zero):
         # undetermined first variable has constant bounds, so a nonzero
         # lower bound would make it determined
@@ -236,7 +234,7 @@ def build_sliver(cell: Cell) -> Sliver:
     budgets: list[float] = []
     notes: list[str] = ["var1: (0, eps)"]
     for i in range(1, n):
-        spec = cell.fat(i)
+        spec = cell.specs[i]
         upper = spec.upper
         beta = pull_exponent(upper.exps)
         beta = AffineForm(

@@ -16,11 +16,15 @@ from cfcalc.cells import ZERO, transform_H
 from cfcalc.core import (
     CExpr,
     ExpVec,
+    LogPrime,
+    LogUnitAtom,
+    PolyUnit,
     Term,
     differentiate_expr,
     is_normalized,
     is_zero,
     normalize,
+    poly_scale,
 )
 from cfcalc.errors import CalcError, NoDecay
 from cfcalc.generators import (
@@ -32,9 +36,9 @@ from cfcalc.generators import (
 from cfcalc.integrate import (
     antiderivative_pow_log,
     antiderivative_pow_log_recursive,
+    build_sform,
     integrate_fubini,
     integrate_last,
-    split,
 )
 from cfcalc.oracle import divergence_probe, fiber_bounds, quadrature_last
 from cfcalc.sliver import build_sliver
@@ -192,21 +196,80 @@ def test_criterion_5_sliver_certificates():
     )
 
 
+def _random_prepared_term(rng, nv: int) -> Term:
+    """coeff * y^r * logs * extras * unit, with rational exponents, variable
+    and prime logs, a base unit log and a unit touching every variable."""
+    exps = [F(rng.randint(-8, 8), rng.choice([1, 2, 3, 4])) for _ in range(nv)]
+    logpows = [rng.randint(0, 3) for _ in range(nv)]
+    extras = []
+    if rng.random() < 0.5:
+        extras.append((LogPrime(rng.choice([2, 3, 5])), rng.randint(1, 2)))
+    if nv > 1 and rng.random() < 0.3:
+        base_unit = PolyUnit.build(1, {ExpVec.unit(nv, 0): F(1, 3)})
+        extras.append((LogUnitAtom(base_unit), 1))
+    unit = PolyUnit.one()
+    if rng.random() < 0.6:
+        monos = {}
+        for _ in range(rng.randint(1, 3)):
+            m = ExpVec.of([F(rng.randint(0, 4), rng.choice([1, 2])) for _ in range(nv)])
+            if not m.is_zero():
+                monos[m] = F(rng.choice([-1, 1]), rng.randint(4, 9))
+        unit = PolyUnit.build(1, monos)
+    coeff = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    return Term.make(coeff, exps, logpows, extras, unit=unit)
+
+
+def _multiplied_out(e: CExpr) -> list[Term]:
+    """The terms of e with every unit distributed into monomials."""
+    out = []
+    for t in e.terms:
+        for m, c in poly_scale(t.unit.as_poly(e.nvars), t.coeff).items():
+            out.append(Term.make(c, t.exps + m, t.logpows, t.extras, t.ratios))
+    return out
+
+
 def test_criterion_6_splitting_lemma():
-    """200 random polynomials reconstruct exactly in rational arithmetic."""
+    """200 random prepared terms t: after y = z^p, t(z^p) * p * z^(p-1)
+    equals (sum_i laurent_i z^-i + sum_k analytic_k z^k) (log z)^s exactly,
+    term by term, for the claim form that build_sform returns."""
     rng = random.Random(SEED)
     for _ in range(200):
-        poly = {}
-        for _ in range(rng.randint(1, 10)):
-            key = (
-                (rng.randint(0, 3), rng.randint(0, 2)),
-                rng.randint(0, 6),
-                rng.randint(0, 6),
+        nv = rng.choice([1, 2, 3])
+        t = _random_prepared_term(rng, nv)
+        sf = build_sform(t)
+        pos = nv - 1
+        s = t.logpows[pos]
+        p = sf.p
+        assert sf.logpow == s and sf.nvars == nv
+        assert all(i >= 1 for i, _ in sf.laurent)
+        assert all(k >= 0 for k, _ in sf.analytic)
+        # left side: log y = p log z and y^r dy = p z^(p r + p - 1) dz
+        lhs = [
+            Term.make(
+                u.coeff * p ** (s + 1),
+                u.exps.with_entry(pos, p * u.exps[pos] + p - 1),
+                u.logpows, u.extras, u.ratios,
             )
-            poly[key] = poly.get(key, F(0)) + F(rng.randint(-9, 9), rng.choice([1, 2, 3]))
-        poly = {k: v for k, v in poly.items() if v}
-        assert split(poly).reconstruct() == poly
-    report("criterion-6 splitting-lemma", True, "200 exact reconstructions")
+            for u in _multiplied_out(CExpr(nv, (t,)))
+        ]
+        assert all(u.exps[pos].denominator == 1 for u in lhs)
+        # right side: the base coefficients of each slot times z^zpow (log z)^s
+        slots = [(-i, c) for i, c in sf.laurent] + list(sf.analytic)
+        rhs = [
+            Term.make(
+                u.coeff, ExpVec.of(u.exps.exps + (zpow,)),
+                u.logpows + (s,), u.extras, u.ratios,
+            )
+            for zpow, c in slots
+            for u in _multiplied_out(c)
+        ]
+        diff = normalize(CExpr(nv, tuple(lhs)) - CExpr(nv, tuple(rhs)))
+        assert not diff.terms, (t, sf)
+    report(
+        "criterion-6 splitting-lemma",
+        True,
+        "200 prepared terms split exactly into Laurent and analytic slots",
+    )
 
 
 def test_criterion_7_fubini_consistency():

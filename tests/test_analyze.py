@@ -14,7 +14,7 @@ from cfcalc.analyze import (
     sum_integrable_last,
     term_integrable_last,
 )
-from cfcalc.cells import ThinVar, ZERO, transform_H
+from cfcalc.cells import ZERO
 from cfcalc.core import CExpr, ExpVec, LogUnitAtom, PolyUnit, Term, normalize
 from cfcalc.errors import EmptyExpr, FragmentEscape, NoDecay
 from cfcalc.generators import random_probe_sum
@@ -169,13 +169,6 @@ class TestIntegrableLocus:
         locus = integrable_locus([(cube, good), (cube, bad)])
         assert len(locus.kept) == 1 and len(locus.discarded) == 1
         assert locus.assumptions
-
-    def test_thin_cells_discarded(self):
-        thin_cell = cell_of(
-            fat(ZERO, mono(1, [0, 0])),
-        ).with_spec(0, ThinVar(mono(F(1, 2), [0, 0])))
-        locus = integrable_locus([(thin_cell, CExpr.const(1, 1))])
-        assert not locus.kept and len(locus.discarded) == 1
 
     def test_whole_cell_kept(self):
         cube = unit_fiber(1)

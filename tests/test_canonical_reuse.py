@@ -30,7 +30,7 @@ from cfcalc.core import (
     PolyUnit,
     RatioFactor,
     Term,
-    _terms_from_poly,
+    terms_from_poly,
     expand_ratios,
     normalize,
     poly_mul,
@@ -55,7 +55,7 @@ def _term_mul_reference(a: Term, b: Term) -> list[Term]:
     if a.unit.is_trivial and b.unit.is_trivial:
         return [Term.make(coeff, exps, logpows, extras, ratios)]
     poly = poly_mul(a.unit.as_poly(nv), b.unit.as_poly(nv))
-    return _terms_from_poly(coeff, exps, logpows, extras, ratios, poly, nv)
+    return terms_from_poly(coeff, exps, logpows, extras, ratios, poly, nv)
 
 
 def _build_sform_reference(t: Term) -> SForm:

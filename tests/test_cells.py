@@ -36,7 +36,7 @@ from tests.conftest import cell_of, fat, mono, parabola_wedge, triangle, wedge_d
 def test_reciprocal_normalization():
     raw = RawCell((RawVar("x1", RawMono.const(2, 1), INF),))
     n = normalize_cell(raw)
-    spec = n.cell.fat(0)
+    spec = n.cell.specs[0]
     assert isinstance(spec.lower, type(ZERO))
     assert spec.upper.coeff == F(1, 2)
     assert n.steps == (AxisMap(0, 1, -1, F(1)),)
@@ -59,7 +59,7 @@ def test_rescale_normalization():
         )
     )
     n = normalize_cell(raw)
-    spec = n.cell.fat(1)
+    spec = n.cell.specs[1]
     assert spec.upper.coeff == 1 and spec.lower.coeff == F(1, 2)
     assert n.steps[1].scale == 2
 
@@ -110,7 +110,7 @@ def test_classify_examples():
 def test_classify_stable_under_rescaling():
     # scaling both bounds by the same constant in (0,1] keeps the verdicts
     for cell in (wedge_determined(), parabola_wedge()):
-        spec = cell.fat(1)
+        spec = cell.specs[1]
         scaled = cell.with_spec(
             1,
             FatVar(

@@ -223,7 +223,7 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
     [
         ("x1 - x1 on {0<x1<1}", 1, "0"),
         ("y1*y2*y3 on {0<y1<1, 0<y2<y1, 0<y3<y2}", 3, "1/48"),
-        ("x2 * x1 on {0<x1<1, x2 = 1/2 * x1}", 1, "1/6"),
+        ("x2 * x1 on {x1 = 1/2, 0<x2<1}", 1, "1/4"),
         ("y2^(-1/2) on {0<y1<1, 0<y2<1/4*y1^(2)}", 2, "1/2"),
         ("x1^(-3) on {2<x1<inf}", 1, "1/8"),
         ("x1^(2) on {-2 < x1 < -1}", 1, "7/3"),
@@ -233,6 +233,46 @@ def test_integrate_edge_values(source, vars_, expect):
     code, out, err = run_cli("integrate", source, "--vars", str(vars_))
     assert code == 0, err
     assert out.strip() == expect
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("integrate", "y2 on {0<y1<1, y2=y1}"),
+        ("integrate", "y2 on {y1=1/2, 0<y2<1}", "--vars", "2"),
+        ("integrate", "y3 on {0<y1<1, y2=y1, 0<y3<y1}", "--vars", "2"),
+        ("check-integrability", "y2^(-2) on {0<y1<1, y2=y1}"),
+        ("decay-rate", "y2^(-2) on {0<y1<1, y2=y1}"),
+    ],
+    ids=["integrate", "integrate-base", "integrate-middle", "check", "decay"],
+)
+def test_thin_fiber_variable_refused(args):
+    # the fiber of a thin variable is a point; eliminating it first would
+    # make an earlier variable the last one and answer for the wrong fiber
+    code, out, err = run_cli(*args)
+    assert code == 3 and out == ""
+    assert "is thin" in err
+
+
+@pytest.mark.parametrize(
+    "args,expect",
+    [
+        (("prepare", "y2 on {0<y1<1, y2=y1}"), "  J = [0]: y1"),
+        (("sliver", "y2 on {0<y1<1, y2=y1}"), "epsilon = 1/2"),
+        (("eval", "y2 on {0<y1<1, y2=y1}", "--at", "1/2,1/2"), "0.5"),
+        (("integrate", "y3 on {0<y1<1, y2=y1, 0<y3<y1}"), "1/2 * y1^(2)"),
+        (("check-integrability", "y2^(-1/2) on {y1=1/2, 0<y2<1}"),
+         "integrable: True"),
+        (("decay-rate", "y2^(2) on {y1=1/2, 0<y2<1}"),
+         "r = 1 (rbar = 2, eps = 1, delta = 1/4)"),
+    ],
+    ids=["prepare", "sliver", "eval", "integrate-middle", "check-base",
+         "decay-base"],
+)
+def test_thin_variable_off_the_fiber_kept(args, expect):
+    code, out, err = run_cli(*args)
+    assert code == 0, err
+    assert out.splitlines()[-1] == expect
 
 
 def test_nested_log_rejected_cleanly():
