@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     FragmentEscape,
@@ -751,6 +751,80 @@ def _term_values(plans, point: Sequence[float]) -> list[float]:
     return values
 
 
+# The factors of a term along a fiber, after the monomial: a value computed
+# once, log(y)^p, or a factor that reads the whole point (base + [y]).
+_CONST, _LOG_Y, _AT_POINT = range(3)
+
+
+def _mono_reads(mono: tuple[tuple[int, float], ...], pos: int) -> bool:
+    return any(i == pos for i, _ in mono)
+
+
+def _unit_reads(plan, pos: int) -> bool:
+    return any(_mono_reads(m, pos) for _, m in plan[1])
+
+
+def _term_reads(plan, pos: int) -> bool:
+    """Whether evaluating a term from its float plan reads point[pos]."""
+    _, mono, logs, extras, ratios, unit = plan
+    return (
+        _mono_reads(mono, pos)
+        or _mono_reads(logs, pos)
+        or any(_atom_reads(a, pos) for a, _ in extras)
+        or any(_mono_reads(m, pos) for m, _ in ratios)
+        or (unit is not None and _unit_reads(unit, pos))
+    )
+
+
+def _atom_reads(a, pos: int) -> bool:
+    if a.__class__ is float:
+        return False
+    if isinstance(a, PolyUnit):
+        return _unit_reads(a._float_plan, pos)
+    return any(_term_reads(p, pos) for p in a._float_plan)
+
+
+def _log_atom_power(a, k: int):
+    return lambda point: math.log(a.eval(point)) ** k
+
+
+def _ratio_power(mono, power: float):
+    return lambda point: _monomial_value(mono, point) ** power
+
+
+def _fiber_term(plan, base: list, last: int):
+    """(coeff, pre, e, factors): the term at y is coeff * (pre * y**e), or
+    coeff * pre when e is None, times each factor in turn."""
+    coeff, mono, logs, extras, ratios, unit = plan
+    e = mono[-1][1] if mono and mono[-1][0] == last else None
+    # the monomial's product over the base coordinates, left to right from
+    # 1.0; y has the highest index, so its power comes last as in eval
+    pre = _monomial_value(mono if e is None else mono[:-1], base)
+    factors = []
+    for i, p in logs:
+        factors.append(
+            (_LOG_Y, p) if i == last else (_CONST, math.log(base[i]) ** p)
+        )
+    for a, k in extras:
+        if _atom_reads(a, last):
+            factors.append((_AT_POINT, _log_atom_power(a, k)))
+        elif a.__class__ is float:
+            factors.append((_CONST, a ** k))
+        else:
+            factors.append((_CONST, math.log(a.eval(base)) ** k))
+    for rmono, power in ratios:
+        if _mono_reads(rmono, last):
+            factors.append((_AT_POINT, _ratio_power(rmono, power)))
+        else:
+            factors.append((_CONST, _monomial_value(rmono, base) ** power))
+    if unit is not None:
+        if _unit_reads(unit, last):
+            factors.append((_AT_POINT, lambda point: _unit_value(unit, point)))
+        else:
+            factors.append((_CONST, _unit_value(unit, base)))
+    return coeff, pre, e, tuple(factors)
+
+
 def _eval_monomial_exact(m: ExpVec, point: Sequence[Fraction]) -> Fraction:
     total = Fraction(1)
     for i, e in enumerate(m.exps):
@@ -823,6 +897,45 @@ class CExpr:
 
     def eval(self, point: Sequence[float]) -> float:
         return left_sum(_term_values(self._float_plan, point))
+
+    def fiber(self, base_point: Sequence[float]) -> Callable[[float], float]:
+        """y -> self.eval(list(base_point) + [y]), bit for bit.
+
+        Every factor that does not read the last coordinate is computed once
+        here, as the value eval would compute for it; at each y the factors
+        are still multiplied one by one in eval's order (constants are never
+        pre-multiplied: (t*a)*b is not always t*(a*b) in floats), and the
+        terms are added left to right from int 0.
+        """
+        base = list(base_point)
+        if len(base) != self.nvars - 1:
+            raise ValueError(
+                f"a fiber base point has {self.nvars - 1} coordinates, "
+                f"got {len(base)}"
+            )
+        last = len(base)
+        terms = tuple(_fiber_term(plan, base, last) for plan in self._float_plan)
+
+        def value(y: float) -> float:
+            point = log_y = None
+            total = 0
+            for coeff, pre, e, factors in terms:
+                v = coeff * pre if e is None else coeff * (pre * y ** e)
+                for kind, f in factors:
+                    if kind == _CONST:
+                        v *= f
+                    elif kind == _LOG_Y:
+                        if log_y is None:
+                            log_y = math.log(y)
+                        v *= log_y ** f
+                    else:
+                        if point is None:
+                            point = base + [y]
+                        v *= f(point)
+                total += v
+            return total
+
+        return value
 
     def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
         return sum((t.eval_exact(point) for t in self.terms), Fraction(0))
@@ -1080,13 +1193,6 @@ def compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _multinomial(total: int, parts: tuple[int, ...]) -> int:
-    out = math.factorial(total)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
-
-
 # One addend of a logarithm written as a sum:  coeff * log(atom), where the
 # atom is a cell variable, a prime, or a monic polynomial unit.
 LogSumItem = tuple[Fraction, LogAtom]
@@ -1126,15 +1232,24 @@ def expand_log_power(
     """
     if power == 0:
         return [(Fraction(1), (0,) * nvars, ())]
+    fact = [math.factorial(j) for j in range(power + 1)]
+    # c**k for k = 0..power per item, or None for c == 1 (nothing to multiply)
+    coeff_pows = [
+        None if c == 1 else [c ** k for k in range(power + 1)] for c, _ in items
+    ]
     out: list[LogPowerPiece] = []
     for parts in compositions(power, len(items)):
-        coeff = Fraction(_multinomial(power, parts))
+        multinomial = fact[power]
+        for k in parts:
+            multinomial //= fact[k]
+        coeff = Fraction(multinomial)
         logpows = [0] * nvars
         extras: list[tuple[LogAtom, int]] = []
-        for (c, atom), k in zip(items, parts):
+        for (_, atom), pows, k in zip(items, coeff_pows, parts):
             if k == 0:
                 continue
-            coeff *= c ** k
+            if pows is not None:
+                coeff *= pows[k]
             if isinstance(atom, LogVar):
                 logpows[atom.pos] += k
             else:

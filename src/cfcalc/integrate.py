@@ -334,7 +334,9 @@ def integrate_fubini(
 ) -> FubiniResult:
     """Integrate the last m variables, cell by cell, gating each round on
     fiberwise integrability; discarded cells contribute zero (the
-    characteristic-function step) and a gating assumption is recorded."""
+    characteristic-function step) and a gating assumption is recorded.  A
+    round that discards every cell is refused: no hypothesis makes an empty
+    integrable locus dense."""
     work = list(pieces)
     assumptions: list[str] = []
     for round_no in range(m):
@@ -345,9 +347,16 @@ def integrate_fubini(
                     f"round {round_no + 1}: {len(locus.discarded)} cell(s) "
                     "fail fiberwise integrability under the 'all' hypothesis"
                 )
+            if not locus.kept:
+                # an empty integrable locus is not dense in a nonempty domain
+                raise NotIntegrable(
+                    f"round {round_no + 1}: all {len(locus.discarded)} cell(s) "
+                    "fail fiberwise integrability, so the integrable locus is "
+                    "empty and not dense"
+                )
             assumptions.append(
                 f"round {round_no + 1}: {len(locus.discarded)} cell(s) "
-                "discarded as non-integrable or thin; their contribution is "
+                "discarded as non-integrable; their contribution is "
                 "a null set under the density hypothesis"
             )
         if hypothesis == "dense":

@@ -110,16 +110,6 @@ def adaptive_quadrature(
     return total_val, total_err
 
 
-def _fiber(e: CExpr, base_point: Sequence[float]) -> Callable[[float], float]:
-    """y -> e(base_point, y), with the base point copied once."""
-    prefix = list(base_point)
-
-    def integrand(y: float) -> float:
-        return e.eval(prefix + [y])
-
-    return integrand
-
-
 def quadrature_last(
     e: CExpr,
     base_point: Sequence[float],
@@ -147,21 +137,20 @@ def quadrature_last(
             raise SingularityTooStrong(
                 f"endpoint exponent {rmin} <= -1 at the lower endpoint"
             )
-        k = 1
         for t in e.terms:
             k = k * t.exps[pos].denominator // math.gcd(k, t.exps[pos].denominator)
 
-    integrand = _fiber(e, base_point)
-    if k == 1 and lo > 0:
+    integrand = e.fiber(base_point)
+    if k == 1:
+        # y = u**1 is the identity and its Jacobian is 1
         return adaptive_quadrature(integrand, lo, hi, tol)
 
+    # k > 1 only when lo == 0
     def substituted(u: float) -> float:
         y = u ** k
         return integrand(y) * k * u ** (k - 1)
 
-    a_u = lo ** (1.0 / k) if lo > 0 else 0.0
-    b_u = hi ** (1.0 / k)
-    return adaptive_quadrature(substituted, a_u, b_u, tol)
+    return adaptive_quadrature(substituted, 0.0, hi ** (1.0 / k), tol)
 
 
 @dataclass(frozen=True)
@@ -214,7 +203,7 @@ def divergence_probe(
     """Partial integrals over (2^-k, hi), k = 1..kmax, with a growth-model
     fit on the dyadic increments.  Never raises: inconclusive is a verdict.
     """
-    integrand = _fiber(e, base_point)
+    integrand = e.fiber(base_point)
     partials: list[float] = []
     increments: list[float] = []
     total = 0.0

@@ -134,6 +134,16 @@ def test_not_integrable_exit_code():
     assert code == 4
 
 
+def test_dense_hypothesis_refuses_an_empty_integrable_locus():
+    # the only cell is discarded; an empty locus is not dense, so nothing
+    # may be printed as the integral
+    code, out, err = run_cli(
+        "integrate", "y1^(-1) on {0<y1<1}", "--hypothesis", "dense"
+    )
+    assert code == 4 and out == ""
+    assert err.startswith("not integrable: round 1: all 1 cell(s) fail")
+
+
 def test_validate_deterministic():
     c1, out1, _ = run_cli("validate", "--seed", "7", "--json")
     c2, out2, _ = run_cli("validate", "--seed", "7", "--json")

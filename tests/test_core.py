@@ -493,6 +493,8 @@ def test_eval_matches_direct_evaluation_bit_for_bit_on_generated():
         for _ in range(4):
             pt = cell.sample_point(rng)
             assert _same_float(e.eval(pt), _ref_expr(e, pt)), (seed, pt)
+            assert _same_float(e.fiber(pt[:-1])(pt[-1]), _ref_expr(e, pt)), (
+                seed, pt)
             for t in e.terms:
                 assert _same_float(t.eval(pt), _ref_term(t, pt)), (seed, t, pt)
             compared += 1
@@ -524,9 +526,65 @@ def test_eval_matches_direct_evaluation_bit_for_bit_on_opaque_factors():
     for _ in range(500):
         pt = [0.01 + 0.98 * rng.random() for _ in range(2)]
         assert _same_float(e.eval(pt), _ref_expr(e, pt)), pt
+        assert _same_float(e.fiber(pt[:-1])(pt[-1]), _ref_expr(e, pt)), pt
         for t in terms:
             assert _same_float(t.eval(pt), _ref_term(t, pt)), (t, pt)
         assert _same_float(unit.eval(pt), _ref_unit(unit, pt))
+
+
+def test_fiber_matches_direct_evaluation_bit_for_bit_on_opaque_factors():
+    # each opaque factor reads only the base coordinate y1 in one term and
+    # the last coordinate y2 in another, so both are computed once per
+    # fiber in some terms and at every y in others
+    def on(pos, e):
+        return ExpVec.of([e, 0] if pos == 0 else [0, e])
+
+    def factors(pos):
+        log_unit = LogUnitAtom(PolyUnit.build(1, {on(pos, F(2, 3)): F(2, 5)}))
+        log_expr = LogExprAtom(CExpr(2, (
+            Term.make(F(7, 4), [0, 0]),
+            Term.make(F(-1, 3), on(pos, F(3, 2))),
+        )))
+        ratio = RatioFactor(on(pos, F(-1, 2)), F(5, 3), F(1, 4), F(4))
+        unit = PolyUnit.build(1, {on(pos, F(1, 2)): F(-1, 4)})
+        return log_unit, log_expr, ratio, unit
+
+    base_only, last_only = factors(0), factors(1)
+    terms = []
+    for (log_unit, log_expr, ratio, unit), exps in (
+        (base_only, [F(1, 2), F(-2, 3)]),
+        (last_only, [F(5, 3), 0]),
+        (base_only, [F(-1, 4), 0]),
+        (last_only, [0, F(7, 2)]),
+    ):
+        terms.append(Term.make(
+            F(3, 7), exps, [1, 2],
+            extras=[(LogPrime(3), 2), (log_unit, 1), (log_expr, 2)],
+            ratios=[ratio], unit=unit,
+        ))
+    terms.append(Term.make(F(-3, 10), [0, 0], extras=[(LogPrime(5), 3)]))
+    e = CExpr(2, tuple(terms))
+    rng = random.Random(11)
+    for _ in range(500):
+        pt = [0.01 + 0.98 * rng.random() for _ in range(2)]
+        assert _same_float(e.fiber(pt[:1])(pt[1]), _ref_expr(e, pt)), pt
+
+
+def test_fiber_on_the_empty_base_matches_direct_evaluation():
+    # the divergence probe's integrands: y^r * log(y)^s over one variable
+    rng = random.Random(3)
+    for r in (F(-3, 2), F(-1), F(-1, 2), F(0), F(5, 2)):
+        for s in range(4):
+            e = CExpr(1, (Term.make(1, [r], [s]),))
+            f = e.fiber([])
+            for y in [2.0 ** -k for k in range(41)] + [rng.random() for _ in range(50)]:
+                assert _same_float(f(y), _ref_expr(e, [y])), (r, s, y)
+    # a negative zero term still sums to +0.0 from int 0
+    f = CExpr(1, (Term.make(-1, [1]),)).fiber([])
+    assert _same_float(f(0.0), 0.0)
+    assert CExpr.zero(1).fiber([])(0.5) == 0
+    with pytest.raises(ValueError):
+        CExpr.zero(2).fiber([])
 
 
 def test_eval_keeps_the_sign_of_a_zero_sum():
