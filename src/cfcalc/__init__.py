@@ -73,7 +73,7 @@ from .integrate import (  # noqa: F401
     build_sform,
     integrate_fubini,
     integrate_last,
-    integrate_sform,
+    integrate_shape,
 )
 from .oracle import (  # noqa: F401
     ProbeReport,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage, 2 parse error, 3 fragment escape,
-4 not integrable, 5 internal error.
+Exit codes: 0 success, 1 usage, 2 parse error, 3 refusal (fragment escape,
+or a cell that needs a split), 4 not integrable, 5 internal error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     CalcError,
     DomainError,
     FragmentEscape,
+    InconsistentOrientation,
     NotIntegrable,
     ParseError,
 )
@@ -389,6 +390,11 @@ def main(argv=None) -> int:
     except NotIntegrable as exc:
         print(f"not integrable: {exc}", file=sys.stderr)
         return 4
+    except InconsistentOrientation as exc:
+        # a valid cell that no single-piece map normalizes: refused until
+        # cells are split
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (CalcError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5

@@ -1,13 +1,16 @@
 """Exact closed-form integration in the last variable, and the iterated driver.
 
-The route per prepared term: distribute the polynomial unit (finitely many
-monomial pieces), clear the fractional last-variable exponent by y = z^p,
-sort the resulting integer powers into a Laurent tail (z^-i, i >= 2), the
-z^-1 slot, and an analytic part (z^k, k >= 0), integrate each slab by the
-log-power recursions, and evaluate the antiderivative at the monomial
-bounds by exact substitution.  Improper endpoints are never approached by
-limits: a zero lower bound is legal only when the Laurent part is empty,
-and then every antiderivative piece vanishes at 0 by continuous extension.
+The route per prepared sum: distribute each term's polynomial unit (finitely
+many monomial pieces) and key every piece by its fiber shape y^r (log y)^s.
+The integral is linear over the base, so each shape is integrated once: clear
+the fractional exponent by y = z^p, sort the integer power into the Laurent
+tail (z^-i, i >= 2), the z^-1 slot, or the analytic part (z^k, k >= 0),
+integrate that slab by the log-power recursions, and evaluate the
+antiderivative at the monomial bounds by exact substitution.  Every piece
+then multiplies its base part into its shape's integral.  Improper endpoints
+are never approached by limits: a zero lower bound is legal only when the
+Laurent part is empty, and then every antiderivative piece vanishes at 0 by
+continuous extension.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .core import (
     log_of_monomial_unit,
     normalize,
     poly_scale,
+    term_mul,
     times_log_power,
 )
 from .errors import (
@@ -114,6 +118,28 @@ class SForm:
     analytic: tuple[tuple[int, CExpr], ...]
 
 
+def _refuse_fiber_atoms(t: Term) -> None:
+    """Refuse a term whose opaque or composite log atoms the fiber integral
+    cannot carry as constants."""
+    if t.nvars - 1 in t.opaque_support():
+        raise FragmentEscape(
+            "opaque unit-log or ratio factors involve the integration variable"
+        )
+    for atom, _ in t.extras:
+        if isinstance(atom, LogExprAtom):
+            raise NotPrepared("prepare composite logs before integrating")
+
+
+def _monomial_pieces(t: Term) -> list[tuple[Fraction, ExpVec]]:
+    """t's coefficient times its polynomial unit, as (coeff, exps) pieces."""
+    if t.unit.is_trivial:
+        return [(t.coeff, t.exps)]
+    return [
+        (c, t.exps + m)
+        for m, c in poly_scale(t.unit.as_poly(t.nvars), t.coeff).items()
+    ]
+
+
 def build_sform(t: Term) -> SForm:
     """Put one prepared term into claim shape over the base.
 
@@ -121,23 +147,11 @@ def build_sform(t: Term) -> SForm:
     (this is what keeps every series in sight finite), the last-variable
     exponent denominators are cleared by y = z^p, and the integer powers are
     sorted into the Laurent/analytic slots."""
+    _refuse_fiber_atoms(t)
     nv = t.nvars
     pos = nv - 1
-    if pos in t.opaque_support():
-        raise FragmentEscape(
-            "opaque unit-log or ratio factors involve the integration variable"
-        )
-    for atom, _ in t.extras:
-        if isinstance(atom, LogExprAtom):
-            raise NotPrepared("prepare composite logs before integrating")
     s = t.logpows[pos]
-    if t.unit.is_trivial:
-        pieces = [(t.coeff, t.exps)]
-    else:
-        pieces = [
-            (c, t.exps + m)
-            for m, c in poly_scale(t.unit.as_poly(nv), t.coeff).items()
-        ]
+    pieces = _monomial_pieces(t)
     p = 1
     for _, exps in pieces:
         den = exps[pos].denominator
@@ -193,10 +207,6 @@ def _eval_antider_at_bound(
             if zpow < 0:
                 raise NotIntegrable("negative power at the zero endpoint")
         return CExpr.zero(base_nv)
-    if not bound.unit.is_trivial:
-        raise BoundUnitUnsupported(
-            "symbolic bound evaluation needs a trivial unit part"
-        )
     q = bound.coeff
     beta = ExpVec(bound.exps.exps[:base_nv])
     out: list[Term] = []
@@ -218,25 +228,25 @@ def _eval_antider_at_bound(
     return normalize(CExpr(base_nv, tuple(out)))
 
 
-# Bound-evaluated fiber integrals of z^zpow (log z)^logpow with y = z^p,
-# keyed by (zpow, logpow, p, lower, upper).
-SlabMemo = dict[tuple, CExpr]
-
-
-def integrate_sform(
-    sf: SForm,
+def integrate_shape(
+    r: Fraction,
+    s: int,
+    nvars: int,
     lower: Union[Zero, MonomialBound],
     upper: MonomialBound,
-    memo: SlabMemo | None = None,
-) -> CExpr:
-    """Exact integral of the claim form over (lower, upper); bounds are
-    monomials with trivial unit part.  The sum is returned unnormalized:
-    integrate_last normalizes all terms' integrals together.
+) -> tuple[Fraction, CExpr]:
+    """The fiber integral of y^r (log y)^s over (lower, upper), as a scale
+    and an expression over the base whose product is the integral.
 
-    Each slab's definite integral up - lo depends only on (zpow, logpow, p)
-    and the bounds, so it is looked up in `memo` (filled on a miss) when the
-    caller integrates many forms over one fiber."""
-    base_nv = sf.nvars - 1
+    build_sform puts the shape into claim shape: one slab z^zpow (log z)^s
+    with y = z^p and the constant coefficient p^(s+1), which is the scale.
+    The slab's antiderivative is evaluated at both bounds (monomials with
+    trivial unit part) and the difference returned unnormalized:
+    integrate_last normalizes the whole sum once."""
+    base_nv = nvars - 1
+    sf = build_sform(
+        Term(Fraction(1), ExpVec.unit(nvars, base_nv, r), (0,) * base_nv + (s,))
+    )
     if isinstance(lower, Zero) and sf.laurent:
         raise NotIntegrable("Laurent part with a zero lower endpoint")
     if not upper.unit.is_trivial or (
@@ -245,36 +255,17 @@ def integrate_sform(
         raise BoundUnitUnsupported(
             "symbolic bound evaluation needs a trivial unit part"
         )
-    if memo is None:
-        memo = {}
-    terms: list[Term] = []
-    slabs = [(-i, coeff) for i, coeff in sf.laurent]
-    slabs += [(k, coeff) for k, coeff in sf.analytic]
-    for zpow, coeff_expr in slabs:
-        key = (zpow, sf.logpow, sf.p, lower, upper)
-        definite = memo.get(key)
-        if definite is None:
-            pieces = _anti_pieces(Fraction(zpow), sf.logpow)
-            up = _eval_antider_at_bound(pieces, upper, sf.p, base_nv)
-            lo = _eval_antider_at_bound(pieces, lower, sf.p, base_nv)
-            definite = memo[key] = up - lo
-        terms.extend((coeff_expr * definite).terms)
-    return CExpr(base_nv, tuple(terms))
+    ((zpow, coeff),) = [(-i, c) for i, c in sf.laurent] + list(sf.analytic)
+    pieces = _anti_pieces(Fraction(zpow), s)
+    up = _eval_antider_at_bound(pieces, upper, sf.p, base_nv)
+    lo = _eval_antider_at_bound(pieces, lower, sf.p, base_nv)
+    return coeff.terms[0].coeff, up - lo
 
 
-def integrate_term_last(
-    t: Term, cell: Cell, memo: SlabMemo | None = None
-) -> CExpr:
-    """Integrate one prepared term over the last-variable fiber, unnormalized
-    (`memo` as in integrate_sform)."""
-    pos = cell.nvars - 1
-    spec = cell.specs[pos]
-    if isinstance(spec.lower, Zero) and t.exps[pos] <= -1:
-        raise NotIntegrable(
-            f"exponent {t.exps[pos]} <= -1 over an unconstrained fiber"
-        )
-    sf = build_sform(t)
-    return integrate_sform(sf, spec.lower, spec.upper, memo)
+def _slab_order(r: Fraction) -> tuple[int, Fraction]:
+    """Where the slab of y^r sorts in a claim form: the Laurent slots
+    z^-1, z^-2, ... first, then the analytic ones by rising power."""
+    return (0, -r) if r <= -1 else (1, r)
 
 
 def integrate_last(e: CExpr, cell: Cell) -> CExpr:
@@ -284,21 +275,51 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
     The integrability gate is the caller's (integrate_fubini runs
     integrable_locus first); a term that is not integrable, or whose opaque
     atoms involve the last variable, still raises NotIntegrable or
-    FragmentEscape from integrate_term_last and build_sform.  Each term is
-    integrated on its own; the per-term results are collected
-    in one list and normalized once, the only canonicalization of the sum,
-    so the work is linear in the number of terms.  The definite integral of
-    each fiber slab is computed once per call and shared between terms
-    through a memo local to this call (many terms of a large prepared sum
-    share a few slabs)."""
+    FragmentEscape, term by term in the order of the sum.  The integral is
+    linear over the base: a monomial piece c * b(x) * y^r (log y)^s (the
+    polynomial unit distributed, b the base monomial, logs, extras and
+    ratios) integrates to c * b(x) * integrate_shape(r, s).  Each fiber shape
+    (r, s) is integrated once per call, when a piece first shows it, and
+    every piece multiplies its base into that shape's integral; the products
+    are collected in one list and normalized once, the only
+    canonicalization of the sum, so the work is linear in the number of
+    pieces."""
     e = normalize(e)
     if e.nvars != cell.nvars:
         raise ValueError("expression/cell ambient size mismatch")
-    memo: SlabMemo = {}
+    pos = cell.nvars - 1
+    spec = cell.specs[pos]
+    zero_lower = isinstance(spec.lower, Zero)
+    shapes: dict[tuple[Fraction, int], tuple[Fraction, CExpr]] = {}
     terms: list[Term] = []
     for t in e.terms:
-        terms.extend(integrate_term_last(t, cell, memo).terms)
-    return normalize(CExpr(cell.nvars - 1, tuple(terms)))
+        if zero_lower and t.exps[pos] <= -1:
+            raise NotIntegrable(
+                f"exponent {t.exps[pos]} <= -1 over an unconstrained fiber"
+            )
+        _refuse_fiber_atoms(t)
+        s = t.logpows[pos]
+        logpows = t.logpows[:pos]
+        pieces = _monomial_pieces(t)
+        if len(pieces) > 1:
+            # new shapes are integrated, and refused, in claim-form slab order
+            pieces.sort(key=lambda ce: _slab_order(ce[1][pos]))
+        for c, exps in pieces:
+            key = (exps[pos], s)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = integrate_shape(
+                    exps[pos], s, cell.nvars, spec.lower, spec.upper
+                )
+            scale, integral = shape
+            # a unit-free term with t's canonical extras and ratios is
+            # canonical as it stands, so Term.make would rebuild the same term
+            base = Term(
+                c * scale, ExpVec(exps.exps[:pos]), logpows, t.extras, t.ratios
+            )
+            for part in integral.terms:
+                terms.extend(term_mul(base, part))
+    return normalize(CExpr(pos, tuple(terms)))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,24 @@ def test_irrational_power_refusal_in_source_syntax():
     assert err == "fragment escape: (1/5)^(-3/2) is irrational\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("integrate", "x1^(-2) on {1/2<x1<inf}"),
+        ("prepare", "x1 on {0<x1<inf}"),
+        ("integrate", "x1 on {-1<x1<1}"),
+        ("integrate", "x2 on {-2<x1<-1, 0<x2<x1}"),
+    ],
+    ids=["below-one-to-inf", "zero-to-inf", "across-zero", "negative-base"],
+)
+def test_cell_needing_a_split_is_refused(args):
+    # valid cells that no single-piece normalization reaches are refusals
+    # (exit 3), not internal errors (exit 5)
+    code, out, err = run_cli(*args)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_not_integrable_exit_code():
     code, _, err = run_cli("integrate", "y1^(-1) on {0<y1<1}", "--vars", "1")
     assert code == 4

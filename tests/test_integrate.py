@@ -5,11 +5,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcalc import cli
-from cfcalc.cells import MonomialBound, ZERO
+from cfcalc import integrate
+from cfcalc.cells import MonomialBound, ZERO, Zero
 from cfcalc.core import (
     CExpr,
     ExpVec,
@@ -22,16 +23,22 @@ from cfcalc.core import (
     log_of_monomial_unit,
     normalize,
 )
-from cfcalc.errors import BoundUnitUnsupported, FragmentEscape, NotIntegrable
+from cfcalc.errors import (
+    BoundUnitUnsupported,
+    CalcError,
+    FragmentEscape,
+    NotIntegrable,
+)
 from cfcalc.generators import random_integrable_instance
 from cfcalc.integrate import (
     antiderivative_pow_log,
     antiderivative_pow_log_recursive,
     build_sform,
+    _anti_pieces,
+    _eval_antider_at_bound,
     integrate_fubini,
     integrate_last,
-    integrate_sform,
-    integrate_term_last,
+    integrate_shape,
 )
 from cfcalc.oracle import fiber_bounds, quadrature_last
 from cfcalc.parser import print_expr
@@ -82,7 +89,7 @@ class TestChangeOfVariables:
             s = rng.randint(0, 2)
             term = Term.make(F(rng.randint(1, 3)), [r], [s])
             ps.add(build_sform(term).p)
-            exact = integrate_term_last(term, cell).eval_exact([])
+            exact = integrate_last(CExpr(1, (term,)), cell).eval_exact([])
             num, _ = quadrature_last(CExpr(1, (term,)), [], 0.0, 1.0)
             assert abs(num - float(exact)) <= 1e-8 * max(1.0, abs(num))
         assert {1, 2, 3} <= ps
@@ -100,13 +107,14 @@ class TestSFormAndIntegration:
         sf = build_sform(Term.make(1, [F(-3, 2)]))
         assert sf.laurent
         with pytest.raises(NotIntegrable):
-            integrate_sform(sf, ZERO, cell.specs[0].upper)
+            integrate_shape(F(-3, 2), 0, 1, ZERO, cell.specs[0].upper)
 
     def test_bound_unit_unsupported(self):
-        sf = build_sform(Term.make(1, [1]))
         u = PolyUnit.build(1, {ExpVec.of([1]): F(1, 2)})
         with pytest.raises(BoundUnitUnsupported):
-            integrate_sform(sf, ZERO, MonomialBound(F(1, 2), ExpVec.of([0]), u))
+            integrate_shape(
+                F(1), 0, 1, ZERO, MonomialBound(F(1, 2), ExpVec.of([0]), u)
+            )
 
     def test_cancelling_terms_merge_before_integration(self):
         # y1^(-1) - y1^(-1) + 1 as three terms: the non-integrable pair
@@ -260,9 +268,116 @@ class TestFubini:
         assert val.eval_exact([]) == 2
 
 
+# ---------------------------------------------------------------------------
+# The per-term route that integrate_last replaced, kept as a reference: every
+# term builds its own claim form and evaluates each of its slabs at the bounds
+# ---------------------------------------------------------------------------
+
+
+def _integrate_sform_reference(sf, lower, upper):
+    base_nv = sf.nvars - 1
+    if isinstance(lower, Zero) and sf.laurent:
+        raise NotIntegrable("Laurent part with a zero lower endpoint")
+    if not upper.unit.is_trivial or (
+        isinstance(lower, MonomialBound) and not lower.unit.is_trivial
+    ):
+        raise BoundUnitUnsupported(
+            "symbolic bound evaluation needs a trivial unit part"
+        )
+    terms = []
+    slabs = [(-i, coeff) for i, coeff in sf.laurent] + list(sf.analytic)
+    for zpow, coeff_expr in slabs:
+        pieces = _anti_pieces(F(zpow), sf.logpow)
+        up = _eval_antider_at_bound(pieces, upper, sf.p, base_nv)
+        lo = _eval_antider_at_bound(pieces, lower, sf.p, base_nv)
+        terms.extend((coeff_expr * (up - lo)).terms)
+    return CExpr(base_nv, tuple(terms))
+
+
+def _per_term_reference(e, cell):
+    pos = cell.nvars - 1
+    spec = cell.specs[pos]
+    terms = []
+    for t in normalize(e).terms:
+        if isinstance(spec.lower, Zero) and t.exps[pos] <= -1:
+            raise NotIntegrable(
+                f"exponent {t.exps[pos]} <= -1 over an unconstrained fiber"
+            )
+        sf = build_sform(t)
+        terms.extend(_integrate_sform_reference(sf, spec.lower, spec.upper).terms)
+    return normalize(CExpr(pos, tuple(terms)))
+
+
+def _outcome(route, e, cell):
+    """The printed integral, or the refusal's class and message."""
+    try:
+        out = route(e, cell)
+    except CalcError as exc:
+        return type(exc), str(exc)
+    return print_expr(out, [f"y{i + 1}" for i in range(cell.nvars - 1)])
+
+
+@st.composite
+def _shared_shape_instances(draw):
+    """A 1-3 variable chain cell and a sum of y^alpha * log(P*y^gamma)^k
+    blocks, some times a polynomial unit, whose expanded terms share fiber
+    shapes y_last^r log(y_last)^s within and across blocks."""
+    nv = draw(st.integers(min_value=1, max_value=3))
+    specs = []
+    for i in range(nv):
+        beta = [draw(st.integers(0, 2)) if j < i else 0 for j in range(nv)]
+        hi = draw(st.sampled_from([F(1), F(1, 4), F(1, 2)]))
+        upper = mono(hi, beta)
+        if draw(st.booleans()):
+            lower = ZERO
+        else:
+            # a positive monomial lower bound below the upper one
+            lower = mono(hi * draw(st.sampled_from([F(1, 4), F(1, 16)])), [
+                b + draw(st.integers(0, 1)) if j < i else 0
+                for j, b in enumerate(beta)
+            ])
+        specs.append(fat(lower, upper))
+    cell = cell_of(*specs)
+    last = ExpVec.unit(nv, nv - 1)
+    exponents = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(-1, 2), F(1, 3),
+                                 F(-1), F(-3, 2), F(-2), F(-5, 2)])
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        alpha = ExpVec.of(
+            [draw(st.sampled_from([F(0), F(1), F(1, 2)])) for _ in range(nv - 1)]
+            + [draw(exponents)]
+        )
+        gamma = ExpVec.of(
+            [draw(st.integers(0, 1)) for _ in range(nv - 1)]
+            + [draw(st.sampled_from([1, 2]))]
+        )
+        prime_product = draw(st.sampled_from([2, 6, 30, 1]))
+        items = log_of_monomial_unit(F(prime_product), gamma, PolyUnit.one())
+        unit = PolyUnit.one()
+        if draw(st.booleans()):
+            unit = PolyUnit.build(1, {
+                ExpVec.unit(nv, draw(st.integers(0, nv - 1))): F(1, 2),
+                last.scale(2): F(-1, 3),
+            })
+        for c, lp, ex in expand_log_power(items, draw(st.integers(0, 4)), nv):
+            terms.append(Term.make(c, alpha, lp, ex, unit=unit))
+    return cell, CExpr(nv, tuple(terms))
+
+
+# y^(-5/2) * (1 + y/2 - y^2/3) on {1/8 < y < 1/2}: the pieces y^(-5/2) and
+# y^(-3/2) both need an irrational power of 1/2, and the claim form
+# evaluates the z^-1 slab of y^(-3/2) first, so that refusal is reported
+_UNIT_PIECES_BOTH_IRRATIONAL = (
+    cell_of(fat(mono(F(1, 8), [0]), mono(F(1, 2), [0]))),
+    CExpr(1, (Term.make(1, [F(-5, 2)], unit=PolyUnit.build(
+        1, {ExpVec.of([1]): F(1, 2), ExpVec.of([2]): F(-1, 3)}
+    )),)),
+)
+
+
 class TestLinearAccumulation:
-    """integrate_last builds each sum once and shares fiber slabs between
-    terms; neither may change a printed result."""
+    """integrate_last builds each sum once and integrates each fiber shape
+    once; neither may change a printed result."""
 
     def test_terms_validated_stay_linear(self, monkeypatch, capsys):
         # log(30030*y1)^8 prepares to C(8+6, 6) = 3003 terms.  Adding sums
@@ -333,49 +448,37 @@ class TestLinearAccumulation:
         assert capsys.readouterr().out.count("PASS") == 4
         assert converted[0] <= 2000
 
-    @staticmethod
-    def _per_term_reference(e, cell):
-        # a fresh slab memo for every term
-        terms = []
-        for t in normalize(e).terms:
-            terms.extend(integrate_term_last(t, cell).terms)
-        return normalize(CExpr(cell.nvars - 1, tuple(terms)))
+    def test_one_claim_form_per_fiber_shape(self, monkeypatch, capsys):
+        # the 3003 prepared terms of log(30030*y1)^8 have the fiber shapes
+        # y1^0 log(y1)^s, s = 0..8: one claim form each (3003 built when
+        # every term built its own)
+        built = [0]
+        build = integrate.build_sform
+
+        def counting(t):
+            built[0] += 1
+            return build(t)
+
+        monkeypatch.setattr(integrate, "build_sform", counting)
+        assert cli.main(["integrate", "log(30030*y1)^8 on {0<y1<1}"]) == 0
+        assert capsys.readouterr().out.strip()
+        assert built[0] <= 9
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([1, 2, 3]))
-    def test_memo_matches_per_term_on_generated(self, seed, nvars):
+    def test_shapes_match_per_term_on_generated(self, seed, nvars):
         cell, e = random_integrable_instance(random.Random(seed), nvars)
-        names = [f"y{i + 1}" for i in range(nvars - 1)]
-        assert print_expr(integrate_last(e, cell), names) == print_expr(
-            self._per_term_reference(e, cell), names
+        assert _outcome(integrate_last, e, cell) == _outcome(
+            _per_term_reference, e, cell
         )
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.sets(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=3),
-        st.integers(min_value=0, max_value=4),
-        st.sampled_from([F(0), F(1, 2), F(-1, 2), F(2)]),
-        st.sampled_from([F(1), F(1, 4)]),
-        st.booleans(),
-    )
-    def test_memo_matches_per_term_on_log_powers(self, primes, k, a, q, two_vars):
-        # y^a * log(P*y)^k on the last fiber of {0<y<q} or {0<x<1, 0<y<q*x}
-        nv = 2 if two_vars else 1
-        cell = (
-            cell_of(fat(ZERO, mono(1, [0, 0])), fat(ZERO, mono(q, [1, 0])))
-            if two_vars
-            else cell_of(fat(ZERO, mono(q, [0])))
-        )
-        y = ExpVec.unit(nv, nv - 1)
-        items = log_of_monomial_unit(F(math.prod(primes)), y, PolyUnit.one())
-        e = CExpr(
-            nv,
-            tuple(
-                Term.make(c, y.scale(a), lp, ex)
-                for c, lp, ex in expand_log_power(items, k, nv)
-            ),
-        )
-        names = ["y1"][: nv - 1]
-        assert print_expr(integrate_last(e, cell), names) == print_expr(
-            self._per_term_reference(e, cell), names
+    @settings(max_examples=150, deadline=None)
+    @given(_shared_shape_instances())
+    @example(_UNIT_PIECES_BOTH_IRRATIONAL)
+    def test_shapes_match_per_term_on_log_powers(self, instance):
+        # sums of y^alpha * log(P * y^gamma)^k * unit: many terms per fiber
+        # shape, over cells with zero and with positive lower bounds
+        cell, e = instance
+        assert _outcome(integrate_last, e, cell) == _outcome(
+            _per_term_reference, e, cell
         )
