@@ -231,7 +231,7 @@ def _cmd_eval(args) -> int:
     form = parse(source)
     try:
         point = [float(Fraction(x)) for x in args.at.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _Usage(f"bad --at point: {exc}")
     if len(point) != form.raw_cell.nvars:
         raise _Usage(

@@ -14,6 +14,7 @@ polynomial unit.  All arithmetic is exact: coefficients and exponents are
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -152,7 +153,12 @@ class ExpVec:
     def __add__(self, other: "ExpVec") -> "ExpVec":
         if len(self) != len(other):
             raise ValueError("exponent vectors of different ambient size")
-        return ExpVec(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        # a zero entry adds nothing: the other entry's Fraction is reused,
+        # not rebuilt as 0 + e
+        return ExpVec(tuple(
+            b if not a else a if not b else a + b
+            for a, b in zip(self.exps, other.exps)
+        ))
 
     def __sub__(self, other: "ExpVec") -> "ExpVec":
         if len(self) != len(other):
@@ -505,6 +511,17 @@ class RatioFactor:
 # ---------------------------------------------------------------------------
 
 
+def _rising_prime_logs(extras: tuple[tuple[LogAtom, int], ...]) -> bool:
+    """Whether extras are prime logs with positive powers, primes rising:
+    the canonical form Term.make would sort them into."""
+    prev = 1
+    for atom, k in extras:
+        if type(atom) is not LogPrime or k <= 0 or atom.prime <= prev:
+            return False
+        prev = atom.prime
+    return True
+
+
 @dataclass(frozen=True)
 class Term:
     """One prepared summand: coeff * y^exps * logs * extras * ratios * unit."""
@@ -521,7 +538,7 @@ class Term:
             raise ValueError("zero terms are deleted, not constructed")
         if len(self.logpows) != len(self.exps):
             raise ValueError("logpows and exps must share the ambient size")
-        if any(p < 0 for p in self.logpows):
+        if self.logpows and min(self.logpows) < 0:
             raise ValueError("log powers are nonnegative")
 
     @staticmethod
@@ -537,14 +554,25 @@ class Term:
 
         Folds LogVar atoms into logpows, expands log-of-constant atoms over
         primes, normalizes the unit to constant 1 (scale goes to coeff), and
-        sorts extras/ratios.
+        sorts extras/ratios.  Parts that are canonical already (no ratios, a
+        trivial unit, and extras a tuple of prime logs with positive powers
+        in rising order, as times_log_power passes them) are taken as they
+        are.
         """
         if not isinstance(exps, ExpVec):
             exps = ExpVec.of(exps)
         nv = len(exps)
-        lp = list(logpows) if logpows is not None else [0] * nv
         if type(coeff) is not Fraction:
             coeff = Fraction(coeff)
+        if (
+            not ratios
+            and unit.is_trivial
+            and type(extras) is tuple
+            and _rising_prime_logs(extras)
+        ):
+            lp = tuple(logpows) if logpows is not None else (0,) * nv
+            return Term(coeff, exps, lp, extras, (), unit)
+        lp = list(logpows) if logpows is not None else [0] * nv
         atom_pows: dict[LogAtom, int] = {}
         for atom, k in extras:
             if k == 0:
@@ -964,22 +992,74 @@ def term_mul(a: Term, b: Term) -> list[Term]:
     """Product of two terms; distributes if the unit product is uncertifiable."""
     if a.nvars != b.nvars:
         raise ValueError("ambient size mismatch")
-    nv = a.nvars
-    coeff = a.coeff * b.coeff
-    exps = a.exps + b.exps
-    logpows = tuple(x + y for x, y in zip(a.logpows, b.logpows))
-    extras = list(a.extras) + list(b.extras)
-    ratios = list(a.ratios) + list(b.ratios)
-    if a.unit.is_trivial and b.unit.is_trivial:
-        # 1 * 1 = 1: nothing to multiply out or certify
-        if (not a.extras or not b.extras) and (not a.ratios or not b.ratios):
-            # extras and ratios each come from one side, canonical there,
-            # so Term.make would rebuild the same term
-            return [Term(coeff, exps, logpows, a.extras or b.extras,
-                         a.ratios or b.ratios)]
-        return [Term.make(coeff, exps, logpows, extras, ratios)]
-    poly = poly_mul(a.unit.as_poly(nv), b.unit.as_poly(nv))
-    return terms_from_poly(coeff, exps, logpows, extras, ratios, poly, nv)
+    return times_term(a.coeff, a.exps, a.logpows, a.extras, a.ratios, a.unit, b)
+
+
+def times_term(
+    coeff: Fraction,
+    exps: ExpVec,
+    logpows: tuple[int, ...],
+    extras: tuple[tuple[LogAtom, int], ...],
+    ratios: tuple[RatioFactor, ...],
+    unit: PolyUnit,
+    b: Term,
+) -> list[Term]:
+    """The term with these canonical parts times b, without building the
+    term itself.
+
+    With trivial units (1 * 1 = 1: nothing to multiply out or certify) and
+    ratio factors from at most one side, the product is built directly: the
+    two sorted extras tuples merge in one pass, so Term.make would rebuild
+    the same term.  Every other product goes through Term.make, or
+    distributes an uncertifiable unit product."""
+    coeff = coeff * b.coeff
+    exps = exps + b.exps
+    logpows = tuple(map(operator.add, logpows, b.logpows))
+    if unit.is_trivial and b.unit.is_trivial:
+        if not ratios or not b.ratios:
+            merged = _merge_extras(extras, b.extras)
+            if merged is not None:
+                return [Term(coeff, exps, logpows, merged, ratios or b.ratios)]
+        return [Term.make(coeff, exps, logpows, list(extras) + list(b.extras),
+                          list(ratios) + list(b.ratios))]
+    nv = len(exps)
+    poly = poly_mul(unit.as_poly(nv), b.unit.as_poly(nv))
+    return terms_from_poly(coeff, exps, logpows, list(extras) + list(b.extras),
+                           list(ratios) + list(b.ratios), poly, nv)
+
+
+def _merge_extras(
+    x: tuple[tuple[LogAtom, int], ...], y: tuple[tuple[LogAtom, int], ...]
+) -> tuple[tuple[LogAtom, int], ...] | None:
+    """The product of two canonical extras tuples, merged in one pass: equal
+    atoms add their powers, the rest keep _atom_sort_key order.  None when
+    two different atoms share a sort key, whose order Term.make decides."""
+    if not x or not y:
+        return x or y
+    out = []
+    i = j = 0
+    while i < len(x) and j < len(y):
+        (a, k), (b, m) = x[i], y[j]
+        if type(a) is LogPrime and type(b) is LogPrime:
+            # distinct primes, distinct keys (0, prime, ())
+            ka, kb = a.prime, b.prime
+        else:
+            ka, kb = _atom_sort_key(a), _atom_sort_key(b)
+        if ka < kb:
+            out.append(x[i])
+            i += 1
+        elif kb < ka:
+            out.append(y[j])
+            j += 1
+        elif a == b:
+            out.append((a, k + m))
+            i += 1
+            j += 1
+        else:
+            return None
+    out.extend(x[i:])
+    out.extend(y[j:])
+    return tuple(out)
 
 
 def terms_from_poly(

@@ -35,8 +35,8 @@ from .core import (
     log_of_monomial_unit,
     normalize,
     poly_scale,
-    term_mul,
     times_log_power,
+    times_term,
 )
 from .errors import (
     BoundUnitUnsupported,
@@ -312,13 +312,15 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
                     exps[pos], s, cell.nvars, spec.lower, spec.upper
                 )
             scale, integral = shape
-            # a unit-free term with t's canonical extras and ratios is
-            # canonical as it stands, so Term.make would rebuild the same term
-            base = Term(
-                c * scale, ExpVec(exps.exps[:pos]), logpows, t.extras, t.ratios
-            )
+            # the unit-free base part (t's canonical extras and ratios)
+            # multiplies each term of the integral, never built on its own
+            coeff = c * scale
+            base_exps = ExpVec(exps.exps[:pos])
             for part in integral.terms:
-                terms.extend(term_mul(base, part))
+                terms.extend(times_term(
+                    coeff, base_exps, logpows, t.extras, t.ratios, PolyUnit.one(),
+                    part,
+                ))
     return normalize(CExpr(pos, tuple(terms)))
 
 

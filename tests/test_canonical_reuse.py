@@ -1,14 +1,18 @@
 """Shortcuts that reuse canonical data instead of rebuilding it.
 
 term_mul and build_sform build unit-free terms directly from canonical
-parts, compose_with_map skips identity axis steps, and normalize gives its
-own results back unchanged.  Each shortcut is checked against a copy of the
-route it replaces, kept here as the reference.
+parts (term_mul merges two sorted extras tuples in one pass), Term.make
+takes parts that are canonical already as they are, compose_with_map skips
+identity axis steps, and normalize gives its own results back unchanged.
+Each shortcut is checked against a copy of the route it replaces, kept here
+as the reference.
 """
 
 import math
 import random
 from fractions import Fraction as F
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,12 +28,15 @@ from cfcalc.cells import (
 from cfcalc.core import (
     CExpr,
     ExpVec,
+    LogExprAtom,
     LogPrime,
     LogUnitAtom,
     LogVar,
     PolyUnit,
     RatioFactor,
     Term,
+    _atom_sort_key,
+    log_const,
     terms_from_poly,
     expand_ratios,
     normalize,
@@ -37,23 +44,84 @@ from cfcalc.core import (
     poly_scale,
     term_mul,
 )
-from cfcalc.errors import CalcError
+from cfcalc.errors import CalcError, FragmentEscape
 from cfcalc.generators import random_integrable_instance
 from cfcalc.integrate import SForm, build_sform
 
 # -- reference copies of the rebuilding routes --------------------------------
 
 
+def _make_reference(
+    coeff, exps, logpows=None, extras=(), ratios=(), unit=PolyUnit.one()
+) -> Term:
+    # Term.make with every input through the canonicalizing route
+    if not isinstance(exps, ExpVec):
+        exps = ExpVec.of(exps)
+    nv = len(exps)
+    lp = list(logpows) if logpows is not None else [0] * nv
+    coeff = F(coeff)
+    atom_pows = {}
+    for atom, k in extras:
+        if k == 0:
+            continue
+        if k < 0:
+            raise ValueError("extra log factors have positive powers")
+        if isinstance(atom, LogVar):
+            lp[atom.pos] += k
+            continue
+        if isinstance(atom, LogUnitAtom):
+            scale, u0 = atom.unit.monic()
+            if u0.is_trivial:
+                expansion = log_const(scale)
+                if not expansion:
+                    raise FragmentEscape("log(1) annihilates the term")
+                if len(expansion) > 1:
+                    raise FragmentEscape(
+                        "log of a multi-prime constant is a sum; expand "
+                        "it with expand_log_power"
+                    )
+                patom, pe = expansion[0]
+                coeff *= F(pe) ** k
+                atom_pows[patom] = atom_pows.get(patom, 0) + k
+                continue
+            if scale != 1:
+                raise FragmentEscape(
+                    "log-unit atoms must carry monic units; "
+                    "split the constant with log_const first"
+                )
+        atom_pows[atom] = atom_pows.get(atom, 0) + k
+    if unit is not PolyUnit.one():
+        scale, unit = unit.monic()
+        coeff *= scale
+    ext = tuple(
+        sorted(
+            ((a, k) for a, k in atom_pows.items() if k != 0),
+            key=lambda ak: _atom_sort_key(ak[0]),
+        )
+    )
+    rts = {}
+    for r in ratios:
+        prev = rts.get(r.key())
+        if prev is None:
+            rts[r.key()] = r
+        else:
+            rts[r.key()] = RatioFactor(
+                r.exps, r.power, max(prev.lo, r.lo), min(prev.hi, r.hi)
+            )
+    rt = tuple(sorted(rts.values(), key=lambda r: r.key()))
+    return Term(coeff, exps, tuple(lp), ext, rt, unit)
+
+
 def _term_mul_reference(a: Term, b: Term) -> list[Term]:
-    # every product goes through Term.make
+    # every product goes through the canonicalizing route
     nv = a.nvars
     coeff = a.coeff * b.coeff
-    exps = a.exps + b.exps
+    exps = ExpVec(tuple(x + y for x, y in zip(a.exps, b.exps)))
     logpows = tuple(x + y for x, y in zip(a.logpows, b.logpows))
     extras = list(a.extras) + list(b.extras)
     ratios = list(a.ratios) + list(b.ratios)
     if a.unit.is_trivial and b.unit.is_trivial:
-        return [Term.make(coeff, exps, logpows, extras, ratios)]
+        return [_make_reference(coeff, exps, logpows, extras, ratios)]
     poly = poly_mul(a.unit.as_poly(nv), b.unit.as_poly(nv))
     return terms_from_poly(coeff, exps, logpows, extras, ratios, poly, nv)
 
@@ -115,11 +183,22 @@ def _compose_reference(e: CExpr, steps, with_jacobian: bool) -> CExpr:
     return normalize(CExpr(nv, tuple(terms)))
 
 
-def _outcome(f, *args):
+def _outcome(f, *args, refusals=CalcError):
+    # the value, or the refusal's class and message; any other exception
+    # (a ValueError from a broken invariant, say) fails the test
     try:
         return ("value", f(*args))
-    except CalcError as exc:
-        return ("refused", type(exc))
+    except refusals as exc:
+        return ("refused", type(exc), str(exc))
+
+
+def _make_outcome(*args):
+    # Term.make refuses bad input with ValueError as well as CalcError
+    return _outcome(Term.make, *args, refusals=(CalcError, ValueError))
+
+
+def _make_reference_outcome(*args):
+    return _outcome(_make_reference, *args, refusals=(CalcError, ValueError))
 
 
 # -- generated canonical terms over two variables ------------------------------
@@ -164,6 +243,26 @@ terms = st.builds(
 )
 
 
+# both factors carry extras: prime logs that overlap and interleave, unit
+# logs, and ratio factors on neither, one or both sides
+_PRIME_ATOMS = st.sampled_from([LogPrime(p) for p in (2, 3, 5, 7, 11, 13)])
+_EXTRA_ATOMS = st.one_of(
+    _PRIME_ATOMS, st.sampled_from([LogUnitAtom(u) for u in _LOG_UNITS])
+)
+terms_with_extras = st.builds(
+    Term.make,
+    st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool),
+    st.lists(_EXPS, min_size=2, max_size=2),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=2),
+    st.lists(
+        st.tuples(_EXTRA_ATOMS, st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.one_of(st.just([]), st.lists(_RATIOS, min_size=1, max_size=2)),
+)
+
+
 def _all_fraction_coeffs(ts) -> bool:
     return all(type(t.coeff) is F for t in ts)
 
@@ -176,9 +275,46 @@ def test_term_mul_matches_term_make_route(a, b):
     assert _all_fraction_coeffs(got)
 
 
+@settings(max_examples=300, deadline=None)
+@given(terms_with_extras, terms_with_extras)
+def test_term_mul_merges_extras_like_term_make(a, b):
+    assert a.extras and b.extras
+    got = term_mul(a, b)
+    assert got == _term_mul_reference(a, b)
+    assert _all_fraction_coeffs(got)
+
+
+def test_term_mul_merge_cases():
+    # equal atoms add their powers; the rest interleave in sort-key order,
+    # prime logs before unit logs
+    u = LogUnitAtom(_LOG_UNITS[0])
+    v = LogUnitAtom(_LOG_UNITS[1])
+    a = Term.make(2, [1, 0], [0, 1], [(LogPrime(2), 1), (LogPrime(7), 2), (u, 1)])
+    b = Term.make(F(1, 3), [0, 1], [1, 0], [(LogPrime(3), 1), (LogPrime(7), 1), (v, 2)])
+    c = Term.make(5, [0, 0], [0, 0], [(LogPrime(2), 3), (u, 2)])
+    for x, y in [(a, b), (b, a), (a, c), (c, b), (a, a)]:
+        got = term_mul(x, y)
+        assert got == _term_mul_reference(x, y)
+    ((ab,),) = [term_mul(a, b)]
+    assert [k for _, k in ab.extras] == [1, 1, 3, 1, 2]
+    ((ac,),) = [term_mul(a, c)]
+    assert ac.extras == ((LogPrime(2), 4), (LogPrime(7), 2), (u, 3))
+    # composite logs of 1 + y1 and 1 + 2*y1 share a sort key, so their order
+    # is the one Term.make gives them
+    y = ExpVec.of([1, 0])
+    e1, e2 = (
+        LogExprAtom(CExpr(2, (Term.make(1, [0, 0]), Term.make(q, y))))
+        for q in (1, 2)
+    )
+    d = Term.make(1, y, None, [(LogPrime(3), 1), (e2, 1)])
+    f = Term.make(2, y, None, [(e1, 1), (e2, 2)])
+    for x, z in [(d, f), (f, d), (f, f)]:
+        assert term_mul(x, z) == _term_mul_reference(x, z)
+
+
 def test_term_mul_direct_route_cases():
     # trivial units, extras on at most one side and ratios on at most one
-    # side: the products that term_mul builds directly
+    # side: the products that term_mul builds without a merge
     rf = RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 4), F(1))
     u = PolyUnit.build(1, {ExpVec.of([1, 0]): F(1, 2)})
     plain = Term.make(F(3, 2), [1, 0], [0, 1])
@@ -203,14 +339,71 @@ def test_build_sform_matches_term_make_route(t):
 @settings(max_examples=100, deadline=None)
 @given(terms)
 def test_make_is_idempotent_on_canonical_parts(t):
-    # Term.make skips monic() only for the shared trivial unit and Fraction()
-    # only for a Fraction coefficient; any other trivial unit or an int
-    # coefficient still takes the full route
+    # Term.make takes a trivial unit and a Fraction coefficient as they are;
+    # any other unit is made monic, its constant going to the coefficient,
+    # and an int coefficient becomes a Fraction
     assert Term.make(t.coeff, t.exps, t.logpows, t.extras, t.ratios, t.unit) == t
     again = Term.make(t.coeff, t.exps, t.logpows, t.extras, t.ratios, PolyUnit(F(2)))
     assert again.coeff == 2 * t.coeff and again.unit.is_trivial
     n = Term.make(7, t.exps)
     assert type(n.coeff) is F and n.coeff == 7
+
+
+# extras in any order, with repeats, variable logs, zero powers and constant
+# unit logs (single-prime, multi-prime, log 1), as a tuple or a list
+_MAKE_ATOMS = st.sampled_from(
+    [LogPrime(2), LogPrime(3), LogPrime(5), LogVar(0), LogVar(1)]
+    + [LogUnitAtom(u) for u in _LOG_UNITS]
+    + [LogUnitAtom(PolyUnit(F(q))) for q in (4, F(1, 3), 6, 1)]
+)
+_MAKE_EXTRAS = st.lists(
+    st.tuples(_MAKE_ATOMS, st.integers(min_value=-1, max_value=3)), max_size=4
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool),
+    st.lists(_EXPS, min_size=2, max_size=2),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=2),
+    st.one_of(_MAKE_EXTRAS, _MAKE_EXTRAS.map(tuple)),
+    st.lists(_RATIOS, max_size=2),
+    st.one_of(st.just(PolyUnit.one()), _UNITS),
+)
+def test_make_matches_the_canonicalizing_route(coeff, exps, logpows, extras, ratios, unit):
+    args = (coeff, exps, logpows, extras, ratios, unit)
+    assert _make_outcome(*args) == _make_reference_outcome(*args)
+
+
+@pytest.mark.parametrize(
+    "extras, refused",
+    [
+        ((), False),
+        (((LogPrime(2), 1), (LogPrime(3), 2), (LogPrime(13), 1)), False),
+        # canonical parts in the wrong order, repeated or with a zero power
+        (((LogPrime(3), 1), (LogPrime(2), 1)), False),
+        (((LogPrime(2), 1), (LogPrime(2), 2)), False),
+        (((LogPrime(2), 0), (LogPrime(3), 1)), False),
+        (((LogVar(1), 2), (LogPrime(5), 1)), False),
+        (((LogUnitAtom(PolyUnit(F(9))), 2),), False),
+        # a negative power, log 1, a multi-prime constant, a non-monic unit
+        (((LogPrime(2), -1),), True),
+        (((LogUnitAtom(PolyUnit(F(1))), 1),), True),
+        (((LogUnitAtom(PolyUnit(F(6))), 1),), True),
+        (((LogUnitAtom(PolyUnit.build(2, {ExpVec.of([1, 0]): F(1, 2)})), 1),), True),
+    ],
+)
+def test_make_cases_match_the_canonicalizing_route(extras, refused):
+    for ex in (extras, list(extras)):
+        for logpows in (None, (0, 1), [2, 0]):
+            args = (F(3, 2), ExpVec.of([F(1, 2), 0]), logpows, ex)
+            got = _make_outcome(*args)
+            assert got == _make_reference_outcome(*args)
+            assert got[0] == ("refused" if refused else "value")
+        # a negative log power is refused on every route
+        args = (F(3, 2), ExpVec.of([F(1, 2), 0]), (-1, 0), ex)
+        assert _make_outcome(*args)[0] == "refused"
+        assert _make_outcome(*args) == _make_reference_outcome(*args)
 
 
 _STEPS = st.sampled_from(

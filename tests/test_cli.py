@@ -313,6 +313,14 @@ def test_eval_point_arity_checked():
     assert code == 1 and "arity" in err
 
 
+def test_eval_point_beyond_float_range_is_a_usage_error(capsys):
+    # 1e400 is an exact rational, but no float holds it
+    assert main(["eval", "y1 on {0<y1<1}", "--at", "1e400"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: bad --at point:" in captured.err
+
+
 def test_integrate_fractional_power_of_huge_bound():
     # the bound's denominator is far beyond float range; the exact root of
     # 10^400 must still be found (integral = (2/3) * 10^-600)

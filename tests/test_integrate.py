@@ -421,6 +421,23 @@ class TestLinearAccumulation:
         assert built[0] <= 10_000
         assert made[0] <= 4_000
 
+    def test_one_term_per_product_of_piece_and_shape_term(self, monkeypatch, capsys):
+        # integrate_last multiplies each piece's base straight into the terms
+        # of its shape's integral, with no base Term of its own, and merges
+        # the prime logs of both sides in one pass (9,120 terms built when
+        # each piece built its base first)
+        built = [0]
+        post_init = Term.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Term, "__post_init__", counting)
+        assert cli.main(["integrate", "log(30030*y1)^8 on {0<y1<1}"]) == 0
+        assert capsys.readouterr().out.strip()
+        assert built[0] <= 6_200
+
     def test_normalized_sum_is_returned_unchanged(self):
         # normalize marks its result and gives a marked sum back as it is
         y = ExpVec.unit(1, 0)
