@@ -298,7 +298,7 @@ class PolyUnit:
 
     @property
     def is_trivial(self) -> bool:
-        return not self.monos and self.constant == 1
+        return self is _UNIT_ONE or (not self.monos and self.constant == 1)
 
     @property
     def nvars(self) -> int:
@@ -637,18 +637,21 @@ class Term:
 
     def signature(self):
         """Merging key: everything except coeff and unit."""
-        return self._signature
-
-    @cached_property
-    def _signature(self):
-        # computed on first use and kept in the instance dict; not a field,
-        # so equality and hashing are unchanged
-        return (
-            self.exps.exps,
-            self.logpows,
-            tuple((_atom_sort_key(a), k) for a, k in self.extras),
-            tuple(r.key() for r in self.ratios),
-        )
+        # computed on first use and kept in the instance dict (a plain store:
+        # cached_property takes a lock per first access on Python 3.11); not
+        # a field, so equality and hashing are unchanged
+        sig = self.__dict__.get("_signature")
+        if sig is None:
+            sig = self.__dict__["_signature"] = (
+                self.exps.exps,
+                self.logpows,
+                tuple(
+                    ((0, a.prime, ()) if type(a) is LogPrime else _atom_sort_key(a), k)
+                    for a, k in self.extras
+                ),
+                tuple(r.key() for r in self.ratios),
+            )
+        return sig
 
     def has_opaque(self) -> bool:
         return bool(self.ratios) or any(
@@ -780,8 +783,9 @@ def _term_values(plans, point: Sequence[float]) -> list[float]:
 
 
 # The factors of a term along a fiber, after the monomial: a value computed
-# once, log(y)^p, or a factor that reads the whole point (base + [y]).
-_CONST, _LOG_Y, _AT_POINT = range(3)
+# once, log(y)^p, a polynomial unit that reads y, or a factor that reads the
+# whole point (base + [y]).
+_CONST, _LOG_Y, _UNIT_Y, _AT_POINT = range(4)
 
 
 def _mono_reads(mono: tuple[tuple[int, float], ...], pos: int) -> bool:
@@ -820,14 +824,20 @@ def _ratio_power(mono, power: float):
     return lambda point: _monomial_value(mono, point) ** power
 
 
+def _fiber_monomial(mono, base: list, last: int):
+    """(pre, e): the monomial at y is pre * y**e, or pre when e is None.
+
+    pre is the product over the base coordinates, left to right from 1.0;
+    y has the highest index, so its power comes last as in eval."""
+    e = mono[-1][1] if mono and mono[-1][0] == last else None
+    return _monomial_value(mono if e is None else mono[:-1], base), e
+
+
 def _fiber_term(plan, base: list, last: int):
     """(coeff, pre, e, factors): the term at y is coeff * (pre * y**e), or
     coeff * pre when e is None, times each factor in turn."""
     coeff, mono, logs, extras, ratios, unit = plan
-    e = mono[-1][1] if mono and mono[-1][0] == last else None
-    # the monomial's product over the base coordinates, left to right from
-    # 1.0; y has the highest index, so its power comes last as in eval
-    pre = _monomial_value(mono if e is None else mono[:-1], base)
+    pre, e = _fiber_monomial(mono, base, last)
     factors = []
     for i, p in logs:
         factors.append(
@@ -847,7 +857,11 @@ def _fiber_term(plan, base: list, last: int):
             factors.append((_CONST, _monomial_value(rmono, base) ** power))
     if unit is not None:
         if _unit_reads(unit, last):
-            factors.append((_AT_POINT, lambda point: _unit_value(unit, point)))
+            # constant + sum of c * (pre * y**e), added as _unit_value adds
+            constant, monos = unit
+            factors.append((_UNIT_Y, (constant, tuple(
+                (c, *_fiber_monomial(m, base, last)) for c, m in monos
+            ))))
         else:
             factors.append((_CONST, _unit_value(unit, base)))
     return coeff, pre, e, tuple(factors)
@@ -930,10 +944,12 @@ class CExpr:
         """y -> self.eval(list(base_point) + [y]), bit for bit.
 
         Every factor that does not read the last coordinate is computed once
-        here, as the value eval would compute for it; at each y the factors
-        are still multiplied one by one in eval's order (constants are never
-        pre-multiplied: (t*a)*b is not always t*(a*b) in floats), and the
-        terms are added left to right from int 0.
+        here, as the value eval would compute for it, and so is the base part
+        of each monomial, the term's own and those of a polynomial unit that
+        reads y; at each y the factors are still multiplied one by one in
+        eval's order (constants are never pre-multiplied: (t*a)*b is not
+        always t*(a*b) in floats), and the terms are added left to right
+        from int 0.
         """
         base = list(base_point)
         if len(base) != self.nvars - 1:
@@ -956,6 +972,11 @@ class CExpr:
                         if log_y is None:
                             log_y = math.log(y)
                         v *= log_y ** f
+                    elif kind == _UNIT_Y:
+                        u, monos = f
+                        for c, pre_u, e_u in monos:
+                            u += c * pre_u if e_u is None else c * (pre_u * y ** e_u)
+                        v *= u
                     else:
                         if point is None:
                             point = base + [y]
@@ -1087,16 +1108,18 @@ def terms_from_poly(
 def normalize(e: CExpr) -> CExpr:
     """Merge same-signature terms, delete zero terms, multiply units out.
 
-    Returns an equal function.  Same-signature terms merge by summing their
-    coeff * unit polynomials; when the sum is not a certifiable unit the
-    polynomial is distributed into plain monomial terms (which may enable
-    further merging, hence the fixpoint loop).  A sum of at most one term is
-    already normal and comes back unchanged, and so does a result of
-    normalize: its signatures are distinct and sorted, so a second pass
-    would rebuild the same terms.  The result is one CExpr built once, so
-    callers that add many sums should collect their terms in a list and
-    normalize the whole once, rather than add CExprs step by step (each
-    addition re-validates every term so far).
+    Returns an equal function.  Same-signature terms with trivial units
+    merge by adding their coefficients (a zero sum is deleted); any other
+    group merges by summing its coeff * unit polynomials, and when that sum
+    is not a certifiable unit the polynomial is distributed into plain
+    monomial terms (which may enable further merging, hence the fixpoint
+    loop).  A sum of at most one term is already normal and comes back
+    unchanged, and so does a result of normalize: its signatures are
+    distinct and sorted, so a second pass would rebuild the same terms.
+    The result is one CExpr built once, so callers that add many sums
+    should collect their terms in a list and normalize the whole once,
+    rather than add CExprs step by step (each addition re-validates every
+    term so far).
     """
     if len(e.terms) <= 1 or e._normal:
         return e
@@ -1115,11 +1138,19 @@ def normalize(e: CExpr) -> CExpr:
             if len(group) == 1:
                 out.append(group[0])
                 continue
+            rep = group[0]
+            if all(t.unit.is_trivial for t in group):
+                # coeff * 1 summed is the coefficient sum; a nonzero sum
+                # keeps the group's signature, so it cannot collide again
+                coeff = sum((t.coeff for t in group), Fraction(0))
+                if coeff:
+                    out.append(Term(coeff, rep.exps, rep.logpows, rep.extras,
+                                    rep.ratios))
+                continue
             changed = True
             poly: MonoPoly = {}
             for t in group:
                 poly = poly_add(poly, poly_scale(t.unit.as_poly(nv), t.coeff))
-            rep = group[0]
             out.extend(
                 terms_from_poly(
                     Fraction(1), rep.exps, rep.logpows, list(rep.extras),

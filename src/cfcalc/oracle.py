@@ -52,21 +52,39 @@ def eval_expr(
     return e.eval(point)
 
 
+_N0, _N1, _N2, _N3, _N4, _N5, _N6, _ = _KRONROD_NODES
+_W0, _W1, _W2, _W3, _W4, _W5, _W6, _W7 = _KRONROD_WEIGHTS
+_G0, _G1, _G2, _G3 = _GAUSS_WEIGHTS
+
+
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """15-point Kronrod estimate with embedded 7-point Gauss error."""
+    """15-point Kronrod estimate with embedded 7-point Gauss error.
+
+    Evaluates f(c), then f(c - x) and f(c + x) for each node x from the
+    outermost in; both sums start from the centre term and add the node
+    pairs left to right, the Gauss sum over every second node."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)
-    kron = _KRONROD_WEIGHTS[7] * fc
-    gauss = _GAUSS_WEIGHTS[3] * fc
-    for i in range(7):
-        x = h * _KRONROD_NODES[i]
-        fl, fr = f(c - x), f(c + x)
-        kron += _KRONROD_WEIGHTS[i] * (fl + fr)
-        if i % 2 == 1:
-            gauss += _GAUSS_WEIGHTS[i // 2] * (fl + fr)
-    kron *= h
-    gauss *= h
+    x = h * _N0
+    s0 = f(c - x) + f(c + x)
+    x = h * _N1
+    s1 = f(c - x) + f(c + x)
+    x = h * _N2
+    s2 = f(c - x) + f(c + x)
+    x = h * _N3
+    s3 = f(c - x) + f(c + x)
+    x = h * _N4
+    s4 = f(c - x) + f(c + x)
+    x = h * _N5
+    s5 = f(c - x) + f(c + x)
+    x = h * _N6
+    s6 = f(c - x) + f(c + x)
+    kron = (
+        _W7 * fc + _W0 * s0 + _W1 * s1 + _W2 * s2 + _W3 * s3 + _W4 * s4
+        + _W5 * s5 + _W6 * s6
+    ) * h
+    gauss = (_G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5) * h
     return kron, abs(kron - gauss)
 
 
@@ -220,6 +238,9 @@ def divergence_probe(
         prev = cut
         if abs(total) > 1e9:
             break
+    if not partials:
+        # hi <= 2^-kmax: no dyadic panel fits below hi
+        return ProbeReport("inconclusive", (), "none")
     if abs(partials[-1]) > 1e6:
         return ProbeReport("diverged", tuple(partials), "power")
     # Cauchy criterion on the tail

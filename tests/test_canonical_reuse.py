@@ -3,7 +3,8 @@
 term_mul and build_sform build unit-free terms directly from canonical
 parts (term_mul merges two sorted extras tuples in one pass), Term.make
 takes parts that are canonical already as they are, compose_with_map skips
-identity axis steps, and normalize gives its own results back unchanged.
+identity axis steps, normalize merges trivial-unit terms by adding their
+coefficients and gives its own results back unchanged.
 Each shortcut is checked against a copy of the route it replaces, kept here
 as the reference.
 """
@@ -40,6 +41,7 @@ from cfcalc.core import (
     terms_from_poly,
     expand_ratios,
     normalize,
+    poly_add,
     poly_mul,
     poly_scale,
     term_mul,
@@ -124,6 +126,45 @@ def _term_mul_reference(a: Term, b: Term) -> list[Term]:
         return [_make_reference(coeff, exps, logpows, extras, ratios)]
     poly = poly_mul(a.unit.as_poly(nv), b.unit.as_poly(nv))
     return terms_from_poly(coeff, exps, logpows, extras, ratios, poly, nv)
+
+
+def _normalize_reference(e: CExpr) -> CExpr:
+    # every same-signature group, trivial units or not, merges by summing
+    # its coeff * unit polynomials
+    if len(e.terms) <= 1 or e._normal:
+        return e
+    terms = list(e.terms)
+    nv = e.nvars
+    for _ in range(10):
+        groups = {}
+        for t in terms:
+            groups.setdefault(t.signature(), []).append(t)
+        out = []
+        changed = False
+        for group in groups.values():
+            if len(group) == 1:
+                out.append(group[0])
+                continue
+            changed = True
+            poly = {}
+            for t in group:
+                poly = poly_add(poly, poly_scale(t.unit.as_poly(nv), t.coeff))
+            rep = group[0]
+            out.extend(
+                terms_from_poly(
+                    F(1), rep.exps, rep.logpows, list(rep.extras),
+                    list(rep.ratios), poly, nv,
+                )
+            )
+        terms = out
+        if not changed:
+            break
+    else:
+        raise RuntimeError("normalize did not reach a fixpoint")
+    terms.sort(key=lambda t: t.signature())
+    result = CExpr(nv, tuple(terms))
+    object.__setattr__(result, "_normal", True)
+    return result
 
 
 def _build_sform_reference(t: Term) -> SForm:
@@ -456,3 +497,87 @@ def test_map_terms_returns_the_sum_when_no_term_changes():
     assert normalize(expand_ratios(n)) is n
     doubled = n.map_terms(lambda x: x.scaled(2))
     assert doubled is not n and doubled == CExpr(2, tuple(x.scaled(2) for x in n.terms))
+
+
+# sums with repeated signatures: copies of drawn terms with another
+# coefficient (the opposite one among them) and the same or another unit,
+# and at times the negated group as well, so that it cancels; shuffled
+_COPY_COEFFS = st.sampled_from([F(-1), F(1), F(2), F(-1, 2), F(3, 5)])
+
+
+@st.composite
+def sums_with_repeats(draw):
+    ts = []
+    for t in draw(st.lists(terms, min_size=1, max_size=4)):
+        group = [t]
+        for q in draw(st.lists(_COPY_COEFFS, max_size=3)):
+            unit = draw(st.one_of(st.just(t.unit), st.just(PolyUnit.one()), _UNITS))
+            group.append(Term.make(q * t.coeff, t.exps, t.logpows, t.extras, t.ratios, unit))
+        if draw(st.booleans()):
+            group += [x.scaled(-1) for x in group]
+        ts += group
+    return CExpr(2, tuple(draw(st.permutations(ts))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sums_with_repeats())
+def test_normalize_matches_the_polynomial_route(e):
+    got = _outcome(normalize, e)
+    want = _outcome(_normalize_reference, e)
+    assert got == want
+    if got[0] == "value":
+        # equal terms in the same order, the same normal mark (a single
+        # term comes back as it is), Fraction coefficients
+        n, ref = got[1], want[1]
+        assert n.terms == ref.terms
+        assert n._normal == ref._normal == (len(e.terms) > 1)
+        assert _all_fraction_coeffs(n.terms)
+        assert normalize(n) is n
+
+
+def test_normalize_adds_trivial_unit_coefficients():
+    rf = RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 4), F(1))
+    u = LogUnitAtom(_LOG_UNITS[0])
+    t = Term.make(F(3, 2), [F(1, 2), 0], [0, 1], [(LogPrime(2), 1), (u, 1)], [rf])
+    other = Term.make(5, [0, 1])
+    cases = [
+        ([t, t], [t.scaled(2)]),
+        ([t, other, t.scaled(F(-1, 3))], [t.scaled(F(2, 3)), other]),
+        # opposite coefficients cancel and the term is dropped
+        ([t, other, t.scaled(-1)], [other]),
+        ([t, t.scaled(-1)], []),
+        ([t, t.scaled(2), t.scaled(-3), other, other.scaled(-1)], []),
+    ]
+    for ts, want in cases:
+        e = CExpr(2, tuple(ts))
+        n = normalize(e)
+        assert n == _normalize_reference(e)
+        assert sorted(n.terms, key=Term.signature) == list(n.terms)
+        assert set(n.terms) == set(want) and len(n.terms) == len(want)
+
+
+def test_trivial_unit_groups_skip_the_polynomial_route(monkeypatch):
+    import cfcalc.core as core
+
+    calls = {"poly_add": 0, "terms_from_poly": 0}
+
+    def counted(name):
+        f = getattr(core, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(core, name, counted(name))
+    t = Term.make(F(3, 2), [1, 0], [0, 1], [(LogPrime(3), 2)])
+    n = normalize(CExpr(2, (t, t.scaled(F(1, 3)))))
+    assert n.terms == (t.scaled(F(4, 3)),)
+    assert normalize(CExpr(2, (t, t.scaled(-1)))).terms == ()
+    assert calls == {"poly_add": 0, "terms_from_poly": 0}
+    # a group with a nontrivial unit still sums unit polynomials
+    v = Term.make(1, [1, 0], [0, 1], [(LogPrime(3), 2)], unit=_LOG_UNITS[0])
+    normalize(CExpr(2, (t, v)))
+    assert calls["poly_add"] == 2 and calls["terms_from_poly"] == 1
