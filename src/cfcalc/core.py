@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from types import CodeType, FunctionType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -783,9 +784,15 @@ def _term_values(plans, point: Sequence[float]) -> list[float]:
 
 
 # The factors of a term along a fiber, after the monomial: a value computed
-# once, log(y)^p, a polynomial unit that reads y, or a factor that reads the
-# whole point (base + [y]).
-_CONST, _LOG_Y, _UNIT_Y, _AT_POINT = range(4)
+# once, log(y)^p, or a factor that reads the whole point (base + [y]).  A
+# polynomial unit that reads y stands as the tuple of its monomials' y-flags.
+_CONST, _LOG_Y, _AT_POINT = range(3)
+
+# Fiber kernels kept compiled, least recently used dropped first.  A
+# validate pass over 48 seeds meets ~200 structures, the benchmark's whole
+# 192-seed pool 494; repeated passes cycle through theirs, and an LRU cache
+# smaller than such a cycle would miss on every fiber.
+_KERNEL_CACHE_SIZE = 512
 
 
 def _mono_reads(mono: tuple[tuple[int, float], ...], pos: int) -> bool:
@@ -833,38 +840,112 @@ def _fiber_monomial(mono, base: list, last: int):
     return _monomial_value(mono if e is None else mono[:-1], base), e
 
 
-def _fiber_term(plan, base: list, last: int):
-    """(coeff, pre, e, factors): the term at y is coeff * (pre * y**e), or
-    coeff * pre when e is None, times each factor in turn."""
+def _fiber_term(plan, base: list, last: int, args: list) -> tuple:
+    """The structure of a term along the fiber: whether its monomial reads
+    y, then the kind of each factor.  Appends the term's constants to args
+    in the order the kernel takes them: coeff, pre and e of the monomial,
+    then each factor's value, log power or function, a unit's constant and
+    then c, pre and e of each of its monomials."""
     coeff, mono, logs, extras, ratios, unit = plan
     pre, e = _fiber_monomial(mono, base, last)
-    factors = []
+    args += (coeff, pre) if e is None else (coeff, pre, e)
+    kinds = [e is not None]
     for i, p in logs:
-        factors.append(
-            (_LOG_Y, p) if i == last else (_CONST, math.log(base[i]) ** p)
-        )
+        if i == last:
+            kinds.append(_LOG_Y)
+            args.append(p)
+        else:
+            kinds.append(_CONST)
+            args.append(math.log(base[i]) ** p)
     for a, k in extras:
         if _atom_reads(a, last):
-            factors.append((_AT_POINT, _log_atom_power(a, k)))
-        elif a.__class__ is float:
-            factors.append((_CONST, a ** k))
+            kinds.append(_AT_POINT)
+            args.append(_log_atom_power(a, k))
         else:
-            factors.append((_CONST, math.log(a.eval(base)) ** k))
+            kinds.append(_CONST)
+            args.append(
+                a ** k if a.__class__ is float else math.log(a.eval(base)) ** k
+            )
     for rmono, power in ratios:
         if _mono_reads(rmono, last):
-            factors.append((_AT_POINT, _ratio_power(rmono, power)))
+            kinds.append(_AT_POINT)
+            args.append(_ratio_power(rmono, power))
         else:
-            factors.append((_CONST, _monomial_value(rmono, base) ** power))
+            kinds.append(_CONST)
+            args.append(_monomial_value(rmono, base) ** power)
     if unit is not None:
         if _unit_reads(unit, last):
-            # constant + sum of c * (pre * y**e), added as _unit_value adds
             constant, monos = unit
-            factors.append((_UNIT_Y, (constant, tuple(
-                (c, *_fiber_monomial(m, base, last)) for c, m in monos
-            ))))
+            args.append(constant)
+            flags = []
+            for c, m in monos:
+                pre_u, e_u = _fiber_monomial(m, base, last)
+                args += (c, pre_u) if e_u is None else (c, pre_u, e_u)
+                flags.append(e_u is not None)
+            kinds.append(tuple(flags))
         else:
-            factors.append((_CONST, _unit_value(unit, base)))
-    return coeff, pre, e, tuple(factors)
+            kinds.append(_CONST)
+            args.append(_unit_value(unit, base))
+    return tuple(kinds)
+
+
+def _kernel_source(structure: tuple) -> str:
+    """Source of value(y, base, k0, k1, ...): straight-line code for the
+    fiber's sum at y, with the constants k0, k1, ... in _fiber_term's order.
+    Only these templates and parameter indices go into it."""
+    n = 0
+
+    def k() -> str:
+        nonlocal n
+        n += 1
+        return f"k{n - 1}"
+
+    def monomial(target: str, op: str, reads_y: bool) -> str:
+        c, pre = k(), k()
+        if reads_y:
+            return f"{target} {op} {c} * ({pre} * y ** {k()})"
+        return f"{target} {op} {c} * {pre}"
+
+    body = ["total = 0"]
+    once: set[str] = set()  # ly and point, each set just before its first use
+
+    def first_use(line: str) -> None:
+        if line not in once:
+            once.add(line)
+            body.append(line)
+
+    for reads_y, *kinds in structure:
+        body.append(monomial("v", "=", reads_y))
+        for kind in kinds:
+            if kind.__class__ is tuple:
+                # a unit: constant + sum of c * (pre * y**e), as _unit_value adds
+                body.append(f"u = {k()}")
+                body.extend(monomial("u", "+=", r) for r in kind)
+                body.append("v *= u")
+            elif kind == _CONST:
+                body.append(f"v *= {k()}")
+            elif kind == _LOG_Y:
+                first_use("ly = log(y)")
+                body.append(f"v *= ly ** {k()}")
+            else:
+                first_use("point = base + [y]")
+                body.append(f"v *= {k()}(point)")
+        body.append("total += v")
+    body.append("return total")
+    params = ", ".join(["y", "base"] + [f"k{i}" for i in range(n)])
+    return "".join([f"def value({params}):\n"] + [f"    {line}\n" for line in body])
+
+
+# log is the only name a kernel looks up
+_KERNEL_GLOBALS = {"log": math.log}
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _fiber_kernel(structure: tuple) -> CodeType:
+    """The code of value(y, base, k0, k1, ...), compiled once per structure."""
+    namespace = dict(_KERNEL_GLOBALS)
+    exec(compile(_kernel_source(structure), "<fiber kernel>", "exec"), namespace)
+    return namespace["value"].__code__
 
 
 def _eval_monomial_exact(m: ExpVec, point: Sequence[Fraction]) -> Fraction:
@@ -946,10 +1027,16 @@ class CExpr:
         Every factor that does not read the last coordinate is computed once
         here, as the value eval would compute for it, and so is the base part
         of each monomial, the term's own and those of a polynomial unit that
-        reads y; at each y the factors are still multiplied one by one in
-        eval's order (constants are never pre-multiplied: (t*a)*b is not
-        always t*(a*b) in floats), and the terms are added left to right
-        from int 0.
+        reads y.  The function returned is a compiled kernel: straight-line
+        code for the sum's structure (the number of terms; for each, whether
+        its monomial reads y and the kind of each factor, a unit that reads
+        y with the y-flags of its monomials), whose parameters after y
+        default to these constants, so no number enters its source.  Sums
+        of one structure share one compile; the _KERNEL_CACHE_SIZE
+        structures used last stay compiled.  At each y the kernel
+        still multiplies the factors one by one in eval's order (constants
+        are never pre-multiplied: (t*a)*b is not always t*(a*b) in floats),
+        and adds the terms left to right from int 0.
         """
         base = list(base_point)
         if len(base) != self.nvars - 1:
@@ -958,33 +1045,13 @@ class CExpr:
                 f"got {len(base)}"
             )
         last = len(base)
-        terms = tuple(_fiber_term(plan, base, last) for plan in self._float_plan)
-
-        def value(y: float) -> float:
-            point = log_y = None
-            total = 0
-            for coeff, pre, e, factors in terms:
-                v = coeff * pre if e is None else coeff * (pre * y ** e)
-                for kind, f in factors:
-                    if kind == _CONST:
-                        v *= f
-                    elif kind == _LOG_Y:
-                        if log_y is None:
-                            log_y = math.log(y)
-                        v *= log_y ** f
-                    elif kind == _UNIT_Y:
-                        u, monos = f
-                        for c, pre_u, e_u in monos:
-                            u += c * pre_u if e_u is None else c * (pre_u * y ** e_u)
-                        v *= u
-                    else:
-                        if point is None:
-                            point = base + [y]
-                        v *= f(point)
-                total += v
-            return total
-
-        return value
+        args: list = []
+        structure = tuple(
+            _fiber_term(plan, base, last, args) for plan in self._float_plan
+        )
+        return FunctionType(
+            _fiber_kernel(structure), _KERNEL_GLOBALS, "value", (base, *args)
+        )
 
     def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
         return sum((t.eval_exact(point) for t in self.terms), Fraction(0))

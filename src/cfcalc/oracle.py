@@ -143,11 +143,13 @@ def quadrature_last(
     integrand extends continuously except for integrable log factors at 0,
     which geometric endpoint panels resolve.
     """
+    # NaN bounds fail no comparison, and an infinite one leaves no Kronrod
+    # panel finite: refuse both rather than return NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0 or hi <= lo:
+        raise DomainError(f"bad fiber ({lo}, {hi})")
     pos = e.nvars - 1
     if not e.terms:
         return 0.0, 0.0
-    if lo < 0 or hi <= lo:
-        raise DomainError(f"bad fiber ({lo}, {hi})")
     rmin = min(t.exps[pos] for t in e.terms)
     k = 1
     if lo == 0.0:
@@ -221,6 +223,9 @@ def divergence_probe(
     """Partial integrals over (2^-k, hi), k = 1..kmax, with a growth-model
     fit on the dyadic increments.  Never raises: inconclusive is a verdict.
     """
+    if not 0.0 < hi < math.inf:
+        # hi <= 0, infinite or NaN: no dyadic panel (2^-k, hi) to integrate
+        return ProbeReport("inconclusive", (), "none")
     integrand = e.fiber(base_point)
     partials: list[float] = []
     increments: list[float] = []

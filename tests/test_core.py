@@ -1,5 +1,7 @@
 """Exact-core tests: rationals, normalization, zero test, differentiation."""
 
+import ast
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfcalc import core
 from cfcalc.core import (
     CExpr,
     ExpVec,
@@ -602,3 +605,93 @@ def test_eval_adds_terms_left_to_right_uncompensated():
     assert e.eval([1.0]) == 0.0
     assert left_sum([1e16, 1.0, -1e16]) == 0.0
     assert left_sum([]) == 0 and type(left_sum([])) is int
+
+
+# -- fiber kernels: compiled once per term structure --------------------------
+
+
+@pytest.fixture
+def kernel_compiles(monkeypatch):
+    """The structures compiled from here on, starting from an empty cache."""
+    compiled = []
+    source = core._kernel_source
+
+    def counting(structure):
+        compiled.append(structure)
+        return source(structure)
+
+    monkeypatch.setattr(core, "_kernel_source", counting)
+    core._fiber_kernel.cache_clear()
+    yield compiled
+    core._fiber_kernel.cache_clear()
+
+
+def _one_structure_sum(c, r, p, prime, u):
+    """A two-variable sum whose fiber structure does not depend on the
+    numbers: every factor kind, a unit read at y and at the base, and a term
+    that does not read y."""
+    unit = PolyUnit.build(1, {ExpVec.of([0, r]): u, ExpVec.of([r, 0]): -u})
+    ratio = RatioFactor(ExpVec.of([1, -r]), F(5, 3), F(1, 4), F(4))
+    log_unit = LogUnitAtom(PolyUnit.build(1, {ExpVec.of([0, r]): u}))
+    return CExpr(2, (
+        Term.make(c, [r, -r], [p, p + 1],
+                  extras=[(LogPrime(prime), p), (log_unit, 1)],
+                  ratios=[ratio], unit=unit),
+        Term.make(-c, [r, 0], [p, 0], unit=unit),
+        Term.make(c / 3, [0, r], [0, p]),
+    ))
+
+
+def test_fiber_kernels_are_shared_by_sums_of_one_structure(kernel_compiles):
+    rng = random.Random(7)
+    for e, x in (
+        (_one_structure_sum(F(3, 7), F(1, 2), 1, 3, F(1, 3)), 0.3),
+        (_one_structure_sum(F(-11, 5), F(5, 3), 2, 7, F(-2, 9)), 0.8),
+    ):
+        f = e.fiber([x])
+        for _ in range(50):
+            y = 0.01 + 0.98 * rng.random()
+            assert _same_float(f(y), _ref_expr(e, [x, y])), (x, y)
+    assert len(kernel_compiles) == 1
+    assert core._fiber_kernel.cache_info().currsize == 1
+
+
+def test_fiber_kernel_source_depends_on_the_structure_only():
+    def structure(e, base):
+        return tuple(core._fiber_term(plan, base, len(base), [])
+                     for plan in e._float_plan)
+
+    a = structure(_one_structure_sum(F(3, 7), F(1, 2), 1, 3, F(1, 3)), [0.25])
+    b = structure(_one_structure_sum(F(-11, 5), F(5, 3), 2, 7, F(-2, 9)), [0.75])
+    assert a == b
+    source = core._kernel_source(a)
+    assert source == core._kernel_source(b)
+    # no number of the input: the only literal is the sum's starting int 0
+    literals = [node.value for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Constant)]
+    assert literals == [0]
+
+
+def test_fiber_kernel_cache_evicts_past_its_bound(kernel_compiles):
+    e = _one_structure_sum(F(3, 7), F(1, 2), 1, 3, F(1, 3))
+    ys = [0.01 + 0.98 * random.Random(3).random() for _ in range(50)]
+    before = [e.fiber([0.4])(y) for y in ys]
+    assert len(kernel_compiles) == 1
+    # fill the cache with other structures of one or two small terms
+    kinds = [core._CONST, core._LOG_Y, core._AT_POINT, (True,), (False, True)]
+    terms = [(reads_y, *ks) for n in range(3) for reads_y in (False, True)
+             for ks in itertools.product(kinds, repeat=n)]
+    others = itertools.chain(((t,) for t in terms),
+                             itertools.product(terms, repeat=2))
+    for structure in itertools.islice(others, core._KERNEL_CACHE_SIZE):
+        core._fiber_kernel(structure)
+    info = core._fiber_kernel.cache_info()
+    assert info.maxsize == core._KERNEL_CACHE_SIZE
+    assert info.currsize == core._KERNEL_CACHE_SIZE
+    assert len(kernel_compiles) == core._KERNEL_CACHE_SIZE + 1
+    # the first kernel was dropped, so this compiles it again
+    f = e.fiber([0.4])
+    assert len(kernel_compiles) == core._KERNEL_CACHE_SIZE + 2
+    for y, old in zip(ys, before):
+        assert _same_float(f(y), old)
+        assert _same_float(f(y), _ref_expr(e, [0.4, y]))

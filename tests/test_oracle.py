@@ -75,6 +75,18 @@ def test_quadrature_interior_interval():
     assert abs(got - 0.5) < 1e-9
 
 
+@pytest.mark.parametrize("lo,hi", [
+    (1.0, math.inf), (0.0, math.inf), (math.nan, 1.0), (0.5, math.nan),
+    (math.nan, math.nan), (-math.inf, 1.0), (1.0, 0.5), (-0.5, 1.0),
+])
+def test_quadrature_refuses_bad_bounds(lo, hi):
+    # infinite and NaN bounds gave (nan, nan) instead of a refusal, and the
+    # empty sum took any bounds
+    for e in (CExpr(1, (Term.make(1, [-2]),)), CExpr.zero(1)):
+        with pytest.raises(DomainError):
+            quadrature_last(e, [], lo, hi)
+
+
 def test_adaptive_quadrature_smooth():
     got, _ = adaptive_quadrature(math.sin, 0.0, math.pi)
     assert abs(got - 2.0) < 1e-10
@@ -145,9 +157,12 @@ def test_unit_evaluation_consistency(rng):
 
 
 def test_probe_below_every_dyadic_panel_is_inconclusive():
-    # hi <= 2^-kmax leaves no panel (2^-k, hi) to integrate
+    # hi <= 2^-kmax leaves no panel (2^-k, hi) to integrate, and neither
+    # does a hi that is not in (0, inf)
     e = CExpr(1, (Term.make(1, [F(-1, 2)]),))
-    for hi, kmax in ((2.0 ** -45, 40), (0.5, 1), (2.0 ** -40, 40)):
+    for hi, kmax in ((2.0 ** -45, 40), (0.5, 1), (2.0 ** -40, 40), (0.0, 40),
+                     (-0.0, 40), (-1.0, 40), (math.inf, 40), (-math.inf, 40),
+                     (math.nan, 40)):
         assert divergence_probe(e, [], hi, kmax=kmax) == ProbeReport(
             "inconclusive", (), "none"
         )
