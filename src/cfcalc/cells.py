@@ -43,6 +43,7 @@ from .errors import (
     FragmentEscape,
     InconsistentOrientation,
     NotPrepared,
+    UncertifiedCell,
 )
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,7 @@ class Cell:
         self.certify_unit_monomials(b.unit)
         lo, hi = self.bound_interval(b)
         if hi is None or hi > 1:
-            raise CellError(
+            raise UncertifiedCell(
                 f"bound of variable {pos} not certified inside (0,1] "
                 f"(range up to {hi})"
             )
@@ -303,14 +304,14 @@ class Cell:
             if diff and const >= 0 and all(c > 0 for m, c in diff.items()
                                            if not m.is_zero()):
                 return
-            raise CellError(
+            raise UncertifiedCell(
                 f"cannot certify bound order: {qa}*u in [{qa*ua_lo},{qa*ua_hi}] "
                 f"vs {qb}*v in [{qb*ub_lo},{qb*ub_hi}]"
             )
         glo, ghi = self.monomial_interval(gamma)
         if ghi is not None and ghi * qa * ua_hi <= qb * ub_lo:
             return
-        raise CellError("cannot certify bound order (incomparable monomials)")
+        raise UncertifiedCell("cannot certify bound order (incomparable monomials)")
 
     def validate(self) -> None:
         for i, spec in enumerate(self.specs):

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 refusal (fragment escape,
-or a cell that needs a split), 4 not integrable, 5 internal error.
+a cell that needs a split or whose bound order cannot be certified, or a
+decay rate of a sum that does not decay), 4 not integrable, 5 internal error.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ from .core import CExpr, Term, differentiate_expr, is_zero, normalize
 from .errors import (
     CalcError,
     DomainError,
+    EmptyExpr,
     FragmentEscape,
     InconsistentOrientation,
+    NoDecay,
     NotIntegrable,
     ParseError,
+    UncertifiedCell,
 )
 from .generators import random_integrable_instance
 from .integrate import (
@@ -390,9 +394,11 @@ def main(argv=None) -> int:
     except NotIntegrable as exc:
         print(f"not integrable: {exc}", file=sys.stderr)
         return 4
-    except InconsistentOrientation as exc:
-        # a valid cell that no single-piece map normalizes: refused until
-        # cells are split
+    except (InconsistentOrientation, UncertifiedCell, NoDecay, EmptyExpr) as exc:
+        # refusals: a valid cell that no single-piece map normalizes (until
+        # cells are split), a cell whose bound order cannot be certified, and
+        # a decay rate of a sum whose dominant exponent is not positive or
+        # that has no terms
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CalcError, DomainError) as exc:

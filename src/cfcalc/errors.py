@@ -32,6 +32,11 @@ class InconsistentOrientation(CellError):
     """A fiber cannot be mapped into (0,1) with the available sign data."""
 
 
+class UncertifiedCell(CellError):
+    """A cell bound or bound order the engine cannot certify: the bound may
+    leave (0,1], or the lower bound may not stay below the upper one."""
+
+
 class NotPrepared(CellError):
     """A cell or expression is not in prepared monomial-unit form."""
 

@@ -425,7 +425,8 @@ def parse(text: str) -> SourceForm:
                     f"bound references {name!r}, which is not an earlier variable"
                 )
             exps[j] += power
-        if q == 0 and not factors:
+        if q == 0:
+            # 0 * y^e is the bound 0 whatever the variables
             return ZERO
         return RawMono(q, ExpVec(tuple(exps)))
 
@@ -439,12 +440,31 @@ def parse(text: str) -> SourceForm:
             continue
         lo = resolve(lower, i)
         hi = resolve(upper, i)
-        if isinstance(hi, Zero) or isinstance(lo, Inf):
+        if isinstance(hi, Zero) or isinstance(lo, Inf) or _empty_between(lo, hi):
             raise ParseError(f"invalid bounds for {name!r}")
         rawvars.append(RawVar(name, lo, hi))
     remap = _total_remap(p.seen, positions, nv)
     expr = _remap_positions(builder.realize(nv), remap, nv)
     return SourceForm(RawCell(tuple(rawvars)), expr)
+
+
+def _constant_value(b) -> Fraction | None:
+    if isinstance(b, Zero):
+        return Fraction(0)
+    if isinstance(b, RawMono) and b.exps.is_zero():
+        return b.coeff
+    return None
+
+
+def _empty_between(lo, hi) -> bool:
+    """No value lies strictly between the bounds, whatever the earlier
+    variables are: the bounds are identical, or constants in reverse order.
+    Other monomial bounds are ordered by the cell certificate, which knows
+    the ranges of the earlier variables."""
+    if lo == hi:
+        return True
+    a, b = _constant_value(lo), _constant_value(hi)
+    return a is not None and b is not None and a >= b
 
 
 def _total_remap(

@@ -5,6 +5,14 @@ import pytest
 
 from cfcalc.cells import Cell, FatVar, MonomialBound, ZERO
 from cfcalc.core import ExpVec
+from cfcalc.integrate import integrate_shape
+
+
+@pytest.fixture(autouse=True)
+def cold_shape_table():
+    """Every test starts with an empty shape table, so that none depends on
+    the shapes an earlier test integrated."""
+    integrate_shape.cache_clear()
 
 
 @pytest.fixture

@@ -147,6 +147,56 @@ def test_cell_needing_a_split_is_refused(args):
     assert err.startswith("error: ")
 
 
+_CELL_SUBCOMMANDS = ("integrate", "prepare", "check-integrability",
+                     "decay-rate", "sliver")
+
+
+@pytest.mark.parametrize("cmd", _CELL_SUBCOMMANDS)
+@pytest.mark.parametrize(
+    "source,code,prefix",
+    [
+        # no value lies between the bounds: a parse error
+        ("y1 on {1<y1<1}", 2, "parse error: 1:0: invalid bounds for 'y1'"),
+        ("y1 on {2<y1<1}", 2, "parse error: 1:0: invalid bounds for 'y1'"),
+        ("y1 on {1/2<y1<1/2}", 2, "parse error: 1:0: invalid bounds for 'y1'"),
+        ("y1 on {0<y1<-1}", 2, "parse error: 1:0: invalid bounds for 'y1'"),
+        ("y1 on {0<y1<1, y1<y2<y1}", 2,
+         "parse error: 1:0: invalid bounds for 'y2'"),
+        ("y1 on {0<y1<1, 0<y2<0*y1}", 2,
+         "parse error: 1:0: invalid bounds for 'y2'"),
+        # a bound order the cell certificate cannot establish: a refusal
+        ("y1 on {0<y1<1, 2*y1<y2<y1}", 3,
+         "error: bound of variable 1 not certified inside (0,1]"),
+    ],
+    ids=["equal-constants", "reversed-constants", "equal-fractions",
+         "reversed-from-zero", "identical-monomials", "zero-monomial",
+         "uncertified-order"],
+)
+def test_empty_or_uncertified_cell_is_not_an_internal_error(
+    cmd, source, code, prefix, capsys
+):
+    assert main([cmd, source]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "source,prefix",
+    [
+        ("y1^(-1) on {0<y1<1}", "error: dominant exponent -1 is not positive"),
+        ("log(y1) on {0<y1<1}", "error: dominant exponent 0 is not positive"),
+        ("0 on {0<y1<1}", "error: dominance of an empty sum"),
+    ],
+    ids=["negative-rate", "log-only", "empty-sum"],
+)
+def test_decay_rate_without_decay_is_refused(source, prefix, capsys):
+    assert main(["decay-rate", source]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+
+
 def test_not_integrable_exit_code():
     code, _, err = run_cli("integrate", "y1^(-1) on {0<y1<1}", "--vars", "1")
     assert code == 4

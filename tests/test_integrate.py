@@ -39,6 +39,7 @@ from cfcalc.integrate import (
     integrate_fubini,
     integrate_last,
     integrate_shape,
+    _SHAPE_TABLE_SIZE,
 )
 from cfcalc.oracle import fiber_bounds, quadrature_last
 from cfcalc.parser import print_expr
@@ -480,6 +481,11 @@ class TestLinearAccumulation:
         assert cli.main(["integrate", "log(30030*y1)^8 on {0<y1<1}"]) == 0
         assert capsys.readouterr().out.strip()
         assert built[0] <= 9
+        # log(6*y1)^8 has the same nine shapes over the same fiber: every
+        # one is found in the per-process table
+        assert cli.main(["integrate", "log(6*y1)^8 on {0<y1<1}"]) == 0
+        assert capsys.readouterr().out.strip()
+        assert built[0] <= 9
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([1, 2, 3]))
@@ -499,3 +505,94 @@ class TestLinearAccumulation:
         assert _outcome(integrate_last, e, cell) == _outcome(
             _per_term_reference, e, cell
         )
+
+
+# ---------------------------------------------------------------------------
+# The per-process table of shape integrals
+# ---------------------------------------------------------------------------
+
+
+def _shape_outcome(route, *args):
+    """A shape's (scale, integral), or its refusal's class and message."""
+    try:
+        return route(*args)
+    except CalcError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _shape_calls(draw):
+    """Shape integrals over the last fiber of 1-3 variable cells, several
+    per bound pair.  Each call builds its bounds anew from the pair's parts,
+    so calls over one pair pass equal but distinct bounds, as the calls of
+    integrate_last on different cells do."""
+    nv = draw(st.integers(min_value=1, max_value=3))
+    exponents = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(-1, 2), F(1, 3),
+                                 F(-1), F(-3, 2), F(-2)])
+
+    def bound_parts():
+        beta = [draw(st.integers(0, 2)) for _ in range(nv - 1)] + [0]
+        hi = draw(st.sampled_from([F(1), F(1, 4), F(1, 2), F(1, 3)]))
+        if draw(st.booleans()):
+            return None, (hi, beta)
+        q = draw(st.sampled_from([F(1, 4), F(1, 16)]))
+        return (hi * q, [b + draw(st.integers(0, 1)) for b in beta]), (hi, beta)
+
+    def bounds(lo, hi):
+        return ZERO if lo is None else mono(*lo), mono(*hi)
+
+    pairs = [bound_parts() for _ in range(draw(st.integers(1, 3)))]
+    return [
+        (draw(exponents), draw(st.integers(0, 3)), nv,
+         *bounds(*pairs[draw(st.integers(0, len(pairs) - 1))]))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+
+
+class TestShapeTable:
+    """integrate_shape keeps its exact results in one bounded table per
+    process; a hit must be the integral a fresh computation builds."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_shape_calls())
+    def test_hits_equal_fresh_integrals(self, calls):
+        integrate_shape.cache_clear()
+        first = [_shape_outcome(integrate_shape, *args) for args in calls]
+        hits = integrate_shape.cache_info().hits
+        again = [_shape_outcome(integrate_shape, *args) for args in calls]
+        fresh = [_shape_outcome(integrate_shape.__wrapped__, *args) for args in calls]
+        assert first == again == fresh
+        kept = sum(1 for out in first if not isinstance(out[0], type))
+        assert integrate_shape.cache_info().hits - hits == kept
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            ((F(-3, 2), 0, 1, ZERO, mono(1, [0])), NotIntegrable),
+            ((F(1), 0, 1, ZERO, MonomialBound(
+                F(1, 2), ExpVec.of([0]),
+                PolyUnit.build(1, {ExpVec.of([1]): F(1, 2)}),
+            )), BoundUnitUnsupported),
+            ((F(1, 2), 0, 1, mono(F(1, 5), [0]), mono(F(1, 2), [0])), FragmentEscape),
+        ],
+        ids=["laurent-at-zero", "bound-unit", "irrational-power"],
+    )
+    def test_refusal_raises_on_every_call(self, args, error):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                integrate_shape(*args)
+            raised.append((info.type, str(info.value)))
+        assert raised[0] == raised[1]
+        assert integrate_shape.cache_info().currsize == 0
+
+    def test_least_recently_used_shape_is_evicted(self):
+        one = mono(1, [0])
+        first = integrate_shape(F(1, 2), 1, 1, ZERO, one)
+        for k in range(_SHAPE_TABLE_SIZE):
+            integrate_shape(F(k), 0, 1, ZERO, one)
+        assert integrate_shape.cache_info().currsize == _SHAPE_TABLE_SIZE
+        misses = integrate_shape.cache_info().misses
+        again = integrate_shape(F(1, 2), 1, 1, ZERO, one)
+        assert integrate_shape.cache_info().misses == misses + 1
+        assert again == first and again[1] is not first[1]

@@ -73,6 +73,12 @@ def test_inf_bound():
     assert form.raw_cell.vars[0].lower == RawMono.const(2, 1)
 
 
+def test_zero_coefficient_bound_is_zero():
+    # 0 * x1 is the bound 0, not a monomial bound with coefficient 0
+    form = parse("x2 on {0 < x1 < 1, 0 * x1 < x2 < x1}")
+    assert form.raw_cell == parse("x2 on {0 < x1 < 1, 0 < x2 < x1}").raw_cell
+
+
 def test_thin_chain():
     form = parse("x2 on {0 < x1 < 1, x2 = 1/2 * x1}")
     assert form.raw_cell.vars[1].thin == RawMono(F(1, 2), form.raw_cell.vars[1].thin.exps)
