@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .core import (  # noqa: F401
     CExpr,
     ExpVec,
+    LogComposite,
     LogExprAtom,
     LogPrime,
     LogUnitAtom,
@@ -20,6 +21,7 @@ from .core import (  # noqa: F401
     is_zero,
     log_const,
     normalize,
+    prime_form,
 )
 from .cells import (  # noqa: F401
     AsymClass,

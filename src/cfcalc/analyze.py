@@ -19,6 +19,7 @@ from .cells import Cell, MonomialBound, classify
 from .core import (
     CExpr,
     ExpVec,
+    LogComposite,
     LogExprAtom,
     LogPrime,
     LogUnitAtom,
@@ -100,11 +101,13 @@ class DominanceReport:
 
 
 def _extras_constant(t: Term) -> float:
-    """Float value of the constant opaque factors (prime logs)."""
+    """Float value of the constant opaque factors (constant logs)."""
     c = float(t.coeff)
     for atom, k in t.extras:
         if isinstance(atom, LogPrime):
             c *= math.log(atom.prime) ** k
+        elif isinstance(atom, LogComposite):
+            c *= math.log(atom.n) ** k
         else:  # pragma: no cover - guarded by callers
             raise FragmentEscape("non-constant opaque atom in dominance")
     return c
@@ -400,7 +403,7 @@ def _log_upper(x_lo: Fraction, x_hi: Fraction) -> Fraction:
 
 def subanalytic_bound(e: CExpr) -> Majorant:
     """Pointwise log-free majorant on the open unit box: replaces every
-    variable log power l by y^-l, every prime log by the prime itself, every
+    variable log power l by y^-l, every constant log by its argument, every
     unit log by the rational log bound of its certified range, and every
     unit by its certified sup."""
     out: list[Term] = []
@@ -409,6 +412,8 @@ def subanalytic_bound(e: CExpr) -> Majorant:
         for atom, k in t.extras:
             if isinstance(atom, LogPrime):
                 coeff *= Fraction(atom.prime) ** k
+            elif isinstance(atom, LogComposite):
+                coeff *= Fraction(atom.n) ** k
             elif isinstance(atom, LogUnitAtom):
                 lo, hi = atom.unit.value_bounds()
                 coeff *= _log_upper(lo, hi) ** k

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 refusal (fragment escape,
-a cell that needs a split or whose bound order cannot be certified, or a
-decay rate of a sum that does not decay), 4 not integrable, 5 internal error.
+a cell that needs a split or whose bound order cannot be certified, a cell
+not in prepared shape, a decay rate on a cell with determined variables or
+of a sum that does not decay), 4 not integrable, 5 internal error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from . import __version__
 from .analyze import decay_rate, sum_integrable_last
 from .cells import normalize_cell, transform_H
-from .core import CExpr, Term, differentiate_expr, is_zero, normalize
+from .core import CExpr, Term, differentiate_expr, is_zero, normalize, prime_form
 from .errors import (
     CalcError,
     DomainError,
@@ -25,7 +26,9 @@ from .errors import (
     FragmentEscape,
     InconsistentOrientation,
     NoDecay,
+    NotAllUndetermined,
     NotIntegrable,
+    NotPrepared,
     ParseError,
     UncertifiedCell,
 )
@@ -161,8 +164,9 @@ def _cmd_check(args) -> int:
     source = _read_source(args)
     norm, pulled = _pipeline(source, with_jacobian=True, fibers=1)
     prepared = prepare_expr(pulled, norm.cell)[0]
+    # per_term and the dominance floats are those of the prime-log terms
     res = sum_integrable_last(
-        _drop_ratio_free(prepared.terms), norm.cell, args.hypothesis
+        prime_form(_drop_ratio_free(prepared.terms)), norm.cell, args.hypothesis
     )
     rbar = None
     wtext = None
@@ -199,7 +203,7 @@ def _cmd_decay(args) -> int:
     source = _read_source(args)
     norm, pulled = _pipeline(source, with_jacobian=False, fibers=1)
     prepared = prepare_expr(pulled, norm.cell)[0]
-    dr = decay_rate(_drop_ratio_free(prepared.terms), norm.cell)
+    dr = decay_rate(prime_form(_drop_ratio_free(prepared.terms)), norm.cell)
     result = {
         "r": str(dr.r),
         "epsilon": str(dr.epsilon),
@@ -241,7 +245,7 @@ def _cmd_eval(args) -> int:
         raise _Usage(
             f"point arity {len(point)} != variable count {form.raw_cell.nvars}"
         )
-    value = form.expr.eval(point)
+    value = prime_form(form.expr).eval(point)
     return _emit(args, source, {"point": args.at, "value": value}, [repr(value)])
 
 
@@ -394,11 +398,16 @@ def main(argv=None) -> int:
     except NotIntegrable as exc:
         print(f"not integrable: {exc}", file=sys.stderr)
         return 4
-    except (InconsistentOrientation, UncertifiedCell, NoDecay, EmptyExpr) as exc:
+    except (
+        InconsistentOrientation, UncertifiedCell, NotPrepared,
+        NotAllUndetermined, NoDecay, EmptyExpr,
+    ) as exc:
         # refusals: a valid cell that no single-piece map normalizes (until
-        # cells are split), a cell whose bound order cannot be certified, and
-        # a decay rate of a sum whose dominant exponent is not positive or
-        # that has no terms
+        # cells are split), a cell whose bound order cannot be certified, a
+        # cell whose bounds reference determined variables (sliver), a
+        # decay rate on a cell with determined variables, and a decay rate
+        # of a sum whose dominant exponent is not positive or that has no
+        # terms
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CalcError, DomainError) as exc:

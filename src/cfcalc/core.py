@@ -5,10 +5,14 @@ A constructible expression is a finite sum of terms
     coeff * prod_j y_j^(r_j) * prod_j (log y_j)^(l_j) * extras * unit,
 
 with rational coeff and exponents r_j, nonnegative integer log powers l_j,
-`extras` a multiset of opaque log atoms (logs of primes, logs of certified
-polynomial units) and bounded ratio factors, and `unit` a certified
-polynomial unit.  All arithmetic is exact: coefficients and exponents are
-`fractions.Fraction` and nothing is ever rounded.
+`extras` a multiset of opaque log atoms (logs of constants, logs of
+certified polynomial units) and bounded ratio factors, and `unit` a
+certified polynomial unit.  All arithmetic is exact: coefficients and
+exponents are `fractions.Fraction` and nothing is ever rounded.
+
+Logs of constants are kept over a coprime base: log 30030 is one atom, not
+the sum of six prime logs, and normalize keeps the constant logs of a sum
+pairwise coprime.  prime_form writes them over primes, the printed form.
 """
 
 from __future__ import annotations
@@ -436,6 +440,16 @@ class LogPrime:
 
 
 @dataclass(frozen=True)
+class LogComposite:
+    """log n for a squarefree n with two or more prime factors (rising in
+    primes), kept as one atom of a coprime base instead of the sum of its
+    prime logs."""
+
+    n: int
+    primes: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class LogUnitAtom:
     """log u for a certified positive polynomial unit, kept opaque."""
 
@@ -457,7 +471,7 @@ class LogExprAtom:
     arg: "CExpr"
 
 
-LogAtom = Union[LogVar, LogPrime, LogUnitAtom, LogExprAtom]
+LogAtom = Union[LogVar, LogPrime, LogComposite, LogUnitAtom, LogExprAtom]
 
 
 def log_const(q: RatLike) -> list[tuple[LogPrime, int]]:
@@ -468,6 +482,9 @@ def log_const(q: RatLike) -> list[tuple[LogPrime, int]]:
 
 
 def _atom_sort_key(atom: LogAtom):
+    # constant logs sort by their argument, primes and composites alike
+    if type(atom) is LogComposite:
+        return (0, atom.n, ())
     if isinstance(atom, LogPrime):
         return (0, atom.prime, ())
     if isinstance(atom, LogUnitAtom):
@@ -512,14 +529,20 @@ class RatioFactor:
 # ---------------------------------------------------------------------------
 
 
-def _rising_prime_logs(extras: tuple[tuple[LogAtom, int], ...]) -> bool:
-    """Whether extras are prime logs with positive powers, primes rising:
-    the canonical form Term.make would sort them into."""
+def _rising_constant_logs(extras: tuple[tuple[LogAtom, int], ...]) -> bool:
+    """Whether extras are constant logs with positive powers, arguments
+    rising: the canonical form Term.make would sort them into."""
     prev = 1
     for atom, k in extras:
-        if type(atom) is not LogPrime or k <= 0 or atom.prime <= prev:
+        if type(atom) is LogPrime:
+            n = atom.prime
+        elif type(atom) is LogComposite:
+            n = atom.n
+        else:
             return False
-        prev = atom.prime
+        if k <= 0 or n <= prev:
+            return False
+        prev = n
     return True
 
 
@@ -556,9 +579,9 @@ class Term:
         Folds LogVar atoms into logpows, expands log-of-constant atoms over
         primes, normalizes the unit to constant 1 (scale goes to coeff), and
         sorts extras/ratios.  Parts that are canonical already (no ratios, a
-        trivial unit, and extras a tuple of prime logs with positive powers
-        in rising order, as times_log_power passes them) are taken as they
-        are.
+        trivial unit, and extras a tuple of constant logs with positive
+        powers in rising order, as times_log_power passes them) are taken as
+        they are.
         """
         if not isinstance(exps, ExpVec):
             exps = ExpVec.of(exps)
@@ -569,7 +592,7 @@ class Term:
             not ratios
             and unit.is_trivial
             and type(extras) is tuple
-            and _rising_prime_logs(extras)
+            and _rising_constant_logs(extras)
         ):
             lp = tuple(logpows) if logpows is not None else (0,) * nv
             return Term(coeff, exps, lp, extras, (), unit)
@@ -646,10 +669,7 @@ class Term:
             sig = self.__dict__["_signature"] = (
                 self.exps.exps,
                 self.logpows,
-                tuple(
-                    ((0, a.prime, ()) if type(a) is LogPrime else _atom_sort_key(a), k)
-                    for a, k in self.extras
-                ),
+                _extras_key(self.extras),
                 tuple(r.key() for r in self.ratios),
             )
         return sig
@@ -717,15 +737,25 @@ class Term:
         return total * self.unit.eval_exact(point)
 
 
+def _extras_key(extras: tuple[tuple[LogAtom, int], ...]) -> tuple:
+    """The extras part of a term's signature."""
+    return tuple(
+        ((0, a.prime, ()) if type(a) is LogPrime else _atom_sort_key(a), k)
+        for a, k in extras
+    )
+
+
 def _float_monomial(m: ExpVec) -> tuple[tuple[int, float], ...]:
     return tuple((i, float(e)) for i, e in enumerate(m.exps) if e)
 
 
 def _float_atom(atom: LogAtom):
-    """log p as a float for a prime log; otherwise the unit or expression
+    """log n as a float for a constant log; otherwise the unit or expression
     whose log the atom is, evaluated at each point."""
     if isinstance(atom, LogPrime):
         return math.log(atom.prime)
+    if isinstance(atom, LogComposite):
+        return math.log(atom.n)
     if isinstance(atom, LogUnitAtom):
         return atom.unit
     if isinstance(atom, LogExprAtom):
@@ -1180,17 +1210,25 @@ def normalize(e: CExpr) -> CExpr:
     group merges by summing its coeff * unit polynomials, and when that sum
     is not a certifiable unit the polynomial is distributed into plain
     monomial terms (which may enable further merging, hence the fixpoint
-    loop).  A sum of at most one term is already normal and comes back
-    unchanged, and so does a result of normalize: its signatures are
-    distinct and sorted, so a second pass would rebuild the same terms.
+    loop).  Before grouping, every composite constant log that shares a
+    prime with another constant log of the sum is written over its primes
+    (_coprime_base), so the constant logs left are pairwise coprime: then
+    distinct signatures stay distinct over primes, and merging decides as
+    it would on prime_form.  A sum of at most one term with nothing to
+    split is already normal and comes back unchanged, and so does a result
+    of normalize: its signatures are distinct and sorted, so a second pass
+    would rebuild the same terms.
     The result is one CExpr built once, so callers that add many sums
     should collect their terms in a list and normalize the whole once,
     rather than add CExprs step by step (each addition re-validates every
     term so far).
     """
-    if len(e.terms) <= 1 or e._normal:
+    if e._normal:
         return e
-    terms = list(e.terms)
+    terms = _coprime_base(e.terms)
+    if len(terms) <= 1 and terms is e.terms:
+        return e
+    terms = list(terms)
     nv = e.nvars
     # Merging can distribute an uncertifiable unit sum into plain monomial
     # terms, whose new signatures may collide again; plain terms merge to
@@ -1235,6 +1273,123 @@ def normalize(e: CExpr) -> CExpr:
     return result
 
 
+def _coprime_base(terms: Sequence[Term]) -> Sequence[Term]:
+    """The terms with every composite constant log that shares a prime with
+    another constant log of the sum written over its primes; the terms
+    themselves when the constant logs are pairwise coprime already.
+
+    One pass suffices: a composite kept whole shares no prime with any atom
+    of the sum, so none with the primes of the composites split."""
+    composites = {
+        a for t in terms if t.extras for a, _ in t.extras
+        if type(a) is LogComposite
+    }
+    if not composites:
+        return terms
+    args = {a.n for a in composites} | {
+        a.prime for t in terms for a, _ in t.extras if type(a) is LogPrime
+    }
+    shared = {
+        a for a in composites
+        if any(m != a.n and math.gcd(m, a.n) > 1 for m in args)
+    }
+    if not shared:
+        return terms
+    return _over_primes(terms, shared)
+
+
+def _over_primes(
+    terms: Sequence[Term], which: set[LogComposite] | None = None
+) -> list[Term]:
+    """The terms with each composite constant log in `which` (every one when
+    None) written over its primes: log(p_1 * ... * p_m)^k expands
+    multinomially, the expansions of each composite built once.  Each new
+    term is built once, directly from canonical parts, with its signature."""
+
+    def splits(a: LogAtom) -> bool:
+        return type(a) is LogComposite and (which is None or a in which)
+
+    top: dict[LogComposite, int] = {}
+    for t in terms:
+        for a, k in t.extras:
+            if splits(a) and k > top.get(a, 0):
+                top[a] = k
+    powers = {a: _prime_powers(a, k) for a, k in top.items()}
+    out: list[Term] = []
+    for t in terms:
+        split = [(a, k) for a, k in t.extras if splits(a)]
+        if not split:
+            out.append(t)
+            continue
+        kept = tuple(ak for ak in t.extras if not splits(ak[0]))
+        # (coefficient, extras, extras key or None to compute)
+        variants = [(t.coeff, kept, () if not kept else None)]
+        for a, k in split:
+            product = []
+            for c, ex, key in variants:
+                times: dict[int, Fraction] = {}  # few distinct multinomials
+                for m, piece, piece_key in powers[a][k]:
+                    cm = times.get(m)
+                    if cm is None:
+                        cm = times[m] = c * m
+                    if ex:
+                        # prime logs have keys of their own: never None
+                        product.append((cm, _merge_extras(ex, piece), None))
+                    else:
+                        product.append((cm, piece, piece_key))
+            variants = product
+        head, ratios_key = t.signature()[:2], tuple(r.key() for r in t.ratios)
+        for c, ex, key in variants:
+            term = Term(c, t.exps, t.logpows, ex, t.ratios, t.unit)
+            term.__dict__["_signature"] = (
+                *head, _extras_key(ex) if key is None else key, ratios_key
+            )
+            out.append(term)
+    return out
+
+
+def _prime_powers(a: LogComposite, k: int) -> list[list[tuple[int, tuple, tuple]]]:
+    """(log p_1 + ... + log p_m)^j for the primes of a and j = 0..k,
+    expanded: for each j, triples of a multinomial coefficient, the rising
+    prime-log extras of one product and their signature key, built prime by
+    prime from (log p + rest)^j = sum_i C(j, i) (log p)^i rest^(j - i).
+    Taking i = 1..j before i = 0 (whose keys start at a larger prime) keeps
+    each list in key order."""
+    powers: list[list] = [[(1, (), ())]] + [[] for _ in range(k)]
+    for p in reversed(a.primes):
+        atom, atom_key = LogPrime(p), (0, p, ())
+        powers = [
+            [
+                (math.comb(j, i) * c, ((atom, i),) + ex, ((atom_key, i),) + key)
+                if i else (c, ex, key)
+                for i in (*range(1, j + 1), 0)
+                for c, ex, key in powers[j - i]
+            ]
+            for j in range(k + 1)
+        ]
+    return powers
+
+
+def prime_form(e: CExpr) -> CExpr:
+    """normalize(e) with every constant log written over primes: the form
+    printed, and the one whose floats the reports and eval reproduce.
+
+    normalize keeps the constant logs of a sum pairwise coprime, so distinct
+    terms expand to disjoint sets of prime-log terms, each with a positive
+    multinomial coefficient: the expansion is normal once sorted, with
+    nothing to merge."""
+    e = normalize(e)
+    if not any(
+        type(a) is LogComposite for t in e.terms for a, _ in t.extras
+    ):
+        return e
+    terms = _over_primes(e.terms)
+    terms.sort(key=Term.signature)
+    result = CExpr(e.nvars, tuple(terms))
+    object.__setattr__(result, "_normal", True)
+    return result
+
+
 def is_normalized(e: CExpr) -> bool:
     sigs = [t.signature() for t in e.terms]
     return len(sigs) == len(set(sigs)) and all(
@@ -1246,16 +1401,20 @@ def is_normalized(e: CExpr) -> bool:
 def is_zero(e: CExpr) -> bool:
     """Zero test for normalized expressions.
 
-    Distinct (monomial, variable-log, prime-log) signatures are linearly
+    Distinct (monomial, variable-log, constant-log) signatures are linearly
     independent: for variable logs this is the distinct-asymptotic-scale
-    argument, for prime logs in degree 1 it is unique factorization (and
-    Lindemann's theorem against a rational constant).  Both are proven.
-    Products of two or more prime logs, such as log 2 * log 3 or (log 2)^2,
-    are treated as independent as well.  That rests on Schanuel-type
-    algebraic independence of the logs of primes, which is a conjecture,
-    not a theorem, so a "nonzero" verdict that depends on it is
-    conditional.  Unit logs and ratio factors have no such independence,
-    so they are rejected.
+    argument.  The constant logs of a normalized sum are logs of a pairwise
+    coprime base (primes, and squarefree composites such as 30030 kept
+    whole), and such logs are multiplicatively independent: in degree 1,
+    sum a_i log b_i = 0 only if prod b_i^(a_i) = 1, which for pairwise
+    coprime b_i > 1 forces every a_i = 0 (unique factorization, and
+    Lindemann's theorem against a rational constant).  Both are proven, so
+    the test is exact in degree 1.  Products of two or more constant logs,
+    such as log 2 * log 3 or (log 30030)^2, are treated as independent as
+    well.  That rests on Schanuel-type algebraic independence of the logs
+    of a coprime base, which is a conjecture, not a theorem, so a "nonzero"
+    verdict that depends on it is conditional, as over primes.  Unit logs
+    and ratio factors have no such independence, so they are rejected.
     """
     sigs = [t.signature() for t in e.terms]
     if len(sigs) != len(set(sigs)):
@@ -1379,21 +1538,42 @@ LogSumItem = tuple[Fraction, LogAtom]
 def log_of_monomial_unit(
     coeff: Fraction, exps: ExpVec, unit: PolyUnit
 ) -> list[LogSumItem]:
-    """log(coeff * y^exps * unit) as a sum of log atoms."""
-    items: list[LogSumItem] = [
-        (Fraction(e), LogPrime(p)) for p, e in sorted(log_const_exponents(coeff).items())
-    ]
+    """log(coeff * y^exps * unit) as a sum of log atoms.
+
+    This is the one producer of constant logs.  The constant, coeff times
+    the unit's scale, is written over the coprime base of its own
+    factorization (constant_log_items): the primes of equal exponent make
+    one atom, so log(30030) stays one LogComposite, while log 12 is
+    2 log 2 + log 3.  The atoms come first, arguments rising, then the
+    variable logs and the opaque log of the monic unit."""
+    if coeff <= 0:
+        raise FragmentEscape(f"log of non-positive constant {coeff}")
+    scale, u0 = unit.monic()
+    if scale <= 0:
+        raise FragmentEscape("log of a negative unit")
+    items = constant_log_items(coeff * scale)
     for i, e in enumerate(exps):
         if e != 0:
             items.append((e, LogVar(i)))
-    scale, u0 = unit.monic()
-    if scale != 1:
-        if scale <= 0:
-            raise FragmentEscape("log of a negative unit")
-        for p, e in sorted(log_const_exponents(scale).items()):
-            items.append((Fraction(e), LogPrime(p)))
     if not u0.is_trivial:
         items.append((Fraction(1), LogUnitAtom(u0)))
+    return items
+
+
+def constant_log_items(q: Fraction) -> list[LogSumItem]:
+    """log q for a positive rational q over the coprime base of its
+    factorization: the primes with one exponent e make one squarefree atom
+    with coefficient e, a LogPrime for a single prime and a LogComposite
+    otherwise; arguments rising.  The atoms are pairwise coprime."""
+    groups: dict[int, list[int]] = {}
+    for p, e in sorted(log_const_exponents(q).items()):
+        groups.setdefault(e, []).append(p)
+    items: list[LogSumItem] = [
+        (Fraction(e), LogPrime(ps[0]) if len(ps) == 1
+         else LogComposite(math.prod(ps), tuple(ps)))
+        for e, ps in groups.items()
+    ]
+    items.sort(key=lambda item: _atom_sort_key(item[1]))
     return items
 
 

@@ -38,6 +38,7 @@ from .core import (
     expand_log_power,
     log_of_monomial_unit,
     normalize,
+    prime_form,
     times_log_power,
 )
 from .errors import ParseError
@@ -354,7 +355,9 @@ def _log_pieces(arg: CExpr, power: int, nvars: int):
             return expand_log_power(items, power, nvars)
     if not arg.terms:
         raise ParseError("log of zero")
-    return [(Fraction(1), (0,) * nvars, ((LogExprAtom(arg), power),))]
+    # a deferred argument keeps its constant logs over primes, as printed:
+    # its terms are part of the signature of every term it enters
+    return [(Fraction(1), (0,) * nvars, ((LogExprAtom(prime_form(arg)), power),))]
 
 
 def _natural_key(name: str):
@@ -522,8 +525,9 @@ def _print_varpow(name: str, e: Fraction) -> str:
 
 
 def print_expr(e: CExpr, names: Sequence[str] | None = None) -> str:
-    """Canonical text: normalized terms in signature order."""
-    e = normalize(e)
+    """Canonical text: normalized terms in signature order, constant logs
+    over primes (prime_form)."""
+    e = prime_form(e)
     if not e.terms:
         return "0"
     names = names or [f"x{i+1}" for i in range(e.nvars)]

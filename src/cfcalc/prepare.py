@@ -4,10 +4,10 @@ asymptotically undetermined positions) on a normalized cell centered at 0.
 
 Composite log arguments expand through dominant-monomial extraction:
 log(q * y^gamma * u) = log q + gamma . log y + log u, the constant part
-canonically over prime logs and the unit part as an opaque atom.  Exponents
-on determined variables are absorbed into certified bounded ratio factors
-(the unit payload may reference determined variables; only the prepared
-monomial/log part must not).
+over the coprime base of its factorization and the unit part as an opaque
+atom.  Exponents on determined variables are absorbed into certified
+bounded ratio factors (the unit payload may reference determined
+variables; only the prepared monomial/log part must not).
 """
 
 from __future__ import annotations

@@ -4,15 +4,16 @@ from fractions import Fraction as F
 import pytest
 
 from cfcalc.cells import Cell, FatVar, MonomialBound, ZERO
-from cfcalc.core import ExpVec
+from cfcalc.core import ExpVec, _fiber_kernel
 from cfcalc.integrate import integrate_shape
 
 
 @pytest.fixture(autouse=True)
-def cold_shape_table():
-    """Every test starts with an empty shape table, so that none depends on
-    the shapes an earlier test integrated."""
+def cold_caches():
+    """Every test starts with an empty shape table and fiber-kernel cache,
+    so that none depends on the shapes or structures an earlier test met."""
     integrate_shape.cache_clear()
+    _fiber_kernel.cache_clear()
 
 
 @pytest.fixture

@@ -197,6 +197,26 @@ def test_decay_rate_without_decay_is_refused(source, prefix, capsys):
     assert captured.err.startswith(prefix)
 
 
+@pytest.mark.parametrize(
+    "args,prefix",
+    [
+        (["decay-rate", "1 on {1<y1<2}"],
+         "error: apply the coordinate transform first"),
+        (["decay-rate", "y2^(-2) on {0<y1<1, 1/3<y2<1}"],
+         "error: apply the coordinate transform first"),
+        (["sliver", "y2 on {1<y1<2, 0<y2<y1}"],
+         "error: bound of variable 1 references determined variables [0]"),
+    ],
+    ids=["decay-determined-1var", "decay-determined-2var", "sliver-not-prepared"],
+)
+def test_determined_cells_are_refused_not_internal_errors(args, prefix, capsys):
+    # NotAllUndetermined (decay-rate) and NotPrepared (sliver) exited 5
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+
+
 def test_not_integrable_exit_code():
     code, _, err = run_cli("integrate", "y1^(-1) on {0<y1<1}", "--vars", "1")
     assert code == 4

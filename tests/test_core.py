@@ -14,6 +14,7 @@ from cfcalc import core
 from cfcalc.core import (
     CExpr,
     ExpVec,
+    LogComposite,
     LogExprAtom,
     LogPrime,
     LogUnitAtom,
@@ -401,6 +402,8 @@ def _log_sum(items, point):
             total += float(c) * math.log(point[atom.pos])
         elif isinstance(atom, LogPrime):
             total += float(c) * math.log(atom.prime)
+        elif isinstance(atom, LogComposite):
+            total += float(c) * math.log(atom.n)
         else:
             total += float(c) * math.log(atom.unit.eval(point))
     return total

@@ -22,6 +22,7 @@ from cfcalc.core import (
     is_zero,
     log_of_monomial_unit,
     normalize,
+    prime_form,
 )
 from cfcalc.errors import (
     BoundUnitUnsupported,
@@ -440,15 +441,20 @@ class TestLinearAccumulation:
         assert built[0] <= 6_200
 
     def test_normalized_sum_is_returned_unchanged(self):
-        # normalize marks its result and gives a marked sum back as it is
+        # normalize marks its result and gives a marked sum back as it is;
+        # log 30030 is one atom, so log(30030*y1)^8 keeps 9 terms, and its
+        # projection over primes has the C(8+6, 6) = 3003 printed ones
         y = ExpVec.unit(1, 0)
         items = log_of_monomial_unit(F(30030), y, PolyUnit.one())
         e = CExpr(1, tuple(
             Term.make(c, y, lp, ex) for c, lp, ex in expand_log_power(items, 8, 1)
         ))
         n = normalize(e)
-        assert len(n.terms) == 3003
+        assert len(n.terms) == 9
         assert normalize(n) is n
+        p = prime_form(n)
+        assert len(p.terms) == 3003
+        assert normalize(p) is p
 
     def test_float_conversions_made_once_per_expression(self, monkeypatch, capsys):
         # validate evaluates each sum at thousands of quadrature nodes; the
