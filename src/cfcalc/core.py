@@ -12,7 +12,8 @@ exponents are `fractions.Fraction` and nothing is ever rounded.
 
 Logs of constants are kept over a coprime base: log 30030 is one atom, not
 the sum of six prime logs, and normalize keeps the constant logs of a sum
-pairwise coprime.  prime_form writes them over primes, the printed form.
+pairwise coprime.  Output is over primes: prime_form builds those terms for
+eval and the analyses, and the printer writes them from the coprime base.
 """
 
 from __future__ import annotations
@@ -1305,30 +1306,21 @@ def _over_primes(
     None) written over its primes: log(p_1 * ... * p_m)^k expands
     multinomially, the expansions of each composite built once.  Each new
     term is built once, directly from canonical parts, with its signature."""
-
-    def splits(a: LogAtom) -> bool:
-        return type(a) is LogComposite and (which is None or a in which)
-
-    top: dict[LogComposite, int] = {}
-    for t in terms:
-        for a, k in t.extras:
-            if splits(a) and k > top.get(a, 0):
-                top[a] = k
-    powers = {a: _prime_powers(a, k) for a, k in top.items()}
+    powers = _prime_powers(terms, which)
     out: list[Term] = []
     for t in terms:
-        split = [(a, k) for a, k in t.extras if splits(a)]
+        split = [ak for ak in t.extras if ak[0] in powers]
         if not split:
             out.append(t)
             continue
-        kept = tuple(ak for ak in t.extras if not splits(ak[0]))
+        kept = tuple(ak for ak in t.extras if ak not in split)
         # (coefficient, extras, extras key or None to compute)
         variants = [(t.coeff, kept, () if not kept else None)]
         for a, k in split:
             product = []
             for c, ex, key in variants:
                 times: dict[int, Fraction] = {}  # few distinct multinomials
-                for m, piece, piece_key in powers[a][k]:
+                for m, piece, piece_key, _ in powers[a][k]:
                     cm = times.get(m)
                     if cm is None:
                         cm = times[m] = c * m
@@ -1348,31 +1340,45 @@ def _over_primes(
     return out
 
 
-def _prime_powers(a: LogComposite, k: int) -> list[list[tuple[int, tuple, tuple]]]:
-    """(log p_1 + ... + log p_m)^j for the primes of a and j = 0..k,
-    expanded: for each j, triples of a multinomial coefficient, the rising
-    prime-log extras of one product and their signature key, built prime by
-    prime from (log p + rest)^j = sum_i C(j, i) (log p)^i rest^(j - i).
+def _prime_powers(
+    terms: Sequence[Term], which: set[LogComposite] | None = None
+) -> dict[LogComposite, list[list[tuple]]]:
+    """For each composite constant log of the terms (in `which`, if given)
+    and j up to its highest power k, (log p_1 + ... + log p_m)^j expanded:
+    one entry per product, of its multinomial coefficient, rising prime-log
+    extras, their signature key and their text (log(2)^3 * log(5)), built
+    prime by prime from (log p + rest)^j = sum_i C(j, i) (log p)^i rest^(j - i).
     Taking i = 1..j before i = 0 (whose keys start at a larger prime) keeps
     each list in key order."""
-    powers: list[list] = [[(1, (), ())]] + [[] for _ in range(k)]
-    for p in reversed(a.primes):
-        atom, atom_key = LogPrime(p), (0, p, ())
-        powers = [
-            [
-                (math.comb(j, i) * c, ((atom, i),) + ex, ((atom_key, i),) + key)
-                if i else (c, ex, key)
-                for i in (*range(1, j + 1), 0)
-                for c, ex, key in powers[j - i]
+    top: dict[LogComposite, int] = {}
+    for t in terms:
+        for a, k in t.extras:
+            if type(a) is LogComposite and (which is None or a in which):
+                top[a] = max(k, top.get(a, 0))
+    out = {}
+    for a, k in top.items():
+        powers: list[list] = [[(1, (), (), "")]] + [[] for _ in range(k)]
+        for p in reversed(a.primes):
+            atom, atom_key = LogPrime(p), (0, p, ())
+            logs = ["", f"log({p})"] + [f"log({p})^{i}" for i in range(2, k + 1)]
+            powers = [
+                [
+                    (math.comb(j, i) * c, ((atom, i),) + ex, ((atom_key, i),) + key,
+                     f"{logs[i]} * {text}" if text else logs[i])
+                    if i else (c, ex, key, text)
+                    for i in (*range(1, j + 1), 0)
+                    for c, ex, key, text in powers[j - i]
+                ]
+                for j in range(k + 1)
             ]
-            for j in range(k + 1)
-        ]
-    return powers
+        out[a] = powers
+    return out
 
 
 def prime_form(e: CExpr) -> CExpr:
-    """normalize(e) with every constant log written over primes: the form
-    printed, and the one whose floats the reports and eval reproduce.
+    """normalize(e) with every constant log written over primes: the terms
+    eval, check-integrability and decay-rate work on.  print_expr prints
+    the same terms in the same order without building them.
 
     normalize keeps the constant logs of a sum pairwise coprime, so distinct
     terms expand to disjoint sets of prime-log terms, each with a positive

@@ -24,12 +24,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .cells import INF, Inf, RawCell, RawMono, RawVar, ZERO, Zero
 from .core import (
     CExpr,
     ExpVec,
+    LogComposite,
     LogExprAtom,
     LogPrime,
     LogUnitAtom,
@@ -40,6 +42,9 @@ from .core import (
     normalize,
     prime_form,
     times_log_power,
+    _extras_key,
+    _over_primes,
+    _prime_powers,
 )
 from .errors import ParseError
 
@@ -514,10 +519,6 @@ def _remap_positions(e: CExpr, remap: dict[int, int], nv: int) -> CExpr:
 # ---------------------------------------------------------------------------
 
 
-def _print_rat(q: Fraction) -> str:
-    return str(q)
-
-
 def _print_varpow(name: str, e: Fraction) -> str:
     if e == 1:
         return name
@@ -525,61 +526,84 @@ def _print_varpow(name: str, e: Fraction) -> str:
 
 
 def print_expr(e: CExpr, names: Sequence[str] | None = None) -> str:
-    """Canonical text: normalized terms in signature order, constant logs
-    over primes (prime_form)."""
-    e = prime_form(e)
+    """Canonical text: the terms of prime_form(e) in signature order, written
+    from normalize(e) without building them.  _prime_powers expands each
+    composite constant log with each product's signature key and text."""
+    e = normalize(e)
     if not e.terms:
         return "0"
     names = names or [f"x{i+1}" for i in range(e.nvars)]
-    parts: list[str] = []
-    for idx, t in enumerate(e.terms):
-        factors: list[str] = []
-        coeff = t.coeff
-        for i, ex in enumerate(t.exps):
-            if ex != 0:
-                factors.append(_print_varpow(names[i], ex))
-        for i, l in enumerate(t.logpows):
-            if l:
-                factors.append(f"log({names[i]})" + (f"^{l}" if l > 1 else ""))
-        for atom, k in t.extras:
-            if isinstance(atom, LogPrime):
-                factors.append(f"log({atom.prime})" + (f"^{k}" if k > 1 else ""))
-            elif isinstance(atom, LogUnitAtom):
-                factors.append(
-                    f"log({_print_unit(atom.unit, names)})" + (f"^{k}" if k > 1 else "")
-                )
-            elif isinstance(atom, LogExprAtom):
-                factors.append(
-                    f"log({print_expr(atom.arg, names)})" + (f"^{k}" if k > 1 else "")
-                )
-        for rf in t.ratios:
-            mono = " * ".join(
-                _print_varpow(names[i], e2)
-                for i, e2 in enumerate(rf.exps)
-                if e2 != 0
-            )
-            factors.append(f"({mono})^({rf.power})")
-        if not t.unit.is_trivial:
-            factors.append(_print_unit(t.unit, names))
-        mag = abs(coeff)
-        if mag != 1 or not factors:
-            factors.insert(0, _print_rat(mag))
-        body = " * ".join(factors)
-        if idx == 0:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts)
+    powers = _prime_powers(e.terms)
+    rows = [row for t in e.terms for row in _rows(t, powers, names)]
+    if powers:  # a sum with no composite is in signature order already
+        rows.sort(key=lambda row: row[0])
+    text = " ".join(term for _, term in rows)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _signed(num: int, den: int, text: str) -> str:
+    """num/den times text: the sign, then the magnitude unless it is 1."""
+    if abs(num) != 1 or den != 1 or not text:
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        text = f"{mag} * {text}" if text else mag
+    return ("+ " if num > 0 else "- ") + text
+
+
+def _rows(t: Term, powers: dict, names: Sequence[str]) -> list[tuple]:
+    """t over primes as printed rows (signature, signed text); the signature
+    only when there are composites to sort by."""
+    split = [ak for ak in t.extras if type(ak[0]) is LogComposite] if powers else ()
+    kept = tuple(ak for ak in t.extras if ak not in split) if split else t.extras
+    if len(split) > 1 or split and any(type(a) is LogPrime for a, _ in kept):
+        # prime logs that may interleave: _over_primes merges them atom by atom
+        return [row for u in _over_primes([t]) for row in _rows(u, powers, names)]
+    left = [_print_varpow(names[i], ex) for i, ex in enumerate(t.exps) if ex]
+    left += [f"log({names[i]})" + (f"^{l}" if l > 1 else "")
+             for i, l in enumerate(t.logpows) if l]
+    right = [_print_log(a, k, names) for a, k in kept]
+    right += [f"({_print_mono(rf.exps, names)})^({rf.power})" for rf in t.ratios]
+    if not t.unit.is_trivial:
+        right.append(_print_unit(t.unit, names))
+    num, den = t.coeff.numerator, t.coeff.denominator
+    if not split:
+        text = _signed(num, den, " * ".join(left + right))
+        return [(t.signature() if powers else None, text)]
+    # one composite, whose prime logs come before kept unit and expression logs
+    (a, k), = split
+    exps, logpows, _, ratios_key = t.signature()
+    kept_key = _extras_key(kept)
+    left = "".join(f + " * " for f in left)
+    right = "".join(" * " + f for f in right)
+    rows = []
+    for m, _, key, text in powers[a][k]:
+        g = gcd(m, den)
+        rows.append(((exps, logpows, key + kept_key, ratios_key),
+                     _signed(num * (m // g), den // g, left + text + right)))
+    return rows
+
+
+def _print_log(atom, k: int, names: Sequence[str]) -> str:
+    if isinstance(atom, LogPrime):
+        arg = str(atom.prime)
+    elif isinstance(atom, LogUnitAtom):
+        arg = _print_unit(atom.unit, names)
+    elif isinstance(atom, LogExprAtom):
+        arg = print_expr(atom.arg, names)
+    else:
+        raise TypeError(f"cannot print the atom {atom!r} over primes")
+    return f"log({arg})" + (f"^{k}" if k > 1 else "")
+
+
+def _print_mono(exps: ExpVec, names: Sequence[str]) -> str:
+    return " * ".join(_print_varpow(names[i], e) for i, e in enumerate(exps) if e)
 
 
 def _print_unit(u: PolyUnit, names: Sequence[str]) -> str:
-    bits = [_print_rat(u.constant)]
+    bits = [str(u.constant)]
     for c, m in u.monos:
-        mono = " * ".join(
-            _print_varpow(names[i], e) for i, e in enumerate(m) if e != 0
-        )
+        mono = _print_mono(m, names)
         if abs(c) != 1:
-            mono = f"{_print_rat(abs(c))} * {mono}"
+            mono = f"{abs(c)} * {mono}"
         bits.append(f"+ {mono}" if c > 0 else f"- {mono}")
     return "(" + " ".join(bits) + ")"
 
@@ -607,7 +631,7 @@ def _print_raw_bound(b, raw: RawCell) -> str:
         if e != 0:
             bits.append(_print_varpow(raw.vars[i].name, e))
     if b.coeff != 1 or not bits:
-        bits.insert(0, _print_rat(b.coeff))
+        bits.insert(0, str(b.coeff))
     return " * ".join(bits)
 
 

@@ -398,10 +398,12 @@ class TestLinearAccumulation:
         assert checked[0] <= 30 * 3003
 
     def test_canonical_terms_are_not_rebuilt(self, monkeypatch, capsys):
-        # the 3003 prepared terms are built once by the parser; identity
-        # cell maps, the unit Jacobian, build_sform and the slab products
-        # reuse canonical parts instead of rebuilding each term through
-        # Term.make (12,106 terms built, all through Term.make, before)
+        # log 30030 is one atom, so the parser builds 9 terms, not 3003;
+        # identity cell maps, the unit Jacobian, build_sform and the slab
+        # products reuse canonical parts instead of rebuilding each term
+        # through Term.make (12,106 terms built, all through Term.make,
+        # before), and the printer builds no prime-form term.  129 built and
+        # 102 made with a cold shape table; the bounds leave about half again
         built = [0]
         made = [0]
         post_init = Term.__post_init__
@@ -420,14 +422,15 @@ class TestLinearAccumulation:
         assert cli.main(["integrate", "log(30030*y1)^8 on {0<y1<1}"]) == 0
         out = capsys.readouterr().out
         assert out.count(" + ") + out.count(" - ") + 1 == 3003
-        assert built[0] <= 10_000
-        assert made[0] <= 4_000
+        assert built[0] <= 200
+        assert made[0] <= 150
 
     def test_one_term_per_product_of_piece_and_shape_term(self, monkeypatch, capsys):
         # integrate_last multiplies each piece's base straight into the terms
         # of its shape's integral, with no base Term of its own, and merges
         # the prime logs of both sides in one pass (9,120 terms built when
-        # each piece built its base first)
+        # each piece built its base first, 3,131 while the printer built the
+        # 3003 prime-form terms; 129 now with a cold shape table)
         built = [0]
         post_init = Term.__post_init__
 
@@ -438,7 +441,31 @@ class TestLinearAccumulation:
         monkeypatch.setattr(Term, "__post_init__", counting)
         assert cli.main(["integrate", "log(30030*y1)^8 on {0<y1<1}"]) == 0
         assert capsys.readouterr().out.strip()
-        assert built[0] <= 6_200
+        assert built[0] <= 200
+
+    def test_printing_over_primes_builds_no_terms(self, monkeypatch):
+        # the 9-term base form of log(30030*y1)^8 prints its 3003 terms over
+        # primes straight from the base terms: no Term and no CExpr is built
+        y = ExpVec.unit(1, 0)
+        items = log_of_monomial_unit(F(30030), y, PolyUnit.one())
+        n = normalize(CExpr(1, tuple(
+            Term.make(c, y, lp, ex) for c, lp, ex in expand_log_power(items, 8, 1)
+        )))
+        expected = print_expr(prime_form(n), ["y1"])
+        built = [0]
+        term_init, expr_init = Term.__post_init__, CExpr.__post_init__
+
+        def counting(init):
+            def counted(self):
+                built[0] += 1
+                init(self)
+            return counted
+
+        monkeypatch.setattr(Term, "__post_init__", counting(term_init))
+        monkeypatch.setattr(CExpr, "__post_init__", counting(expr_init))
+        assert print_expr(n, ["y1"]) == expected
+        assert built[0] == 0
+        assert expected.count(" + ") + expected.count(" - ") + 1 == 3003
 
     def test_normalized_sum_is_returned_unchanged(self):
         # normalize marks its result and gives a marked sum back as it is;

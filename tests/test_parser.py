@@ -10,10 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcalc.cells import Inf, RawMono, Zero
-from cfcalc.core import CExpr, LogExprAtom, Term
+from cfcalc.core import (
+    CExpr,
+    ExpVec,
+    LogComposite,
+    LogExprAtom,
+    LogPrime,
+    LogUnitAtom,
+    LogVar,
+    PolyUnit,
+    RatioFactor,
+    Term,
+    prime_form,
+)
 from cfcalc.errors import ParseError
 from cfcalc.parser import (
     _TOKEN_RE,
+    _print_unit,
+    _print_varpow,
     _tokenize,
     parse,
     print_cell,
@@ -234,3 +248,129 @@ def test_tokenize_matches_old_tokenizer(src):
 ])
 def test_tokenize_matches_old_tokenizer_on_fixed_sources(src):
     assert _tokenized(_tokenize, src) == _tokenized(_old_tokenize, src)
+
+
+# -- printing over primes, against the route that built prime-form terms ------
+
+
+def _print_reference(e, names=None):
+    """print_expr as it was: prime_form builds every term over primes, then
+    each term is formatted factor by factor."""
+    e = prime_form(e)
+    if not e.terms:
+        return "0"
+    names = names or [f"x{i+1}" for i in range(e.nvars)]
+    parts = []
+    for idx, t in enumerate(e.terms):
+        factors = [
+            _print_varpow(names[i], ex) for i, ex in enumerate(t.exps) if ex
+        ]
+        factors += [
+            f"log({names[i]})" + (f"^{l}" if l > 1 else "")
+            for i, l in enumerate(t.logpows)
+            if l
+        ]
+        for atom, k in t.extras:
+            if isinstance(atom, LogPrime):
+                arg = str(atom.prime)
+            elif isinstance(atom, LogUnitAtom):
+                arg = _print_unit(atom.unit, names)
+            else:
+                arg = _print_reference(atom.arg, names)
+            factors.append(f"log({arg})" + (f"^{k}" if k > 1 else ""))
+        for rf in t.ratios:
+            mono = " * ".join(
+                _print_varpow(names[i], e2) for i, e2 in enumerate(rf.exps) if e2
+            )
+            factors.append(f"({mono})^({rf.power})")
+        if not t.unit.is_trivial:
+            factors.append(_print_unit(t.unit, names))
+        mag = abs(t.coeff)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        body = " * ".join(factors)
+        if idx == 0:
+            parts.append(body if t.coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if t.coeff > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _composite(*primes):
+    return LogComposite(math.prod(primes), primes)
+
+
+_UNIT = PolyUnit.build(1, {ExpVec.of([1, 0]): F(1, 2)})
+# a deferred log argument whose own constant log is a composite
+_NESTED = LogExprAtom(CExpr(2, (
+    Term.make(1, [0, 0]),
+    Term.make(F(1, 2), [1, 0], extras=[(_composite(2, 3), 2)]),
+)))
+_CONSTANT_LOGS = [LogPrime(p) for p in (2, 3, 5, 7, 11)] + [
+    _composite(*ps) for ps in ((2, 3), (2, 5), (5, 7), (3, 7, 11), (2, 3, 5))
+]
+_PRINT_ATOMS = st.one_of(
+    st.sampled_from(_CONSTANT_LOGS),
+    st.sampled_from([LogUnitAtom(_UNIT), _NESTED]),
+)
+_PRINT_TERMS = st.builds(
+    Term.make,
+    st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool),
+    # few monomials, so that rows of different terms share one and sort by
+    # their constant logs
+    st.lists(st.sampled_from([F(0), F(1), F(-1, 2)]), min_size=2, max_size=2),
+    st.lists(st.integers(min_value=0, max_value=1), min_size=2, max_size=2),
+    st.lists(st.tuples(_PRINT_ATOMS, st.integers(min_value=1, max_value=3)),
+             max_size=4),
+    st.one_of(st.just([]), st.just([
+        RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 4), F(1)),
+    ])),
+    st.sampled_from([
+        PolyUnit.one(), PolyUnit(F(-3, 2)),
+        PolyUnit.build(2, {ExpVec.of([0, 1]): F(-1, 2)}),
+    ]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PRINT_TERMS, max_size=4))
+def test_print_expr_matches_prime_form_route(terms):
+    e = CExpr(2, tuple(terms))
+    assert print_expr(e, ["y1", "y2"]) == _print_reference(e, ["y1", "y2"])
+
+
+def _sum(*terms):
+    return CExpr(2, tuple(Term.make(*t) for t in terms))
+
+
+_Y1 = [1, 0]
+
+
+@pytest.mark.parametrize("e", [
+    CExpr(2, ()),
+    # several composites in one term; a kept prime between a composite's primes
+    _sum((3, _Y1, [0, 1], [(_composite(2, 3), 2), (_composite(5, 7), 1)])),
+    _sum((-1, _Y1, None, [(LogPrime(3), 1), (_composite(2, 5), 2)])),
+    # 1/6 * 3 = 1/2: the multinomial cancels part of the denominator
+    _sum((F(1, 6), [0, 0], None, [(_composite(2, 3, 5), 3)]), (-1, [0, 0])),
+    _sum((1, [0, 0]), (F(-5, 4), _Y1, [1, 0], [(_composite(2, 3), 1)])),
+    # rows of two terms with one monomial interleave by their prime logs
+    _sum((1, _Y1, None, [(_composite(2, 3), 2), (LogUnitAtom(_UNIT), 1)]),
+         (2, _Y1, None, [(_composite(2, 3), 1)])),
+    # unit and expression logs, ratio factors and a non-trivial unit
+    _sum((F(-2, 3), _Y1, None,
+          [(_composite(3, 7, 11), 2), (LogUnitAtom(_UNIT), 1), (_NESTED, 2)],
+          [RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 4), F(1))],
+          PolyUnit.build(2, {ExpVec.of([0, 1]): F(-1, 2)}))),
+    _sum((-1, [0, 0], None, [(LogPrime(2), 1), (_NESTED, 1)])),
+])
+def test_print_expr_matches_prime_form_route_on_fixed_sums(e):
+    assert print_expr(e, ["y1", "y2"]) == _print_reference(e, ["y1", "y2"])
+
+
+def test_print_expr_refuses_an_atom_it_cannot_print():
+    # LogVar belongs in logpows; a hand-built term that carries it as an
+    # extra is refused, not printed without the factor
+    t = Term(F(1), ExpVec.of([0]), (0,), ((LogVar(0), 1),))
+    with pytest.raises(TypeError):
+        print_expr(CExpr(1, (t,)))
