@@ -45,6 +45,7 @@ from .errors import (
     NotPrepared,
     UncertifiedCell,
 )
+from .tables import table
 
 # ---------------------------------------------------------------------------
 # Bound kinds
@@ -865,6 +866,12 @@ def _dyadic_at_least(q: Fraction) -> Fraction:
     return s
 
 
+# normalizations kept, least recently used dropped first; the benchmark's
+# whole cli-mix pool has 23 distinct raw cells
+_CELL_TABLE_SIZE = 256
+
+
+@table("cells.normalize_cell", _CELL_TABLE_SIZE)
 def normalize_cell(raw: RawCell) -> CellNormalization:
     """Map a raw cell onto a normalized cell in (0,1)^n with center 0.
 
@@ -872,7 +879,8 @@ def normalize_cell(raw: RawCell) -> CellNormalization:
     inside [1, inf) or else an optional power-of-two rescale to push the
     upper bound into (0,1].
     Raises InconsistentOrientation for fibers that no single-piece map of
-    this shape can handle (e.g. fibers containing 0)."""
+    this shape can handle (e.g. fibers containing 0).  The frozen result is
+    kept per process, keyed by the raw cell, and shared by every caller."""
     nv = raw.nvars
     steps: list[AxisMap] = []
     specs: list[FatVar] = []

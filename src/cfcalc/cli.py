@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage, 2 parse error, 3 refusal (fragment escape,
 a cell that needs a split or whose bound order cannot be certified, a cell
 not in prepared shape, a decay rate on a cell with determined variables or
-of a sum that does not decay), 4 not integrable, 5 internal error.
+of a sum that does not decay, an analysis of a cell with no variable, an
+eval point with no real value), 4 not integrable, 5 internal error.
 """
 
 from __future__ import annotations
@@ -84,13 +85,15 @@ def _emit(args, source: str, result: dict, lines: list[str], code: int = 0) -> i
     return code
 
 
-def _pipeline(source: str, with_jacobian: bool, fibers: int = 0):
+def _pipeline(source: str, with_jacobian: bool, fibers: int = 0,
+              analyzed: bool = False):
     """parse -> eliminate thins -> normalize the cell -> pull the expression
     back to the unit box (optionally with the Jacobian folded in).
 
     The last ``fibers`` source variables are integrated or analyzed over
     their fibers, so none of them may be thin: eliminating it would make an
-    earlier variable the last one and answer for the wrong fiber."""
+    earlier variable the last one and answer for the wrong fiber.  An
+    ``analyzed`` cell needs at least one variable that is not thin."""
     form = parse(source)
     for rv in form.raw_cell.vars[max(0, form.raw_cell.nvars - fibers):]:
         if rv.thin is not None:
@@ -98,6 +101,8 @@ def _pipeline(source: str, with_jacobian: bool, fibers: int = 0):
                 f"variable {rv.name} is thin: its fiber is a single point"
             )
     raw, expr = substitute_thin(form.raw_cell, form.expr)
+    if analyzed and not raw.nvars:
+        raise FragmentEscape("no variable to analyze: the cell is a point")
     norm = normalize_cell(raw)
     return norm, norm.pull_back(expr, with_jacobian=with_jacobian)
 
@@ -162,7 +167,8 @@ def _drop_ratio_free(e: CExpr) -> CExpr:
 
 def _cmd_check(args) -> int:
     source = _read_source(args)
-    norm, pulled = _pipeline(source, with_jacobian=True, fibers=1)
+    norm, pulled = _pipeline(source, with_jacobian=True, fibers=1,
+                             analyzed=True)
     prepared = prepare_expr(pulled, norm.cell)[0]
     # per_term and the dominance floats are those of the prime-log terms
     res = sum_integrable_last(
@@ -201,7 +207,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_decay(args) -> int:
     source = _read_source(args)
-    norm, pulled = _pipeline(source, with_jacobian=False, fibers=1)
+    norm, pulled = _pipeline(source, with_jacobian=False, fibers=1,
+                             analyzed=True)
     prepared = prepare_expr(pulled, norm.cell)[0]
     dr = decay_rate(prime_form(_drop_ratio_free(prepared.terms)), norm.cell)
     result = {
@@ -219,7 +226,7 @@ def _cmd_decay(args) -> int:
 
 def _cmd_sliver(args) -> int:
     source = _read_source(args)
-    norm, _ = _pipeline(source, with_jacobian=False)
+    norm, _ = _pipeline(source, with_jacobian=False, analyzed=True)
     ht = transform_H(norm.cell)
     sl = build_sliver(ht.cell)
     result = {
@@ -245,7 +252,12 @@ def _cmd_eval(args) -> int:
         raise _Usage(
             f"point arity {len(point)} != variable count {form.raw_cell.nvars}"
         )
-    value = prime_form(form.expr).eval(point)
+    try:
+        value = prime_form(form.expr).eval(point)
+        if isinstance(value, complex):
+            raise ValueError("no real value")
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"cannot evaluate at {args.at}: {exc}")
     return _emit(args, source, {"point": args.at, "value": value}, [repr(value)])
 
 
@@ -400,17 +412,17 @@ def main(argv=None) -> int:
         return 4
     except (
         InconsistentOrientation, UncertifiedCell, NotPrepared,
-        NotAllUndetermined, NoDecay, EmptyExpr,
+        NotAllUndetermined, NoDecay, EmptyExpr, DomainError,
     ) as exc:
         # refusals: a valid cell that no single-piece map normalizes (until
         # cells are split), a cell whose bound order cannot be certified, a
         # cell whose bounds reference determined variables (sliver), a
         # decay rate on a cell with determined variables, and a decay rate
         # of a sum whose dominant exponent is not positive or that has no
-        # terms
+        # terms, and an eval point where the sum has no real float value
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CalcError, DomainError) as exc:
+    except CalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     except Exception as exc:  # pragma: no cover

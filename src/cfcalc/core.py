@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from types import CodeType, FunctionType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -32,6 +32,7 @@ from .errors import (
     UnitCertificateViolated,
     ZeroTestUnsupported,
 )
+from .tables import table
 
 # Exact rational scalar used everywhere.  Always reduced, denominator > 0,
 # arbitrary precision.
@@ -971,7 +972,7 @@ def _kernel_source(structure: tuple) -> str:
 _KERNEL_GLOBALS = {"log": math.log}
 
 
-@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+@table("core._fiber_kernel", _KERNEL_CACHE_SIZE)
 def _fiber_kernel(structure: tuple) -> CodeType:
     """The code of value(y, base, k0, k1, ...), compiled once per structure."""
     namespace = dict(_KERNEL_GLOBALS)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence, Union
 
 # sum_integrable_last is not called here: bench/tracing.py wraps it by name
@@ -47,6 +46,7 @@ from .errors import (
     NotIntegrable,
     NotPrepared,
 )
+from .tables import table
 
 # ---------------------------------------------------------------------------
 # Antiderivatives of y^r (log y)^s
@@ -239,7 +239,7 @@ def _eval_antider_at_bound(
 _SHAPE_TABLE_SIZE = 1024
 
 
-@lru_cache(maxsize=_SHAPE_TABLE_SIZE)
+@table("integrate.integrate_shape", _SHAPE_TABLE_SIZE)
 def integrate_shape(
     r: Fraction,
     s: int,

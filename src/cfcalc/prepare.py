@@ -162,6 +162,8 @@ def substitute_thin(raw: RawCell, e: CExpr) -> tuple[RawCell, CExpr]:
             r = exps[i]
             exps[i] = Fraction(0)
             if r != 0:
+                if g.coeff < 0:
+                    raise FragmentEscape(f"power of negative thin variable {rv.name}")
                 coeff *= exact_pow(g.coeff, r)
                 for j, ge in enumerate(g.exps):
                     if ge:

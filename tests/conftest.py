@@ -2,18 +2,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
 
 from cfcalc.cells import Cell, FatVar, MonomialBound, ZERO
-from cfcalc.core import ExpVec, _fiber_kernel
-from cfcalc.integrate import integrate_shape
+from cfcalc.core import ExpVec
+from cfcalc.tables import clear_tables
 
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Every test starts with an empty shape table and fiber-kernel cache,
-    so that none depends on the shapes or structures an earlier test met."""
-    integrate_shape.cache_clear()
-    _fiber_kernel.cache_clear()
+    """Every test starts with every per-process table empty, so that none
+    depends on the cells, shapes or structures an earlier test met."""
+    clear_tables()
 
 
 @pytest.fixture
@@ -61,3 +61,95 @@ def parabola_wedge() -> Cell:
         fat(ZERO, mono(1, [0, 0])),
         fat(mono(1, [2, 0]), mono(1, [1, 0])),
     )
+
+
+# -- sources in the README grammar -------------------------------------------
+
+BOUND_CONSTS = ("1", "1/2", "1/4", "2", "3/2", "3", "-1/2", "-1", "-2")
+EXPONENTS = ("-2", "-1", "-1/2", "1/3", "1/2", "1", "2")
+
+
+@st.composite
+def monomial_texts(draw, earlier):
+    """[RAT '*'] VAR^(RAT) over earlier variables, or a constant."""
+    if not earlier or draw(st.booleans()):
+        return draw(st.sampled_from(BOUND_CONSTS))
+    factors = [
+        f"{v}^({draw(st.sampled_from(EXPONENTS))})"
+        for v in draw(st.lists(st.sampled_from(earlier), min_size=1,
+                               max_size=2, unique=True))
+    ]
+    coeff = draw(st.sampled_from(("", "1/4*", "1/2*", "2*")))
+    return coeff + "*".join(factors)
+
+
+@st.composite
+def cell_texts(draw, max_vars=3):
+    """(names, cell) for a 1..max_vars-variable cell in the README grammar:
+    constant, monomial, 0 and inf bounds, and thin variables."""
+    letter = draw(st.sampled_from("yx"))
+    names = [f"{letter}{i + 1}" for i in range(draw(st.integers(1, max_vars)))]
+    chains = []
+    for i, name in enumerate(names):
+        if draw(st.integers(0, 5)) == 0:
+            chains.append(f"{name} = {draw(monomial_texts(names[:i]))}")
+            continue
+        lower = "0" if draw(st.integers(0, 2)) else draw(monomial_texts(names[:i]))
+        upper = draw(monomial_texts(names[:i]))
+        if lower != "0" and not draw(st.integers(0, 2)):
+            upper = "inf"
+        elif lower == "0":
+            upper = upper.lstrip("-")
+        elif lower in BOUND_CONSTS and upper in BOUND_CONSTS and draw(st.integers(0, 4)):
+            lower, upper = sorted((lower, upper), key=F)
+        chains.append(f"{lower} < {name} < {upper}")
+    return names, "{" + ", ".join(chains) + "}"
+
+
+@st.composite
+def factor_texts(draw, names):
+    v = draw(st.sampled_from(names))
+    k = draw(st.integers(1, 3))
+    power = "" if k == 1 else f"^{k}"
+    return draw(st.sampled_from((
+        draw(st.sampled_from(("1/2", "2", "3/4"))),
+        f"{v}^({draw(st.sampled_from(EXPONENTS))})",
+        f"log({v}){power}",
+        f"log({draw(st.sampled_from(('2', '6', '30', '1/3')))}*{v}){power}",
+        f"(1 + {draw(st.sampled_from(('1/2', '1/3')))}*{v})",
+        f"log(1 + 1/2*{v})",
+    )))
+
+
+@st.composite
+def expr_texts(draw, names):
+    """A sum of 1..3 terms of 0..3 factors each; a leading minus sign is
+    left to the edits, since argparse would read it as an option."""
+    text = ""
+    for k in range(draw(st.integers(1, 3))):
+        factors = draw(st.lists(factor_texts(names), max_size=3)) or ["1"]
+        sign = f" {draw(st.sampled_from('+-'))} " if k else ""
+        text += sign + " * ".join(factors)
+    return text
+
+
+MALFORMED_PIECES = ("^", "*", "(", ")", "{", "}", "<", "=", ",", "-", "0.5",
+                    "log", "inf", "z9", "on", "")
+
+
+@st.composite
+def source_texts(draw):
+    """(names, source): EXPR on {CELL}, sometimes with one edit that may
+    leave it malformed (a cut, a dropped or an inserted piece)."""
+    names, cell = draw(cell_texts())
+    source = f"{draw(expr_texts(names))} on {cell}"
+    edit = draw(st.integers(0, 9))
+    if edit < 3:
+        at = draw(st.integers(1, len(source)))
+        if edit == 0:
+            source = source[:at]
+        elif edit == 1:
+            source = source[:at] + source[at + 1:]
+        else:
+            source = source[:at] + draw(st.sampled_from(MALFORMED_PIECES)) + source[at:]
+    return names, source

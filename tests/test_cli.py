@@ -1,7 +1,9 @@
 """CLI behavior: subcommands, exit codes, JSON schema, determinism."""
 
+import contextlib
 import gzip
 import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -9,9 +11,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cfcalc import cli
 from cfcalc.cli import main
+from cfcalc.tables import clear_tables
+from tests.conftest import source_texts
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schemas" / "report.schema.json").read_text())
@@ -206,11 +212,34 @@ def test_decay_rate_without_decay_is_refused(source, prefix, capsys):
          "error: apply the coordinate transform first"),
         (["sliver", "y2 on {1<y1<2, 0<y2<y1}"],
          "error: bound of variable 1 references determined variables [0]"),
+        (["check-integrability", "1"],
+         "fragment escape: no variable to analyze: the cell is a point"),
+        (["decay-rate", "2 * 3"],
+         "fragment escape: no variable to analyze: the cell is a point"),
+        (["sliver", "1 on {y1 = 1/2}"],
+         "fragment escape: no variable to analyze: the cell is a point"),
+        (["eval", "log(y1) on {0<y1<1}", "--at=-1/3"],
+         "error: cannot evaluate at -1/3: math domain error"),
+        (["eval", "y1^(-1) on {0<y1<1}", "--at=0"],
+         "error: cannot evaluate at 0: "),
+        (["eval", "y1^(1/2) on {0<y1<1}", "--at=-1/4", "--json"],
+         "error: cannot evaluate at -1/4: no real value"),
+        (["prepare", "y1 on {y1 = -1}"],
+         "fragment escape: power of negative thin variable y1"),
+        (["decay-rate", "(1 + 1/3*x1) * log(x2) on {x1 = -1, 0 < x2 < 2}"],
+         "fragment escape: power of negative thin variable x1"),
     ],
-    ids=["decay-determined-1var", "decay-determined-2var", "sliver-not-prepared"],
+    ids=["decay-determined-1var", "decay-determined-2var", "sliver-not-prepared",
+         "check-no-variable", "decay-no-variable", "sliver-all-thin",
+         "eval-log-of-negative", "eval-pole", "eval-complex",
+         "negative-thin", "negative-thin-in-unit"],
 )
 def test_determined_cells_are_refused_not_internal_errors(args, prefix, capsys):
-    # NotAllUndetermined (decay-rate) and NotPrepared (sliver) exited 5
+    # these exited 5: NotAllUndetermined (decay-rate) and NotPrepared
+    # (sliver), then the classes the whole-CLI fuzzer below found: a cell
+    # with no variable left to analyze, an eval point where the sum has no
+    # real float value, and a power of a thin variable fixed at a negative
+    # value
     assert main(args) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -466,3 +495,50 @@ def test_log_growth_goldens_replay(capsys):
         if (code, capsys.readouterr().out) != (entry["exit"], entry["stdout"]):
             mismatched.append(entry["argv"])
     assert not mismatched, mismatched[:5]
+
+
+_SOURCE_SUBCOMMANDS = ("prepare", "integrate", "check-integrability",
+                       "decay-rate", "sliver", "eval")
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv for one of the six source subcommands on a README-grammar
+    source, with --json, --vars and --at drawn too."""
+    names, source = draw(source_texts())
+    cmd = draw(st.sampled_from(_SOURCE_SUBCOMMANDS))
+    argv = [cmd, source]
+    if cmd == "integrate":
+        argv += ["--vars", str(draw(st.integers(1, len(names) + 1)))]
+    if cmd == "eval":
+        point = draw(st.lists(st.sampled_from(("1/8", "1/2", "3", "-1/3")),
+                              min_size=len(names), max_size=len(names)))
+        argv.append("--at=" + ",".join(point))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@seed(20261019)
+@settings(max_examples=600, deadline=None, database=None)
+@given(cli_argvs())
+def test_cli_fuzz_exit_codes_and_warm_repeat(argv):
+    # every source is refused with a code (1 usage, 2 parse, 3 refusal) or
+    # answered (0, 4 not integrable), never an internal error (5); the
+    # second call meets the cell, shape and kernel tables the first one
+    # filled, and must print the same bytes
+    clear_tables()
+    code, out, err = _call(argv)
+    assert code in (0, 1, 2, 3, 4), (argv, err)
+    assert code in (0, 4) or out == "", argv
+    assert err.count("\n") <= 1, argv
+    if code == 0 and "--json" in argv:
+        jsonschema.validate(json.loads(out), SCHEMA)
+    assert _call(argv) == (code, out, err), argv
