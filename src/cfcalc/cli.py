@@ -132,7 +132,8 @@ def _cmd_prepare(args) -> int:
 def _cmd_integrate(args) -> int:
     source = _read_source(args)
     m = args.vars
-    norm, pulled = _pipeline(source, with_jacobian=True, fibers=m)
+    norm, pulled = _pipeline(source, with_jacobian=True, fibers=m,
+                             analyzed=True)
     if m < 1 or m > norm.cell.nvars:
         raise _Usage(f"--vars must be between 1 and {norm.cell.nvars}")
     prepared = prepare_expr(pulled, norm.cell)
@@ -382,7 +383,8 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("eval")
     common(p)
-    p.add_argument("--at", required=True, help="comma-separated rationals")
+    p.add_argument("--at", required=True, help="comma-separated rationals; "
+                   "write --at=-3/2 when the first is negative")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("validate")

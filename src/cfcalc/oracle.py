@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 from .cells import Cell, Zero
 from .core import CExpr, left_sum
 from .errors import DomainError, SingularityTooStrong
+from .tables import table
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1].
 _KRONROD_NODES = (
@@ -213,6 +214,11 @@ def _fit_growth(ks: list[float], logs: list[float]) -> tuple[float, float, float
     return b, c, r2
 
 
+# probe reports kept, least recently used dropped first; validate's
+# battery needs 12
+_PROBE_TABLE_SIZE = 64
+
+
 def divergence_probe(
     e: CExpr,
     base_point: Sequence[float],
@@ -221,8 +227,22 @@ def divergence_probe(
     tol: float = 1e-7,
 ) -> ProbeReport:
     """Partial integrals over (2^-k, hi), k = 1..kmax, with a growth-model
-    fit on the dyadic increments.  Never raises: inconclusive is a verdict.
-    """
+    fit on the dyadic increments.  Never raises for a base point of the
+    right length: inconclusive is a verdict.
+
+    The frozen report is kept per process, keyed by the arguments, their
+    types and each coordinate's sign bit: -0.0 == 0.0 and 2 == 2.0, yet a
+    fiber may compute them apart (a zero hi fails 0 < hi either way, and
+    tol only scales a bound on a nonnegative tail).  A raise stores nothing."""
+    point = tuple(base_point)
+    signs = tuple((type(x), math.copysign(1.0, x) if isinstance(x, float)
+                   else 0) for x in point)
+    return _divergence_probe(e, point, hi, kmax, tol, signs)
+
+
+@table("oracle.divergence_probe", _PROBE_TABLE_SIZE)
+def _divergence_probe(e, base_point, hi, kmax, tol, signs) -> ProbeReport:
+    """divergence_probe computed afresh; signs is read only by the key."""
     if not 0.0 < hi < math.inf:
         # hi <= 0, infinite or NaN: no dyadic panel (2^-k, hi) to integrate
         return ProbeReport("inconclusive", (), "none")

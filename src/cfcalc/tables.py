@@ -9,9 +9,10 @@ _TABLES: dict = {}
 
 def table(name: str, size: int):
     """Keep the decorated function's results in an LRU table of `size`
-    entries, registered as `name`."""
+    entries, registered as `name`.  The key holds each argument's type, so
+    equal arguments of different types (1 and 1.0) are kept apart."""
     def register(fn):
-        _TABLES[name] = cached = lru_cache(maxsize=size)(fn)
+        _TABLES[name] = cached = lru_cache(maxsize=size, typed=True)(fn)
         return cached
     return register
 

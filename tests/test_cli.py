@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cfcalc import cli
 from cfcalc.cli import main
-from cfcalc.tables import clear_tables
+from cfcalc.tables import clear_tables, table_stats
 from tests.conftest import source_texts
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -218,6 +218,10 @@ def test_decay_rate_without_decay_is_refused(source, prefix, capsys):
          "fragment escape: no variable to analyze: the cell is a point"),
         (["sliver", "1 on {y1 = 1/2}"],
          "fragment escape: no variable to analyze: the cell is a point"),
+        (["integrate", "1"],
+         "fragment escape: no variable to analyze: the cell is a point"),
+        (["integrate", "2 * 3", "--json"],
+         "fragment escape: no variable to analyze: the cell is a point"),
         (["eval", "log(y1) on {0<y1<1}", "--at=-1/3"],
          "error: cannot evaluate at -1/3: math domain error"),
         (["eval", "y1^(-1) on {0<y1<1}", "--at=0"],
@@ -231,6 +235,7 @@ def test_decay_rate_without_decay_is_refused(source, prefix, capsys):
     ],
     ids=["decay-determined-1var", "decay-determined-2var", "sliver-not-prepared",
          "check-no-variable", "decay-no-variable", "sliver-all-thin",
+         "integrate-no-variable", "integrate-no-variable-product",
          "eval-log-of-negative", "eval-pole", "eval-complex",
          "negative-thin", "negative-thin-in-unit"],
 )
@@ -412,6 +417,22 @@ def test_eval_point_arity_checked():
     assert code == 1 and "arity" in err
 
 
+def test_negative_first_coordinate_needs_the_equals_form(capsys):
+    # argparse reads a lone -3/2 as an option (its negative-number pattern
+    # takes integers and decimals only); --at=-3/2 passes the point
+    source = "y1^(2) on {-2<y1<-1}"
+    assert main(["eval", source, "--at", "-3/2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: argument --at: expected one argument\n"
+    assert main(["eval", source, "--at=-3/2"]) == 0
+    assert capsys.readouterr().out == "2.25\n"
+    with pytest.raises(SystemExit):
+        main(["eval", "-h"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "write --at=-3/2 when the first is negative" in help_text
+
+
 def test_eval_point_beyond_float_range_is_a_usage_error(capsys):
     # 1e400 is an exact rational, but no float holds it
     assert main(["eval", "y1 on {0<y1<1}", "--at", "1e400"]) == 1
@@ -542,3 +563,20 @@ def test_cli_fuzz_exit_codes_and_warm_repeat(argv):
     if code == 0 and "--json" in argv:
         jsonschema.validate(json.loads(out), SCHEMA)
     assert _call(argv) == (code, out, err), argv
+
+
+@pytest.mark.parametrize("seed_", [0, 7, 1001])
+@pytest.mark.parametrize("json_", [False, True], ids=["text", "json"])
+def test_validate_cold_and_warm_print_the_same_bytes(seed_, json_):
+    # the warm call meets the probe and antiderivative tables the cold one
+    # filled; every check still runs, and the report must not change by a
+    # byte
+    argv = ["validate", "--seed", str(seed_)] + ["--json"] * json_
+    clear_tables()
+    cold = _call(argv)
+    assert cold[0] == 0
+    probes = table_stats()["oracle.divergence_probe"]
+    assert (probes["hits"], probes["misses"]) == (0, 12)
+    assert _call(argv) == cold
+    probes = table_stats()["oracle.divergence_probe"]
+    assert (probes["hits"], probes["misses"]) == (12, 12)

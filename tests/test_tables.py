@@ -1,16 +1,24 @@
-"""The per-process tables: one registry, and the cell normalization table."""
+"""The per-process tables: one registry, the cell normalization table,
+the divergence probe and antiderivative tables."""
 
 import importlib
 import pkgutil
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, seed, settings
 
 import cfcalc
-from cfcalc import cells, core, integrate, tables
+from cfcalc import cells, core, integrate, oracle, tables
 from cfcalc.cells import normalize_cell
 from cfcalc.cli import main
+from cfcalc.core import CExpr, Term
 from cfcalc.errors import CalcError, ParseError
+from cfcalc.integrate import (
+    antiderivative_pow_log,
+    antiderivative_pow_log_recursive,
+)
+from cfcalc.oracle import divergence_probe
 from cfcalc.parser import parse
 from cfcalc.prepare import substitute_thin
 from cfcalc.tables import clear_tables, table_stats
@@ -24,7 +32,9 @@ NOT_TABLES = {
 }
 
 TABLES = ("core._fiber_kernel", "cells.normalize_cell",
-          "integrate.integrate_shape")
+          "integrate.antiderivative_pow_log",
+          "integrate.antiderivative_pow_log_recursive",
+          "integrate.integrate_shape", "oracle.divergence_probe")
 
 README_CELLS = [
     "{0<y1<1}",
@@ -109,5 +119,98 @@ def test_clear_tables_empties_every_table(capsys):
         name: {"hits": 0, "misses": 0, "size": 0, "maxsize": size}
         for name, size in zip(TABLES, (core._KERNEL_CACHE_SIZE,
                                        cells._CELL_TABLE_SIZE,
-                                       integrate._SHAPE_TABLE_SIZE))
+                                       integrate._ANTI_TABLE_SIZE,
+                                       integrate._ANTI_TABLE_SIZE,
+                                       integrate._SHAPE_TABLE_SIZE,
+                                       oracle._PROBE_TABLE_SIZE))
     }
+
+
+def _size(name):
+    return table_stats()[name]["size"]
+
+
+def _bits(report):
+    """A probe report with every float written out bit for bit."""
+    def exact(x):
+        return None if x is None else x.hex()
+    return (report.verdict, tuple(map(exact, report.partials)),
+            report.growth_model, exact(report.limit))
+
+
+# validate's probe battery: y^r (log y)^s over (0, 1), no base
+BATTERY = [
+    (CExpr(1, (Term.make(1, [r], [s]),)), [], 1.0)
+    for r in (F(-3, 2), F(-1), F(-1, 2)) for s in range(4)
+]
+# y1^(1/2) * y2^(-1/2) * log(y2) over (0, 1/2) at a base coordinate
+TWO_VARIABLE = CExpr(2, (Term.make(1, [F(1, 2), F(-1, 2)], [0, 1]),))
+
+
+def _fresh_probe(e, point, hi):
+    # the last argument is read only by the table key
+    return oracle._divergence_probe.__wrapped__(
+        e, tuple(point), hi, 40, 1e-7, None)
+
+
+@pytest.mark.parametrize("e,point,hi", BATTERY + [(TWO_VARIABLE, [0.25], 0.5)])
+def test_tabled_probe_is_the_fresh_report(e, point, hi):
+    fresh = _fresh_probe(e, point, hi)
+    cold = divergence_probe(e, point, hi)
+    warm = divergence_probe(e, list(point), hi)
+    assert _bits(cold) == _bits(fresh)
+    assert warm is cold
+    assert isinstance(cold.partials, tuple)
+    assert _size("oracle.divergence_probe") == 1
+
+
+def test_probe_keeps_signed_zeros_and_types_apart():
+    reports = [divergence_probe(TWO_VARIABLE, [x], 0.5)
+               for x in (0.0, -0.0, 1, 1.0)]
+    assert _size("oracle.divergence_probe") == 4
+    assert len(set(map(id, reports))) == 4
+    for x, report in zip((0.0, -0.0, 1, 1.0), reports):
+        assert _bits(report) == _bits(_fresh_probe(TWO_VARIABLE, [x], 0.5))
+
+
+def test_probe_with_a_wrong_base_point_raises_again_and_stores_nothing():
+    divergence_probe(*BATTERY[0])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="base point has 1 coordinates"):
+            divergence_probe(TWO_VARIABLE, [], 0.5)
+        assert _size("oracle.divergence_probe") == 1
+
+
+@pytest.mark.parametrize(
+    "route", [antiderivative_pow_log, antiderivative_pow_log_recursive])
+def test_tabled_antiderivatives_are_the_fresh_ones(route):
+    for r in (F(k, 2) for k in range(-6, 7)):
+        for s in range(5):
+            cold = route(r, s)
+            assert cold == route.__wrapped__(r, s)
+            assert route(r, s) is cold
+    # validate's round trip draws from these 65 pairs
+    assert _size(f"integrate.{route.__name__}") == 65
+
+
+@pytest.mark.parametrize(
+    "route", [antiderivative_pow_log, antiderivative_pow_log_recursive])
+def test_refused_log_power_is_not_stored(route):
+    name = f"integrate.{route.__name__}"
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            route(F(1, 2), -1)
+        assert _size(name) == 0
+    # an int and a float s are kept apart, so 1.0 still raises
+    route(F(1, 2), 1)
+    with pytest.raises(TypeError):
+        route(F(1, 2), 1.0)
+
+
+def test_recursion_takes_its_sub_results_from_the_table():
+    antiderivative_pow_log_recursive(F(1, 2), 3)
+    stats = table_stats()["integrate.antiderivative_pow_log_recursive"]
+    assert (stats["hits"], stats["misses"]) == (0, 4)
+    antiderivative_pow_log_recursive(F(1, 2), 4)
+    stats = table_stats()["integrate.antiderivative_pow_log_recursive"]
+    assert (stats["hits"], stats["misses"]) == (1, 5)
