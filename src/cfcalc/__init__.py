@@ -13,11 +13,9 @@ from .core import (  # noqa: F401
     LogVar,
     PolyUnit,
     Rat,
-    RatioFactor,
     Term,
     differentiate,
     differentiate_expr,
-    expand_ratios,
     is_zero,
     log_const,
     normalize,
@@ -42,7 +40,6 @@ from .cells import (  # noqa: F401
 )
 from .prepare import (  # noqa: F401
     PreparedCellData,
-    absorb_determined,
     prepare_expr,
     substitute_thin,
 )

@@ -25,7 +25,6 @@ from .core import (
     LogUnitAtom,
     PolyUnit,
     Term,
-    frac_pow,
     left_sum,
     normalize,
 )
@@ -55,7 +54,7 @@ def _check_last_var_atoms(t: Term, pos: int) -> None:
     the polynomial fragment cannot re-prepare them, so reject."""
     if pos in t.opaque_support():
         raise FragmentEscape(
-            "opaque unit-log or ratio factor involves the analyzed variable"
+            "opaque unit-log factor involves the analyzed variable"
         )
     for atom, _ in t.extras:
         if isinstance(atom, LogExprAtom):
@@ -190,12 +189,8 @@ def dominance(e: CExpr, cell: Cell) -> DominanceReport:
         raise EmptyExpr("dominance of an empty sum")
     pos = e.nvars - 1
     for t in e.terms:
-        if t.ratios or any(
-            isinstance(a, (LogUnitAtom, LogExprAtom)) for a, _ in t.extras
-        ):
-            raise FragmentEscape(
-                "dominance needs unit-log-free, ratio-free prepared input"
-            )
+        if any(isinstance(a, (LogUnitAtom, LogExprAtom)) for a, _ in t.extras):
+            raise FragmentEscape("dominance needs unit-log-free prepared input")
     if not classify(cell).all_undetermined():
         raise NotAllUndetermined("apply the coordinate transform first")
     terms = e.terms
@@ -425,13 +420,6 @@ def subanalytic_bound(e: CExpr) -> Majorant:
         for i, l in enumerate(t.logpows):
             if l:
                 exps = exps.with_entry(i, exps[i] - l)
-        for rf in t.ratios:
-            b_lo = frac_pow(rf.lo, rf.power)
-            b_hi = frac_pow(rf.hi, rf.power)
-            cands = [b for b in (b_lo, b_hi) if b is not None]
-            if not cands:
-                raise FragmentEscape("ratio bound power is irrational")
-            coeff *= max(cands)
         out.append(Term.make(coeff, exps))
     return Majorant(e.nvars, tuple(out))
 
@@ -495,7 +483,6 @@ def decay_rate(e: CExpr, cell: Cell) -> DecayRate:
                 t.exps.with_entry(pos, 0),
                 tuple(t.logpows[:pos]) + (0,),
                 t.extras,
-                t.ratios,
                 t.unit,
             )
         )

@@ -22,7 +22,6 @@ from .core import (
     LogUnitAtom,
     MonoPoly,
     PolyUnit,
-    RatioFactor,
     RatLike,
     Term,
     exact_pow,
@@ -539,7 +538,6 @@ def _compose_term_axis(t: Term, step: AxisMap, nvars: int) -> list[Term]:
     exps = t.exps
     logpows = list(t.logpows)
     extras: list = []
-    ratios: list[RatioFactor] = []
     # substituted unit as a polynomial carrier (may fail recertification,
     # in which case it distributes at the end)
     unit_poly = _subst_poly_axis(t.unit.as_poly(nvars), step)
@@ -581,22 +579,8 @@ def _compose_term_axis(t: Term, step: AxisMap, nvars: int) -> list[Term]:
             raise FragmentEscape("prepare composite logs before composing maps")
         else:
             extras.append((atom, k))
-    # ratio factors
-    for rf in t.ratios:
-        if pos in rf.support():
-            if step.eps < 0:
-                raise FragmentEscape("ratio factor over a negative coordinate")
-            e = rf.exps[pos]
-            coeff *= exact_pow(step.scale, step.zeta * e * rf.power)
-            ratios.append(
-                RatioFactor(
-                    rf.exps.with_entry(pos, step.zeta * e), rf.power, rf.lo, rf.hi
-                )
-            )
-        else:
-            ratios.append(rf)
 
-    pieces = terms_from_poly(coeff, exps, tuple(logpows), extras, ratios, unit_poly, nvars)
+    pieces = terms_from_poly(coeff, exps, tuple(logpows), extras, unit_poly, nvars)
     if log_expansion is None:
         return pieces
     return [x for base in pieces for x in times_log_power(base, log_expansion)]
@@ -649,23 +633,8 @@ def _compose_term_h(t: Term, step: HStep, nvars: int) -> list[Term]:
         if isinstance(atom, LogExprAtom):
             raise FragmentEscape("prepare composite logs before composing maps")
         extras.append((atom, k))
-    ratios: list[RatioFactor] = []
-    for rf in t.ratios:
-        if pos in rf.support():
-            e = rf.exps[pos] * rf.power
-            if e.denominator != 1 or e < 0:
-                raise FragmentEscape("ratio factor power leaves the fragment")
-            rest = rf.exps.with_entry(pos, 0)
-            exps = exps + step.alpha.pad(nvars).scale(e)
-            new_poly = poly_mul(new_poly, full.power(int(e)).as_poly(nvars))
-            if not rest.is_zero():
-                ratios.append(RatioFactor(rest, rf.power, rf.lo, rf.hi))
-        else:
-            ratios.append(rf)
 
-    pieces = terms_from_poly(
-        coeff, exps, tuple(logpows), extras, ratios, new_poly, nvars
-    )
+    pieces = terms_from_poly(coeff, exps, tuple(logpows), extras, new_poly, nvars)
     if log_expansion is None:
         return pieces
     return [x for base in pieces for x in times_log_power(base, log_expansion)]

@@ -137,7 +137,7 @@ def _cmd_integrate(args) -> int:
     if m < 1 or m > norm.cell.nvars:
         raise _Usage(f"--vars must be between 1 and {norm.cell.nvars}")
     prepared = prepare_expr(pulled, norm.cell)
-    work = [(p.cell, _drop_ratio_free(p.terms)) for p in prepared]
+    work = [(p.cell, p.terms) for p in prepared]
     res = integrate_fubini(work, m, hypothesis=args.hypothesis)
     base_names = norm.names[: norm.cell.nvars - m]
     values = [print_expr(e, base_names) for _, e in res.pieces]
@@ -159,22 +159,13 @@ def _cmd_integrate(args) -> int:
     return _emit(args, source, result, lines)
 
 
-def _drop_ratio_free(e: CExpr) -> CExpr:
-    """Fold absorbed ratio factors back into exponents for integration."""
-    from .core import expand_ratios
-
-    return normalize(expand_ratios(e))
-
-
 def _cmd_check(args) -> int:
     source = _read_source(args)
     norm, pulled = _pipeline(source, with_jacobian=True, fibers=1,
                              analyzed=True)
     prepared = prepare_expr(pulled, norm.cell)[0]
     # per_term and the dominance floats are those of the prime-log terms
-    res = sum_integrable_last(
-        prime_form(_drop_ratio_free(prepared.terms)), norm.cell, args.hypothesis
-    )
+    res = sum_integrable_last(prime_form(prepared.terms), norm.cell, args.hypothesis)
     rbar = None
     wtext = None
     certificate = None
@@ -211,7 +202,7 @@ def _cmd_decay(args) -> int:
     norm, pulled = _pipeline(source, with_jacobian=False, fibers=1,
                              analyzed=True)
     prepared = prepare_expr(pulled, norm.cell)[0]
-    dr = decay_rate(prime_form(_drop_ratio_free(prepared.terms)), norm.cell)
+    dr = decay_rate(prime_form(prepared.terms), norm.cell)
     result = {
         "r": str(dr.r),
         "epsilon": str(dr.epsilon),

@@ -6,9 +6,9 @@ A constructible expression is a finite sum of terms
 
 with rational coeff and exponents r_j, nonnegative integer log powers l_j,
 `extras` a multiset of opaque log atoms (logs of constants, logs of
-certified polynomial units) and bounded ratio factors, and `unit` a
-certified polynomial unit.  All arithmetic is exact: coefficients and
-exponents are `fractions.Fraction` and nothing is ever rounded.
+certified polynomial units), and `unit` a certified polynomial unit.  All
+arithmetic is exact: coefficients and exponents are `fractions.Fraction`
+and nothing is ever rounded.
 
 Logs of constants are kept over a coprime base: log 30030 is one atom, not
 the sum of six prime logs, and normalize keeps the constant logs of a sum
@@ -423,7 +423,7 @@ def poly_is_certifiable_unit(poly: MonoPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Log atoms and ratio factors
+# Log atoms
 # ---------------------------------------------------------------------------
 
 
@@ -497,35 +497,6 @@ def _atom_sort_key(atom: LogAtom):
     raise TypeError(f"unexpected atom in extras: {atom!r}")
 
 
-@dataclass(frozen=True)
-class RatioFactor:
-    """(y^exps)^power with a certified value range (lo, hi), 0 < lo.
-
-    Bookkeeping device for exponents absorbed off asymptotically determined
-    variables; folds back into plain exponents via expand_ratios.
-    """
-
-    exps: ExpVec
-    power: Fraction
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if not (0 < self.lo < self.hi):
-            raise FragmentEscape(
-                f"ratio factor needs a certified range, got ({self.lo}, {self.hi})"
-            )
-
-    def key(self):
-        return (self.exps.exps, self.power)
-
-    def support(self) -> frozenset[int]:
-        return self.exps.support
-
-    def effective_exps(self) -> ExpVec:
-        return self.exps.scale(self.power)
-
-
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
@@ -550,13 +521,12 @@ def _rising_constant_logs(extras: tuple[tuple[LogAtom, int], ...]) -> bool:
 
 @dataclass(frozen=True)
 class Term:
-    """One prepared summand: coeff * y^exps * logs * extras * ratios * unit."""
+    """One prepared summand: coeff * y^exps * logs * extras * unit."""
 
     coeff: Fraction
     exps: ExpVec
     logpows: tuple[int, ...]
     extras: tuple[tuple[LogAtom, int], ...] = ()
-    ratios: tuple[RatioFactor, ...] = ()
     unit: PolyUnit = _UNIT_ONE
 
     def __post_init__(self):
@@ -573,31 +543,24 @@ class Term:
         exps: ExpVec | Sequence[RatLike],
         logpows: Sequence[int] | None = None,
         extras: Iterable[tuple[LogAtom, int]] = (),
-        ratios: Iterable[RatioFactor] = (),
         unit: PolyUnit = _UNIT_ONE,
     ) -> "Term":
         """Canonicalizing constructor.
 
         Folds LogVar atoms into logpows, expands log-of-constant atoms over
         primes, normalizes the unit to constant 1 (scale goes to coeff), and
-        sorts extras/ratios.  Parts that are canonical already (no ratios, a
-        trivial unit, and extras a tuple of constant logs with positive
-        powers in rising order, as times_log_power passes them) are taken as
-        they are.
+        sorts extras.  Parts that are canonical already (a trivial unit, and
+        extras a tuple of constant logs with positive powers in rising
+        order, as times_log_power passes them) are taken as they are.
         """
         if not isinstance(exps, ExpVec):
             exps = ExpVec.of(exps)
         nv = len(exps)
         if type(coeff) is not Fraction:
             coeff = Fraction(coeff)
-        if (
-            not ratios
-            and unit.is_trivial
-            and type(extras) is tuple
-            and _rising_constant_logs(extras)
-        ):
+        if unit.is_trivial and type(extras) is tuple and _rising_constant_logs(extras):
             lp = tuple(logpows) if logpows is not None else (0,) * nv
-            return Term(coeff, exps, lp, extras, (), unit)
+            return Term(coeff, exps, lp, extras, unit)
         lp = list(logpows) if logpows is not None else [0] * nv
         atom_pows: dict[LogAtom, int] = {}
         for atom, k in extras:
@@ -641,17 +604,7 @@ class Term:
                 key=lambda ak: _atom_sort_key(ak[0]),
             )
         )
-        rts: dict[tuple, RatioFactor] = {}
-        for r in ratios:
-            prev = rts.get(r.key())
-            if prev is None:
-                rts[r.key()] = r
-            else:
-                rts[r.key()] = RatioFactor(
-                    r.exps, r.power, max(prev.lo, r.lo), min(prev.hi, r.hi)
-                )
-        rt = tuple(sorted(rts.values(), key=lambda r: r.key()))
-        return Term(coeff, exps, tuple(lp), ext, rt, unit)
+        return Term(coeff, exps, tuple(lp), ext, unit)
 
     @staticmethod
     def constant(c: RatLike, nvars: int) -> "Term":
@@ -672,17 +625,14 @@ class Term:
                 self.exps.exps,
                 self.logpows,
                 _extras_key(self.extras),
-                tuple(r.key() for r in self.ratios),
             )
         return sig
 
     def has_opaque(self) -> bool:
-        return bool(self.ratios) or any(
-            isinstance(a, (LogUnitAtom, LogExprAtom)) for a, _ in self.extras
-        )
+        return any(isinstance(a, (LogUnitAtom, LogExprAtom)) for a, _ in self.extras)
 
     def opaque_support(self) -> frozenset[int]:
-        """Variables appearing inside opaque atoms (unit logs, ratios)."""
+        """Variables appearing inside opaque atoms (unit and expression logs)."""
         out: set[int] = set()
         for a, _ in self.extras:
             if isinstance(a, LogUnitAtom):
@@ -691,20 +641,16 @@ class Term:
                 for t in a.arg.terms:
                     out |= t.exps.support | t.opaque_support()
                     out |= {i for i, p in enumerate(t.logpows) if p > 0}
-        for r in self.ratios:
-            out |= r.support()
         return frozenset(out)
 
     def scaled(self, c: RatLike) -> "Term":
         c = Fraction(c)
         if c == 0:
             raise ValueError("zero terms are deleted, not constructed")
-        return Term(self.coeff * c, self.exps, self.logpows, self.extras,
-                    self.ratios, self.unit)
+        return Term(self.coeff * c, self.exps, self.logpows, self.extras, self.unit)
 
     def with_exps(self, exps: ExpVec) -> "Term":
-        return Term(self.coeff, exps, self.logpows, self.extras, self.ratios,
-                    self.unit)
+        return Term(self.coeff, exps, self.logpows, self.extras, self.unit)
 
     @cached_property
     def _float_plan(self):
@@ -715,7 +661,6 @@ class Term:
             _float_monomial(self.exps),
             tuple((i, p) for i, p in enumerate(self.logpows) if p),
             tuple((_float_atom(a), k) for a, k in self.extras),
-            tuple((_float_monomial(r.exps), float(r.power)) for r in self.ratios),
             None if self.unit.is_trivial else self.unit._float_plan,
         )
 
@@ -734,8 +679,6 @@ class Term:
         if self.extras:
             raise FragmentEscape("exact evaluation requires a log-free term")
         total = self.coeff * _eval_monomial_exact(self.exps, point)
-        for r in self.ratios:
-            total *= exact_pow(_eval_monomial_exact(r.exps, point), r.power)
         return total * self.unit.eval_exact(point)
 
 
@@ -798,17 +741,15 @@ def _term_values(plans, point: Sequence[float]) -> list[float]:
     The floats do not depend on the plan: they are those of evaluating the
     term factor by factor in this order, the coefficient times the monomial
     product (formed on its own first: (c*a)*b is not always c*(a*b) in
-    floats), then the variable logs, the extras, the ratios and the unit.
+    floats), then the variable logs, the extras and the unit.
     """
     values = []
-    for coeff, mono, logs, extras, ratios, unit in plans:
+    for coeff, mono, logs, extras, unit in plans:
         total = coeff * _monomial_value(mono, point)
         for i, p in logs:
             total *= math.log(point[i]) ** p
         for a, k in extras:
             total *= (a if a.__class__ is float else math.log(a.eval(point))) ** k
-        for rmono, power in ratios:
-            total *= _monomial_value(rmono, point) ** power
         if unit is not None:
             total *= _unit_value(unit, point)
         values.append(total)
@@ -837,12 +778,11 @@ def _unit_reads(plan, pos: int) -> bool:
 
 def _term_reads(plan, pos: int) -> bool:
     """Whether evaluating a term from its float plan reads point[pos]."""
-    _, mono, logs, extras, ratios, unit = plan
+    _, mono, logs, extras, unit = plan
     return (
         _mono_reads(mono, pos)
         or _mono_reads(logs, pos)
         or any(_atom_reads(a, pos) for a, _ in extras)
-        or any(_mono_reads(m, pos) for m, _ in ratios)
         or (unit is not None and _unit_reads(unit, pos))
     )
 
@@ -857,10 +797,6 @@ def _atom_reads(a, pos: int) -> bool:
 
 def _log_atom_power(a, k: int):
     return lambda point: math.log(a.eval(point)) ** k
-
-
-def _ratio_power(mono, power: float):
-    return lambda point: _monomial_value(mono, point) ** power
 
 
 def _fiber_monomial(mono, base: list, last: int):
@@ -878,7 +814,7 @@ def _fiber_term(plan, base: list, last: int, args: list) -> tuple:
     in the order the kernel takes them: coeff, pre and e of the monomial,
     then each factor's value, log power or function, a unit's constant and
     then c, pre and e of each of its monomials."""
-    coeff, mono, logs, extras, ratios, unit = plan
+    coeff, mono, logs, extras, unit = plan
     pre, e = _fiber_monomial(mono, base, last)
     args += (coeff, pre) if e is None else (coeff, pre, e)
     kinds = [e is not None]
@@ -898,13 +834,6 @@ def _fiber_term(plan, base: list, last: int, args: list) -> tuple:
             args.append(
                 a ** k if a.__class__ is float else math.log(a.eval(base)) ** k
             )
-    for rmono, power in ratios:
-        if _mono_reads(rmono, last):
-            kinds.append(_AT_POINT)
-            args.append(_ratio_power(rmono, power))
-        else:
-            kinds.append(_CONST)
-            args.append(_monomial_value(rmono, base) ** power)
     if unit is not None:
         if _unit_reads(unit, last):
             constant, monos = unit
@@ -1112,7 +1041,7 @@ def term_mul(a: Term, b: Term) -> list[Term]:
     """Product of two terms; distributes if the unit product is uncertifiable."""
     if a.nvars != b.nvars:
         raise ValueError("ambient size mismatch")
-    return times_term(a.coeff, a.exps, a.logpows, a.extras, a.ratios, a.unit, b)
+    return times_term(a.coeff, a.exps, a.logpows, a.extras, a.unit, b)
 
 
 def times_term(
@@ -1120,32 +1049,28 @@ def times_term(
     exps: ExpVec,
     logpows: tuple[int, ...],
     extras: tuple[tuple[LogAtom, int], ...],
-    ratios: tuple[RatioFactor, ...],
     unit: PolyUnit,
     b: Term,
 ) -> list[Term]:
     """The term with these canonical parts times b, without building the
     term itself.
 
-    With trivial units (1 * 1 = 1: nothing to multiply out or certify) and
-    ratio factors from at most one side, the product is built directly: the
-    two sorted extras tuples merge in one pass, so Term.make would rebuild
-    the same term.  Every other product goes through Term.make, or
-    distributes an uncertifiable unit product."""
+    With trivial units (1 * 1 = 1: nothing to multiply out or certify), the
+    product is built directly: the two sorted extras tuples merge in one
+    pass, so Term.make would rebuild the same term.  Every other product
+    goes through Term.make, or distributes an uncertifiable unit product."""
     coeff = coeff * b.coeff
     exps = exps + b.exps
     logpows = tuple(map(operator.add, logpows, b.logpows))
     if unit.is_trivial and b.unit.is_trivial:
-        if not ratios or not b.ratios:
-            merged = _merge_extras(extras, b.extras)
-            if merged is not None:
-                return [Term(coeff, exps, logpows, merged, ratios or b.ratios)]
-        return [Term.make(coeff, exps, logpows, list(extras) + list(b.extras),
-                          list(ratios) + list(b.ratios))]
+        merged = _merge_extras(extras, b.extras)
+        if merged is not None:
+            return [Term(coeff, exps, logpows, merged)]
+        return [Term.make(coeff, exps, logpows, list(extras) + list(b.extras))]
     nv = len(exps)
     poly = poly_mul(unit.as_poly(nv), b.unit.as_poly(nv))
     return terms_from_poly(coeff, exps, logpows, list(extras) + list(b.extras),
-                           list(ratios) + list(b.ratios), poly, nv)
+                           poly, nv)
 
 
 def _merge_extras(
@@ -1187,7 +1112,6 @@ def terms_from_poly(
     exps: ExpVec,
     logpows: tuple[int, ...],
     extras: list[tuple[LogAtom, int]],
-    ratios: list[RatioFactor],
     poly: MonoPoly,
     nv: int,
 ) -> list[Term]:
@@ -1197,10 +1121,10 @@ def terms_from_poly(
         return []
     if poly_is_certifiable_unit(poly):
         u = unit_from_poly(poly, nv)
-        return [Term.make(coeff, exps, logpows, extras, ratios, u)]
+        return [Term.make(coeff, exps, logpows, extras, u)]
     out = []
     for m, c in sorted(poly.items(), key=lambda mc: mc[0].exps):
-        out.append(Term.make(coeff * c, exps + m, logpows, extras, ratios))
+        out.append(Term.make(coeff * c, exps + m, logpows, extras))
     return out
 
 
@@ -1251,8 +1175,7 @@ def normalize(e: CExpr) -> CExpr:
                 # keeps the group's signature, so it cannot collide again
                 coeff = sum((t.coeff for t in group), Fraction(0))
                 if coeff:
-                    out.append(Term(coeff, rep.exps, rep.logpows, rep.extras,
-                                    rep.ratios))
+                    out.append(Term(coeff, rep.exps, rep.logpows, rep.extras))
                 continue
             changed = True
             poly: MonoPoly = {}
@@ -1260,8 +1183,7 @@ def normalize(e: CExpr) -> CExpr:
                 poly = poly_add(poly, poly_scale(t.unit.as_poly(nv), t.coeff))
             out.extend(
                 terms_from_poly(
-                    Fraction(1), rep.exps, rep.logpows, list(rep.extras),
-                    list(rep.ratios), poly, nv,
+                    Fraction(1), rep.exps, rep.logpows, list(rep.extras), poly, nv
                 )
             )
         terms = out
@@ -1331,12 +1253,11 @@ def _over_primes(
                     else:
                         product.append((cm, piece, piece_key))
             variants = product
-        head, ratios_key = t.signature()[:2], tuple(r.key() for r in t.ratios)
+        head = t.signature()[:2]
         for c, ex, key in variants:
-            term = Term(c, t.exps, t.logpows, ex, t.ratios, t.unit)
-            term.__dict__["_signature"] = (
-                *head, _extras_key(ex) if key is None else key, ratios_key
-            )
+            term = Term(c, t.exps, t.logpows, ex, t.unit)
+            key = _extras_key(ex) if key is None else key
+            term.__dict__["_signature"] = (*head, key)
             out.append(term)
     return out
 
@@ -1421,7 +1342,7 @@ def is_zero(e: CExpr) -> bool:
     well.  That rests on Schanuel-type algebraic independence of the logs
     of a coprime base, which is a conjecture, not a theorem, so a "nonzero"
     verdict that depends on it is conditional, as over primes.  Unit logs
-    and ratio factors have no such independence, so they are rejected.
+    have no such independence, so they are rejected.
     """
     sigs = [t.signature() for t in e.terms]
     if len(sigs) != len(set(sigs)):
@@ -1430,25 +1351,15 @@ def is_zero(e: CExpr) -> bool:
         return True
     if e.has_opaque():
         raise ZeroTestUnsupported(
-            "zero test is unsupported for expressions with unit-log or "
-            "ratio atoms"
+            "zero test is unsupported for expressions with unit-log atoms"
         )
     return False
 
 
 def expand_ratios(e: CExpr) -> CExpr:
-    """Fold ratio factors back into plain exponents (drops J-support
-    bookkeeping, value unchanged)."""
-
-    def fold(t: Term) -> Term:
-        if not t.ratios:
-            return t
-        exps = t.exps
-        for r in t.ratios:
-            exps = exps + r.effective_exps()
-        return Term.make(t.coeff, exps, t.logpows, t.extras, (), t.unit)
-
-    return e.map_terms(fold)
+    """e itself.  Kept bound only because bench/tracing.py wraps it by name;
+    no code calls it, and it goes with that wrap."""
+    return e
 
 
 def differentiate(t: Term, pos: int) -> CExpr:
@@ -1466,7 +1377,7 @@ def differentiate(t: Term, pos: int) -> CExpr:
             Term.make(
                 t.coeff * t.exps[pos],
                 t.exps.with_entry(pos, t.exps[pos] - 1),
-                t.logpows, t.extras, t.ratios, t.unit,
+                t.logpows, t.extras, t.unit,
             )
         )
     # log rule on (log y_pos)^l
@@ -1477,18 +1388,7 @@ def differentiate(t: Term, pos: int) -> CExpr:
             Term.make(
                 t.coeff * t.logpows[pos],
                 t.exps.with_entry(pos, t.exps[pos] - 1),
-                tuple(lp), t.extras, t.ratios, t.unit,
-            )
-        )
-    # ratio factors: d (y^e)^p = p * e_pos * (y^e)^p / y_pos
-    for i, r in enumerate(t.ratios):
-        if r.exps[pos] == 0:
-            continue
-        out.append(
-            Term.make(
-                t.coeff * r.power * r.exps[pos],
-                t.exps.with_entry(pos, t.exps[pos] - 1),
-                t.logpows, t.extras, t.ratios, t.unit,
+                tuple(lp), t.extras, t.unit,
             )
         )
     # opaque log atoms must not involve pos
@@ -1503,10 +1403,7 @@ def differentiate(t: Term, pos: int) -> CExpr:
     dpoly = t.unit.derivative(pos, nv)
     if dpoly:
         out.extend(
-            terms_from_poly(
-                t.coeff, t.exps, t.logpows, list(t.extras), list(t.ratios),
-                dpoly, nv,
-            )
+            terms_from_poly(t.coeff, t.exps, t.logpows, list(t.extras), dpoly, nv)
         )
     return normalize(CExpr(nv, tuple(out)))
 
@@ -1632,7 +1529,6 @@ def times_log_power(base: Term, expansion: Sequence[LogPowerPiece]) -> list[Term
             base.exps,
             tuple(a + b for a, b in zip(base.logpows, lp)),
             base.extras + ex,
-            base.ratios,
             base.unit,
         )
         for c, lp, ex in expansion

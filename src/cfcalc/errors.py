@@ -20,8 +20,8 @@ class UnitCertificateViolated(CalcError):
 
 
 class ZeroTestUnsupported(CalcError):
-    """is_zero was asked about an expression carrying opaque atoms
-    (unit logs / bounded ratios) for which signature independence fails."""
+    """is_zero was asked about an expression carrying opaque atoms (unit
+    logs) for which signature independence fails."""
 
 
 class CellError(CalcError):
@@ -39,11 +39,6 @@ class UncertifiedCell(CellError):
 
 class NotPrepared(CellError):
     """A cell or expression is not in prepared monomial-unit form."""
-
-
-class NotDetermined(CalcError):
-    """absorb_determined called on a position that is not asymptotically
-    determined with a pure monomial lower bound."""
 
 
 class NotAllUndetermined(CalcError):

@@ -135,7 +135,7 @@ def _refuse_fiber_atoms(t: Term) -> None:
     cannot carry as constants."""
     if t.nvars - 1 in t.opaque_support():
         raise FragmentEscape(
-            "opaque unit-log or ratio factors involve the integration variable"
+            "opaque unit-log factors involve the integration variable"
         )
     for atom, _ in t.extras:
         if isinstance(atom, LogExprAtom):
@@ -176,11 +176,9 @@ def build_sform(t: Term) -> SForm:
         zpow = p * exps[pos] + (p - 1)
         assert zpow.denominator == 1
         zpow = int(zpow)
-        # a unit-free term with t's canonical extras and ratios is canonical
-        # as it stands, so Term.make would rebuild the same term
-        base_term = Term(
-            c * p ** (s + 1), ExpVec(exps.exps[:pos]), logpows, t.extras, t.ratios
-        )
+        # a unit-free term with t's canonical extras is canonical as it
+        # stands, so Term.make would rebuild the same term
+        base_term = Term(c * p ** (s + 1), ExpVec(exps.exps[:pos]), logpows, t.extras)
         if zpow <= -1:
             laurent.setdefault(-zpow, []).append(base_term)
         else:
@@ -303,8 +301,8 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
     atoms involve the last variable, still raises NotIntegrable or
     FragmentEscape, term by term in the order of the sum.  The integral is
     linear over the base: a monomial piece c * b(x) * y^r (log y)^s (the
-    polynomial unit distributed, b the base monomial, logs, extras and
-    ratios) integrates to c * b(x) * integrate_shape(r, s).  A call looks
+    polynomial unit distributed, b the base monomial, logs and extras)
+    integrates to c * b(x) * integrate_shape(r, s).  A call looks
     each fiber shape (r, s) up once, when a piece first shows it, in
     integrate_shape's per-process table (so the bounds are hashed once per
     shape, not once per piece), and every piece multiplies its base into
@@ -340,14 +338,13 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
                     exps[pos], s, cell.nvars, spec.lower, spec.upper
                 )
             scale, integral = shape
-            # the unit-free base part (t's canonical extras and ratios)
-            # multiplies each term of the integral, never built on its own
+            # the unit-free base part (t's canonical extras) multiplies each
+            # term of the integral, never built on its own
             coeff = c * scale
             base_exps = ExpVec(exps.exps[:pos])
             for part in integral.terms:
                 terms.extend(times_term(
-                    coeff, base_exps, logpows, t.extras, t.ratios, PolyUnit.one(),
-                    part,
+                    coeff, base_exps, logpows, t.extras, PolyUnit.one(), part
                 ))
     return normalize(CExpr(pos, tuple(terms)))
 

@@ -352,7 +352,6 @@ def _log_pieces(arg: CExpr, power: int, nvars: int):
         if (
             not any(t.logpows)
             and not t.extras
-            and not t.ratios
             and t.unit.is_trivial
             and t.coeff > 0
         ):
@@ -507,9 +506,7 @@ def _remap_positions(e: CExpr, remap: dict[int, int], nv: int) -> CExpr:
                 extras.append((LogExprAtom(_remap_positions(atom.arg, remap, nv)), k))
             else:
                 extras.append((atom, k))
-        return Term.make(
-            t.coeff, remap_exps(t.exps), tuple(logpows), extras, t.ratios, t.unit
-        )
+        return Term.make(t.coeff, remap_exps(t.exps), tuple(logpows), extras, t.unit)
 
     return normalize(e.map_terms(remap_term))
 
@@ -561,7 +558,6 @@ def _rows(t: Term, powers: dict, names: Sequence[str]) -> list[tuple]:
     left += [f"log({names[i]})" + (f"^{l}" if l > 1 else "")
              for i, l in enumerate(t.logpows) if l]
     right = [_print_log(a, k, names) for a, k in kept]
-    right += [f"({_print_mono(rf.exps, names)})^({rf.power})" for rf in t.ratios]
     if not t.unit.is_trivial:
         right.append(_print_unit(t.unit, names))
     num, den = t.coeff.numerator, t.coeff.denominator
@@ -570,14 +566,14 @@ def _rows(t: Term, powers: dict, names: Sequence[str]) -> list[tuple]:
         return [(t.signature() if powers else None, text)]
     # one composite, whose prime logs come before kept unit and expression logs
     (a, k), = split
-    exps, logpows, _, ratios_key = t.signature()
+    exps, logpows, _ = t.signature()
     kept_key = _extras_key(kept)
     left = "".join(f + " * " for f in left)
     right = "".join(" * " + f for f in right)
     rows = []
     for m, _, key, text in powers[a][k]:
         g = gcd(m, den)
-        rows.append(((exps, logpows, key + kept_key, ratios_key),
+        rows.append(((exps, logpows, key + kept_key),
                      _signed(num * (m // g), den // g, left + text + right)))
     return rows
 

@@ -1,13 +1,13 @@
 """Restricted preparation: put fragment expressions into canonical prepared
-form (distinct log signatures, monomial exponents supported on the
-asymptotically undetermined positions) on a normalized cell centered at 0.
+form (distinct log signatures) on a normalized cell centered at 0.
 
 Composite log arguments expand through dominant-monomial extraction:
 log(q * y^gamma * u) = log q + gamma . log y + log u, the constant part
 over the coprime base of its factorization and the unit part as an opaque
-atom.  Exponents on determined variables are absorbed into certified
-bounded ratio factors (the unit payload may reference determined
-variables; only the prepared monomial/log part must not).
+atom.  Exponents and logs of asymptotically determined variables stay in
+the prepared sum as they are: on a band fiber c * y'^beta < y < d * y'^beta
+the variable is bounded away from 0, so y^r (log y)^s integrates in closed
+form between the bounds.
 """
 
 from __future__ import annotations
@@ -15,21 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import (
-    Cell,
-    MonomialBound,
-    RawCell,
-    RawMono,
-    RawVar,
-    classify,
-)
+from .cells import Cell, RawCell, RawMono, RawVar, classify
 from .core import (
     CExpr,
     ExpVec,
     LogExprAtom,
     MonoPoly,
     PolyUnit,
-    RatioFactor,
     Term,
     exact_pow,
     expand_log_power,
@@ -39,7 +31,7 @@ from .core import (
     poly_scale,
     times_log_power,
 )
-from .errors import FragmentEscape, NotDetermined, NotPrepared
+from .errors import FragmentEscape, NotPrepared
 
 # ---------------------------------------------------------------------------
 # Dominant-monomial extraction
@@ -89,49 +81,11 @@ def _flatten_to_poly(e: CExpr) -> MonoPoly:
     """Expression as a polynomial in cell monomials (log-free terms only)."""
     poly: MonoPoly = {}
     for t in e.terms:
-        if any(t.logpows) or t.extras or t.ratios:
+        if any(t.logpows) or t.extras:
             raise FragmentEscape("log arguments must be log-free")
         upoly = poly_scale(t.unit.as_poly(e.nvars), t.coeff)
         poly = poly_add(poly, {m + t.exps: c for m, c in upoly.items()})
     return poly
-
-
-# ---------------------------------------------------------------------------
-# Determined-exponent absorption
-# ---------------------------------------------------------------------------
-
-
-def absorb_determined(t: Term, cell: Cell, pos: int | None = None) -> Term:
-    """Rewrite the term so its exponent at an asymptotically determined
-    position moves onto earlier variables, adjoining the certified bounded
-    ratio (y_pos / y^beta)^r as an opaque factor."""
-    pos = cell.nvars - 1 if pos is None else pos
-    cls = classify(cell)
-    if not cls.determined[pos]:
-        raise NotDetermined(f"variable {pos} is not asymptotically determined")
-    spec = cell.specs[pos]
-    lower = spec.lower
-    assert isinstance(lower, MonomialBound)
-    if not lower.unit.is_trivial:
-        raise NotDetermined(
-            "absorption needs a pure monomial lower bound (trivial unit)"
-        )
-    r = t.exps[pos]
-    if r == 0:
-        return t
-    beta = lower.exps.pad(cell.nvars)
-    # ratio = y_pos * y^-beta, valued in (q_a * ua_lo, q_b * ub_hi)
-    ua_lo, _ = lower.unit.value_bounds()
-    _, ub_hi = spec.upper.unit.value_bounds()
-    lo = lower.coeff * ua_lo
-    hi = spec.upper.coeff * ub_hi
-    ratio = RatioFactor(
-        ExpVec.unit(cell.nvars, pos) - beta, r, lo, hi
-    )
-    new_exps = (t.exps + beta.scale(r)).with_entry(pos, 0)
-    return Term.make(
-        t.coeff, new_exps, t.logpows, t.extras, t.ratios + (ratio,), t.unit
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +101,7 @@ def substitute_thin(raw: RawCell, e: CExpr) -> tuple[RawCell, CExpr]:
     nv = raw.nvars
     out_terms: list[Term] = []
     for t in e.terms:
-        if t.extras or t.ratios or not t.unit.is_trivial:
+        if t.extras or not t.unit.is_trivial:
             raise FragmentEscape(
                 "thin substitution operates on plain source terms"
             )
@@ -216,25 +170,16 @@ def substitute_thin(raw: RawCell, e: CExpr) -> tuple[RawCell, CExpr]:
 
 @dataclass(frozen=True)
 class PreparedCellData:
-    """A cell, the prepared sum, and the undetermined index set J carrying
-    all monomial/log support."""
+    """A cell, the prepared sum, and the cell's asymptotically undetermined
+    positions J."""
 
     cell: Cell
     terms: CExpr
     J: tuple[int, ...]
 
     def check(self) -> None:
-        undet = set(self.J)
         sigs = set()
         for t in self.terms.terms:
-            if not t.exps.support <= undet:
-                raise NotPrepared(
-                    f"exponent support {sorted(t.exps.support)} not inside "
-                    f"J = {sorted(undet)}"
-                )
-            logsup = {i for i, p in enumerate(t.logpows) if p > 0}
-            if not logsup <= undet:
-                raise NotPrepared("log support leaves the undetermined set")
             sig = t.signature()
             if sig in sigs:
                 raise NotPrepared("duplicate signatures after preparation")
@@ -252,7 +197,7 @@ def _expand_composite_logs(e: CExpr, cell: Cell) -> CExpr:
             (atom, k) for atom, k in t.extras
             if not isinstance(atom, LogExprAtom)
         )
-        base = Term.make(t.coeff, t.exps, t.logpows, kept, t.ratios, t.unit)
+        base = Term.make(t.coeff, t.exps, t.logpows, kept, t.unit)
         variants = [base]
         for atom, k in pending:
             arg = normalize(atom.arg)
@@ -271,29 +216,12 @@ def _expand_composite_logs(e: CExpr, cell: Cell) -> CExpr:
 
 
 def prepare_expr(e: CExpr, cell: Cell) -> list[PreparedCellData]:
-    """Prepare an expression on a normalized cell: expand composite logs,
-    absorb determined-variable exponents into ratio factors, merge
-    signatures.  Returns a list with exactly one piece, for the whole cell."""
+    """Prepare an expression on a normalized cell: expand composite logs and
+    merge signatures.  Returns a list with exactly one piece, for the whole
+    cell."""
     cell.validate()
-    cls = classify(cell)
-    J = cls.undetermined_positions()
-    undet = set(J)
-    e = normalize(_expand_composite_logs(normalize(e), cell))
-
-    def absorb(t: Term) -> Term:
-        for pos in range(cell.nvars):
-            if pos in undet:
-                continue
-            if t.logpows[pos] > 0:
-                raise FragmentEscape(
-                    f"log of the determined variable {pos} cannot be "
-                    "re-prepared inside the polynomial fragment"
-                )
-            if t.exps[pos] != 0:
-                t = absorb_determined(t, cell, pos)
-        return t
-
-    prepared = normalize(e.map_terms(absorb))
+    J = classify(cell).undetermined_positions()
+    prepared = normalize(_expand_composite_logs(normalize(e), cell))
     data = PreparedCellData(cell, prepared, J)
     data.check()
     return [data]

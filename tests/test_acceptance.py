@@ -224,7 +224,7 @@ def _multiplied_out(e: CExpr) -> list[Term]:
     out = []
     for t in e.terms:
         for m, c in poly_scale(t.unit.as_poly(e.nvars), t.coeff).items():
-            out.append(Term.make(c, t.exps + m, t.logpows, t.extras, t.ratios))
+            out.append(Term.make(c, t.exps + m, t.logpows, t.extras))
     return out
 
 
@@ -248,7 +248,7 @@ def test_criterion_6_splitting_lemma():
             Term.make(
                 u.coeff * p ** (s + 1),
                 u.exps.with_entry(pos, p * u.exps[pos] + p - 1),
-                u.logpows, u.extras, u.ratios,
+                u.logpows, u.extras,
             )
             for u in _multiplied_out(CExpr(nv, (t,)))
         ]
@@ -258,7 +258,7 @@ def test_criterion_6_splitting_lemma():
         rhs = [
             Term.make(
                 u.coeff, ExpVec.of(u.exps.exps + (zpow,)),
-                u.logpows + (s,), u.extras, u.ratios,
+                u.logpows + (s,), u.extras,
             )
             for zpow, c in slots
             for u in _multiplied_out(c)

@@ -34,12 +34,10 @@ from cfcalc.core import (
     LogUnitAtom,
     LogVar,
     PolyUnit,
-    RatioFactor,
     Term,
     _atom_sort_key,
     log_const,
     terms_from_poly,
-    expand_ratios,
     normalize,
     poly_add,
     poly_mul,
@@ -54,7 +52,7 @@ from cfcalc.integrate import SForm, build_sform
 
 
 def _make_reference(
-    coeff, exps, logpows=None, extras=(), ratios=(), unit=PolyUnit.one()
+    coeff, exps, logpows=None, extras=(), unit=PolyUnit.one()
 ) -> Term:
     # Term.make with every input through the canonicalizing route
     if not isinstance(exps, ExpVec):
@@ -101,17 +99,7 @@ def _make_reference(
             key=lambda ak: _atom_sort_key(ak[0]),
         )
     )
-    rts = {}
-    for r in ratios:
-        prev = rts.get(r.key())
-        if prev is None:
-            rts[r.key()] = r
-        else:
-            rts[r.key()] = RatioFactor(
-                r.exps, r.power, max(prev.lo, r.lo), min(prev.hi, r.hi)
-            )
-    rt = tuple(sorted(rts.values(), key=lambda r: r.key()))
-    return Term(coeff, exps, tuple(lp), ext, rt, unit)
+    return Term(coeff, exps, tuple(lp), ext, unit)
 
 
 def _term_mul_reference(a: Term, b: Term) -> list[Term]:
@@ -121,11 +109,10 @@ def _term_mul_reference(a: Term, b: Term) -> list[Term]:
     exps = ExpVec(tuple(x + y for x, y in zip(a.exps, b.exps)))
     logpows = tuple(x + y for x, y in zip(a.logpows, b.logpows))
     extras = list(a.extras) + list(b.extras)
-    ratios = list(a.ratios) + list(b.ratios)
     if a.unit.is_trivial and b.unit.is_trivial:
-        return [_make_reference(coeff, exps, logpows, extras, ratios)]
+        return [_make_reference(coeff, exps, logpows, extras)]
     poly = poly_mul(a.unit.as_poly(nv), b.unit.as_poly(nv))
-    return terms_from_poly(coeff, exps, logpows, extras, ratios, poly, nv)
+    return terms_from_poly(coeff, exps, logpows, extras, poly, nv)
 
 
 def _normalize_reference(e: CExpr) -> CExpr:
@@ -151,10 +138,7 @@ def _normalize_reference(e: CExpr) -> CExpr:
                 poly = poly_add(poly, poly_scale(t.unit.as_poly(nv), t.coeff))
             rep = group[0]
             out.extend(
-                terms_from_poly(
-                    F(1), rep.exps, rep.logpows, list(rep.extras),
-                    list(rep.ratios), poly, nv,
-                )
+                terms_from_poly(F(1), rep.exps, rep.logpows, list(rep.extras), poly, nv)
             )
         terms = out
         if not changed:
@@ -188,7 +172,6 @@ def _build_sform_reference(t: Term) -> SForm:
             ExpVec(exps.exps[:pos]),
             tuple(t.logpows[:pos]),
             t.extras,
-            t.ratios,
         )
         if zpow <= -1:
             laurent.setdefault(-zpow, []).append(base_term)
@@ -244,9 +227,7 @@ def _make_reference_outcome(*args):
 
 # -- generated canonical terms over two variables ------------------------------
 
-# opaque atoms and ratio factors involve y1 only, so build_sform may
-# integrate out y2; the two ratio factors of key ((1, 0), 1/2) differ in
-# range and merge when a product meets both
+# opaque atoms involve y1 only, so build_sform may integrate out y2
 _LOG_UNITS = [
     PolyUnit.build(1, {ExpVec.of([1, 0]): F(1, 2)}),
     PolyUnit.build(1, {ExpVec.of([2, 0]): F(-1, 3)}),
@@ -254,13 +235,6 @@ _LOG_UNITS = [
 _ATOMS = st.sampled_from(
     [LogPrime(2), LogPrime(3), LogPrime(5), LogVar(0), LogVar(1)]
     + [LogUnitAtom(u) for u in _LOG_UNITS]
-)
-_RATIOS = st.sampled_from(
-    [
-        RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 4), F(1)),
-        RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 8), F(1, 2)),
-        RatioFactor(ExpVec.of([2, 0]), F(-1), F(1, 2), F(2)),
-    ]
 )
 _UNITS = st.sampled_from(
     [
@@ -279,13 +253,12 @@ terms = st.builds(
     st.lists(_EXPS, min_size=2, max_size=2),
     st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=2),
     st.lists(st.tuples(_ATOMS, st.integers(min_value=1, max_value=2)), max_size=3),
-    st.lists(_RATIOS, max_size=2),
     st.one_of(st.just(PolyUnit.one()), _UNITS),
 )
 
 
-# both factors carry extras: prime logs that overlap and interleave, unit
-# logs, and ratio factors on neither, one or both sides
+# both factors carry extras: prime logs that overlap and interleave, and
+# unit logs
 _PRIME_ATOMS = st.sampled_from([LogPrime(p) for p in (2, 3, 5, 7, 11, 13)])
 _EXTRA_ATOMS = st.one_of(
     _PRIME_ATOMS, st.sampled_from([LogUnitAtom(u) for u in _LOG_UNITS])
@@ -300,7 +273,6 @@ terms_with_extras = st.builds(
         min_size=1,
         max_size=5,
     ),
-    st.one_of(st.just([]), st.lists(_RATIOS, min_size=1, max_size=2)),
 )
 
 
@@ -354,17 +326,16 @@ def test_term_mul_merge_cases():
 
 
 def test_term_mul_direct_route_cases():
-    # trivial units, extras on at most one side and ratios on at most one
-    # side: the products that term_mul builds without a merge
-    rf = RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 4), F(1))
+    # trivial units and extras on at most one side: the products that
+    # term_mul builds without a merge
     u = PolyUnit.build(1, {ExpVec.of([1, 0]): F(1, 2)})
     plain = Term.make(F(3, 2), [1, 0], [0, 1])
     opaque = Term.make(
-        -2, [F(1, 2), 0], [1, 0], [(LogPrime(3), 2), (LogUnitAtom(u), 1)], [rf]
+        -2, [F(1, 2), 0], [1, 0], [(LogPrime(3), 2), (LogUnitAtom(u), 1)]
     )
     logs = Term.make(5, [0, 1], [0, 0], [(LogPrime(2), 1)])
-    ratio = Term.make(F(1, 3), [0, 0], [0, 0], (), [rf])
-    for a, b in [(plain, opaque), (opaque, plain), (logs, ratio), (ratio, logs)]:
+    constant = Term.make(F(1, 3), [0, 0])
+    for a, b in [(plain, opaque), (opaque, plain), (logs, constant), (constant, logs)]:
         assert term_mul(a, b) == _term_mul_reference(a, b)
 
 
@@ -383,8 +354,8 @@ def test_make_is_idempotent_on_canonical_parts(t):
     # Term.make takes a trivial unit and a Fraction coefficient as they are;
     # any other unit is made monic, its constant going to the coefficient,
     # and an int coefficient becomes a Fraction
-    assert Term.make(t.coeff, t.exps, t.logpows, t.extras, t.ratios, t.unit) == t
-    again = Term.make(t.coeff, t.exps, t.logpows, t.extras, t.ratios, PolyUnit(F(2)))
+    assert Term.make(t.coeff, t.exps, t.logpows, t.extras, t.unit) == t
+    again = Term.make(t.coeff, t.exps, t.logpows, t.extras, PolyUnit(F(2)))
     assert again.coeff == 2 * t.coeff and again.unit.is_trivial
     n = Term.make(7, t.exps)
     assert type(n.coeff) is F and n.coeff == 7
@@ -408,11 +379,10 @@ _MAKE_EXTRAS = st.lists(
     st.lists(_EXPS, min_size=2, max_size=2),
     st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=2),
     st.one_of(_MAKE_EXTRAS, _MAKE_EXTRAS.map(tuple)),
-    st.lists(_RATIOS, max_size=2),
     st.one_of(st.just(PolyUnit.one()), _UNITS),
 )
-def test_make_matches_the_canonicalizing_route(coeff, exps, logpows, extras, ratios, unit):
-    args = (coeff, exps, logpows, extras, ratios, unit)
+def test_make_matches_the_canonicalizing_route(coeff, exps, logpows, extras, unit):
+    args = (coeff, exps, logpows, extras, unit)
     assert _make_outcome(*args) == _make_reference_outcome(*args)
 
 
@@ -493,8 +463,6 @@ def test_map_terms_returns_the_sum_when_no_term_changes():
     t = Term.make(2, [1, 0], [0, 1], [(LogPrime(2), 1)])
     n = normalize(CExpr(2, (t, Term.make(1, [0, 1]))))
     assert n.map_terms(lambda x: x) is n
-    assert expand_ratios(n) is n
-    assert normalize(expand_ratios(n)) is n
     doubled = n.map_terms(lambda x: x.scaled(2))
     assert doubled is not n and doubled == CExpr(2, tuple(x.scaled(2) for x in n.terms))
 
@@ -512,7 +480,7 @@ def sums_with_repeats(draw):
         group = [t]
         for q in draw(st.lists(_COPY_COEFFS, max_size=3)):
             unit = draw(st.one_of(st.just(t.unit), st.just(PolyUnit.one()), _UNITS))
-            group.append(Term.make(q * t.coeff, t.exps, t.logpows, t.extras, t.ratios, unit))
+            group.append(Term.make(q * t.coeff, t.exps, t.logpows, t.extras, unit))
         if draw(st.booleans()):
             group += [x.scaled(-1) for x in group]
         ts += group
@@ -536,9 +504,8 @@ def test_normalize_matches_the_polynomial_route(e):
 
 
 def test_normalize_adds_trivial_unit_coefficients():
-    rf = RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 4), F(1))
     u = LogUnitAtom(_LOG_UNITS[0])
-    t = Term.make(F(3, 2), [F(1, 2), 0], [0, 1], [(LogPrime(2), 1), (u, 1)], [rf])
+    t = Term.make(F(3, 2), [F(1, 2), 0], [0, 1], [(LogPrime(2), 1), (u, 1)])
     other = Term.make(5, [0, 1])
     cases = [
         ([t, t], [t.scaled(2)]),

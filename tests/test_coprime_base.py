@@ -303,7 +303,7 @@ def _reference_prime_form(e: CExpr) -> CExpr:
     out = []
     for t in e.terms:
         kept = [(a, k) for a, k in t.extras if not isinstance(a, LogComposite)]
-        variants = [Term.make(t.coeff, t.exps, t.logpows, kept, t.ratios, t.unit)]
+        variants = [Term.make(t.coeff, t.exps, t.logpows, kept, t.unit)]
         for a, k in t.extras:
             if isinstance(a, LogComposite):
                 pieces = expand_log_power(
@@ -340,7 +340,7 @@ def test_prime_form_matches_expanding_and_merging():
         p = prime_form(e)
         assert p.terms == _reference_prime_form(e).terms
         for t in p.terms:
-            fresh = Term(t.coeff, t.exps, t.logpows, t.extras, t.ratios, t.unit)
+            fresh = Term(t.coeff, t.exps, t.logpows, t.extras, t.unit)
             assert t.signature() == fresh.signature()
 
 

@@ -20,12 +20,10 @@ from cfcalc.core import (
     LogUnitAtom,
     LogVar,
     PolyUnit,
-    RatioFactor,
     Term,
     differentiate,
     differentiate_expr,
     expand_log_power,
-    expand_ratios,
     factorize,
     frac_pow,
     is_zero,
@@ -269,19 +267,6 @@ def test_differentiate_matches_finite_differences(rng):
             assert abs(num - sym) <= 1e-6 * max(1.0, abs(sym))
 
 
-def test_expand_ratios_roundtrip(rng):
-    from cfcalc.core import RatioFactor
-
-    rf = RatioFactor(ExpVec.of([-1, 1]), F(3, 2), F(1, 2), F(1))
-    t = Term.make(2, ExpVec.of([1, 0]), ratios=[rf])
-    e = expand_ratios(CExpr(2, (t,)))
-    assert e.terms[0].ratios == ()
-    for _ in range(50):
-        x = 0.05 + 0.9 * rng.random()
-        y = x * (0.5 + 0.5 * rng.random()) * 0.999
-        assert abs(t.eval([x, y]) - e.terms[0].eval([x, y])) < 1e-12
-
-
 @settings(max_examples=60)
 @given(
     st.lists(
@@ -336,7 +321,6 @@ def test_term_mul_matches_general_route(a, b):
         a.exps + b.exps,
         tuple(x + y for x, y in zip(a.logpows, b.logpows)),
         list(a.extras) + list(b.extras),
-        list(a.ratios) + list(b.ratios),
         poly_mul(a.unit.as_poly(2), b.unit.as_poly(2)),
         2,
     )
@@ -473,8 +457,6 @@ def _ref_term(t, point):
             total *= math.log(point[i]) ** p
     for atom, k in t.extras:
         total *= _ref_atom(atom, point) ** k
-    for r in t.ratios:
-        total *= _ref_monomial(r.exps, point) ** float(r.power)
     total *= _ref_unit(t.unit, point)
     return total
 
@@ -516,15 +498,12 @@ def test_eval_matches_direct_evaluation_bit_for_bit_on_opaque_factors():
         Term.make(F(7, 4), [0, 0]),
         Term.make(F(-1, 3), [F(1, 2), F(3, 2)]),
     )))
-    ratio = RatioFactor(ExpVec.of([1, F(-1, 2)]), F(5, 3), F(1, 4), F(4))
     terms = (
         Term.make(F(3, 7), [F(1, 2), F(-2, 3)], [1, 2],
-                  extras=[(LogPrime(3), 2), (log_unit, 1)], ratios=[ratio],
-                  unit=unit),
+                  extras=[(LogPrime(3), 2), (log_unit, 1)], unit=unit),
         Term.make(F(-11, 5), [F(5, 3), 0], [0, 1], extras=[(log_expr, 2)]),
         Term.make(F(13, 9), [F(-1, 4), F(7, 2)],
-                  extras=[(LogPrime(5), 1), (LogPrime(7), 3)], ratios=[ratio],
-                  unit=unit),
+                  extras=[(LogPrime(5), 1), (LogPrime(7), 3)], unit=unit),
         Term.make(F(-3, 10), [0, 0], unit=unit),
     )
     e = CExpr(2, terms)
@@ -551,13 +530,12 @@ def test_fiber_matches_direct_evaluation_bit_for_bit_on_opaque_factors():
             Term.make(F(7, 4), [0, 0]),
             Term.make(F(-1, 3), on(pos, F(3, 2))),
         )))
-        ratio = RatioFactor(on(pos, F(-1, 2)), F(5, 3), F(1, 4), F(4))
         unit = PolyUnit.build(1, {on(pos, F(1, 2)): F(-1, 4)})
-        return log_unit, log_expr, ratio, unit
+        return log_unit, log_expr, unit
 
     base_only, last_only = factors(0), factors(1)
     terms = []
-    for (log_unit, log_expr, ratio, unit), exps in (
+    for (log_unit, log_expr, unit), exps in (
         (base_only, [F(1, 2), F(-2, 3)]),
         (last_only, [F(5, 3), 0]),
         (base_only, [F(-1, 4), 0]),
@@ -565,8 +543,7 @@ def test_fiber_matches_direct_evaluation_bit_for_bit_on_opaque_factors():
     ):
         terms.append(Term.make(
             F(3, 7), exps, [1, 2],
-            extras=[(LogPrime(3), 2), (log_unit, 1), (log_expr, 2)],
-            ratios=[ratio], unit=unit,
+            extras=[(LogPrime(3), 2), (log_unit, 1), (log_expr, 2)], unit=unit,
         ))
     terms.append(Term.make(F(-3, 10), [0, 0], extras=[(LogPrime(5), 3)]))
     e = CExpr(2, tuple(terms))
@@ -634,12 +611,10 @@ def _one_structure_sum(c, r, p, prime, u):
     numbers: every factor kind, a unit read at y and at the base, and a term
     that does not read y."""
     unit = PolyUnit.build(1, {ExpVec.of([0, r]): u, ExpVec.of([r, 0]): -u})
-    ratio = RatioFactor(ExpVec.of([1, -r]), F(5, 3), F(1, 4), F(4))
     log_unit = LogUnitAtom(PolyUnit.build(1, {ExpVec.of([0, r]): u}))
     return CExpr(2, (
         Term.make(c, [r, -r], [p, p + 1],
-                  extras=[(LogPrime(prime), p), (log_unit, 1)],
-                  ratios=[ratio], unit=unit),
+                  extras=[(LogPrime(prime), p), (log_unit, 1)], unit=unit),
         Term.make(-c, [r, 0], [p, 0], unit=unit),
         Term.make(c / 3, [0, r], [0, p]),
     ))

@@ -1,9 +1,13 @@
 """Symbolic integration: antiderivatives, splitting, drivers."""
 
+import contextlib
+import io
 import math
 import random
+import re
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -43,7 +47,7 @@ from cfcalc.integrate import (
     _SHAPE_TABLE_SIZE,
 )
 from cfcalc.oracle import fiber_bounds, quadrature_last
-from cfcalc.parser import print_expr
+from cfcalc.parser import parse, print_expr
 from tests.conftest import cell_of, fat, mono, parabola_wedge, triangle, unit_fiber
 
 
@@ -629,3 +633,133 @@ class TestShapeTable:
         again = integrate_shape(F(1, 2), 1, 1, ZERO, one)
         assert integrate_shape.cache_info().misses == misses + 1
         assert again == first and again[1] is not first[1]
+
+
+# -- determined variables: interval additivity and band cells ------------------
+
+
+def _cli_integrate(source, *args):
+    """Exit code and stdout of `integrate source args` run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["integrate", source, *args])
+    return code, out.getvalue()
+
+
+def _constant(stdout):
+    """The printed constant as a normalized one-variable sum."""
+    return normalize(parse(f"{stdout.strip()} on {{0<x1<1}}").expr)
+
+
+def _additivity_holds(integrand, whole, parts):
+    """Whether the integral of integrand over the cell `whole` equals the
+    first part's integral minus the second's, exactly; None when any of the
+    three is refused (exit 3) or not integrable (exit 4)."""
+    runs = [_cli_integrate(f"{integrand} on {{{cell}}}") for cell in (whole, *parts)]
+    if any(code in (3, 4) for code, _ in runs):
+        return None
+    assert all(code == 0 for code, _ in runs), (integrand, runs)
+    lhs, first, second = (_constant(text) for _, text in runs)
+    return not normalize(lhs - (first - second)).terms
+
+
+def _interval_battery(draws, relation):
+    """(checks made, refusals) over the drawn (integrand, whole, parts)."""
+    made = refused = 0
+    for integrand, whole, parts in draws:
+        holds = _additivity_holds(integrand, whole, parts)
+        if holds is None:
+            refused += 1
+            continue
+        assert holds, (relation, integrand, whole, parts)
+        made += 1
+    return made, refused
+
+
+# squares and fourth powers, so that y^(r + 1) at the ends stays rational
+_SMALL_ENDS = [F(1, 16), F(1, 9), F(1, 4), F(4, 9), F(9, 16), F(1)]
+_LARGE_ENDS = [F(1), F(9, 4), F(4), F(9), F(16)]
+
+
+def _powers_and_logs(rng, exponents):
+    r = rng.choice(exponents)
+    q = rng.choice([F(1), F(2), F(1, 3), F(6), F(5, 2)])
+    s = rng.randint(0, 3)
+    log = f"*log({q}*x1)^{s}" if s else ""
+    return f"x1^({r}){log}"
+
+
+class TestIntervalAdditivity:
+    def test_integral_from_zero_splits_at_the_lower_end(self):
+        # int_a^b = int_0^b - int_0^a for 0 < a < b <= 1: the left side
+        # integrates over a band fiber, where x1 is bounded away from 0
+        rng = random.Random(20261019)
+        draws = []
+        for _ in range(60):
+            a, b = sorted(rng.sample(_SMALL_ENDS, 2))
+            integrand = _powers_and_logs(rng, [F(-1, 2), 0, F(1, 2), 1, F(3, 2), 2])
+            draws.append((integrand, f"{a}<x1<{b}", (f"0<x1<{b}", f"0<x1<{a}")))
+        made, refused = _interval_battery(draws, "from zero")
+        assert made + refused == 60 and made >= 54, (made, refused)
+
+    def test_integral_to_infinity_splits_at_the_upper_end(self):
+        # int_a^b = int_a^inf - int_b^inf for r < -1 and 1 <= a < b
+        rng = random.Random(20261020)
+        draws = []
+        for _ in range(60):
+            a, b = sorted(rng.sample(_LARGE_ENDS, 2))
+            integrand = _powers_and_logs(rng, [F(-3, 2), -2, F(-5, 2), -3])
+            draws.append((integrand, f"{a}<x1<{b}", (f"{a}<x1<inf", f"{b}<x1<inf")))
+        made, refused = _interval_battery(draws, "to infinity")
+        assert made + refused == 60 and made >= 54, (made, refused)
+
+
+def _mp_eval(text, env):
+    """A printed result or integrand in source syntax, evaluated by mpmath."""
+    code = re.sub(r"(?<![\w.])(\d+)", r"mpf(\1)", text.replace("^", "**"))
+    return eval(code, {"mpf": mpmath.mpf, "log": mpmath.log, "inf": mpmath.inf}, env)
+
+
+@pytest.mark.parametrize("integrand, lo1, hi1, lo2, hi2, want", [
+    ("x1*x2*log(x2)", "0", "1", "x1", "4*x1", "-45/32 + 4 * log(2)"),
+    ("x2^(-1/2)*log(3*x2)^2", "0", "1", "x1", "4*x1", None),
+    ("log(x1)*log(x2)", "0", "1", "1/2*x1", "x1", "1/4 - 1/8 * log(2)"),
+    ("log(x2)^2", "0", "1", "x1^(2)", "2*x1^(2)", None),
+    ("x1^(-1/2)*log(x2)", "1", "4", "x1", "4*x1", "-70/3 + 208/3 * log(2)"),
+    ("x2^(-3)*log(x2)", "1", "inf", "x1", "2*x1", "9/16 - 1/8 * log(2)"),
+])
+def test_band_cell_integrals_match_mpmath(integrand, lo1, hi1, lo2, hi2, want):
+    # the inner variable is determined (bounded away from 0 on its fiber)
+    # and carries a log, which integrates in closed form between the bounds
+    source = f"{integrand} on {{{lo1}<x1<{hi1}, {lo2}<x2<{hi2}}}"
+    code, out = _cli_integrate(source, "--vars", "2")
+    assert code == 0, out
+    if want is not None:
+        assert out.strip() == want
+    with mpmath.workdps(30):
+        quad = mpmath.quad(
+            lambda x1: mpmath.quad(
+                lambda x2: _mp_eval(integrand, {"x1": x1, "x2": x2}),
+                [_mp_eval(lo2, {"x1": x1}), _mp_eval(hi2, {"x1": x1})],
+            ),
+            [_mp_eval(lo1, {}), _mp_eval(hi1, {})],
+        )
+        exact = _mp_eval(out.strip(), {})
+        assert abs(exact - quad) <= mpmath.mpf(10) ** -15 * max(1, abs(quad)), (out, quad)
+
+
+# -- a known soundness gap ------------------------------------------------------
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "round 2 of integrate_fubini gates the signed round-1 integral, which "
+    "can be integrable although the function is not in L^1"
+))
+@pytest.mark.parametrize("source", [
+    # with x2 = t*x1: int |f| = int dx1/x1 * int_0^1 |t^(-1/2) - 2| dt = inf
+    "x1^(-3/2)*x2^(-1/2) - 2*x1^(-2) on {0<x1<1, 0<x2<x1}",
+    "x2^(-2) - 1/2*x1^(-2) on {0<x1<1, x1<x2<2*x1}",
+])
+def test_non_integrable_sum_with_an_integrable_inner_integral_is_refused(source):
+    code, out = _cli_integrate(source, "--vars", "2")
+    assert code != 0, out

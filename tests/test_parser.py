@@ -19,7 +19,6 @@ from cfcalc.core import (
     LogUnitAtom,
     LogVar,
     PolyUnit,
-    RatioFactor,
     Term,
     prime_form,
 )
@@ -278,11 +277,6 @@ def _print_reference(e, names=None):
             else:
                 arg = _print_reference(atom.arg, names)
             factors.append(f"log({arg})" + (f"^{k}" if k > 1 else ""))
-        for rf in t.ratios:
-            mono = " * ".join(
-                _print_varpow(names[i], e2) for i, e2 in enumerate(rf.exps) if e2
-            )
-            factors.append(f"({mono})^({rf.power})")
         if not t.unit.is_trivial:
             factors.append(_print_unit(t.unit, names))
         mag = abs(t.coeff)
@@ -322,9 +316,6 @@ _PRINT_TERMS = st.builds(
     st.lists(st.integers(min_value=0, max_value=1), min_size=2, max_size=2),
     st.lists(st.tuples(_PRINT_ATOMS, st.integers(min_value=1, max_value=3)),
              max_size=4),
-    st.one_of(st.just([]), st.just([
-        RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 4), F(1)),
-    ])),
     st.sampled_from([
         PolyUnit.one(), PolyUnit(F(-3, 2)),
         PolyUnit.build(2, {ExpVec.of([0, 1]): F(-1, 2)}),
@@ -357,10 +348,9 @@ _Y1 = [1, 0]
     # rows of two terms with one monomial interleave by their prime logs
     _sum((1, _Y1, None, [(_composite(2, 3), 2), (LogUnitAtom(_UNIT), 1)]),
          (2, _Y1, None, [(_composite(2, 3), 1)])),
-    # unit and expression logs, ratio factors and a non-trivial unit
+    # unit and expression logs and a non-trivial unit
     _sum((F(-2, 3), _Y1, None,
           [(_composite(3, 7, 11), 2), (LogUnitAtom(_UNIT), 1), (_NESTED, 2)],
-          [RatioFactor(ExpVec.of([1, 0]), F(1, 2), F(1, 4), F(1))],
           PolyUnit.build(2, {ExpVec.of([0, 1]): F(-1, 2)}))),
     _sum((-1, [0, 0], None, [(LogPrime(2), 1), (_NESTED, 1)])),
 ])

@@ -1,55 +1,13 @@
-"""Preparation: absorption, log expansion, thin-variable elimination."""
+"""Preparation: log expansion, determined variables, thin-variable elimination."""
 
 import math
 from fractions import Fraction as F
 
-import pytest
-
 from cfcalc.cells import RawCell, RawMono, RawVar, ZERO
-from cfcalc.core import (
-    CExpr,
-    ExpVec,
-    LogExprAtom,
-    Term,
-    expand_ratios,
-    is_zero,
-    normalize,
-)
-from cfcalc.errors import FragmentEscape, NotDetermined
-from cfcalc.prepare import absorb_determined, prepare_expr, substitute_thin
+from cfcalc.cli import main
+from cfcalc.core import CExpr, ExpVec, LogExprAtom, Term, normalize
+from cfcalc.prepare import prepare_expr, substitute_thin
 from tests.conftest import triangle, unit_fiber, wedge_determined
-
-
-class TestAbsorbDetermined:
-    def test_basic_ratio(self, rng):
-        cell = wedge_determined()
-        t = Term.make(1, ExpVec.of([0, 1]))
-        ta = absorb_determined(t, cell)
-        assert ta.exps.exps == (F(1), F(0))
-        (rf,) = ta.ratios
-        assert rf.exps.exps == (F(-1), F(1))
-        assert (rf.lo, rf.hi) == (F(1, 2), F(1))
-        for _ in range(10):
-            x = 0.05 + 0.9 * rng.random()
-            y = x * (0.5 + 0.499 * rng.random())
-            assert abs(t.eval([x, y]) - ta.eval([x, y])) < 1e-12
-
-    def test_square_power_interval(self):
-        cell = wedge_determined()
-        ta = absorb_determined(Term.make(1, ExpVec.of([0, 2])), cell)
-        (rf,) = ta.ratios
-        assert rf.power == 2
-        # (1/2,1)^2 c (1/4,1) certifies the squared factor
-        assert (rf.lo ** 2, rf.hi ** 2) == (F(1, 4), F(1))
-
-    def test_zero_exponent_is_identity(self):
-        cell = wedge_determined()
-        t = Term.make(1, ExpVec.of([3, 0]))
-        assert absorb_determined(t, cell) == t
-
-    def test_requires_determined(self):
-        with pytest.raises(NotDetermined):
-            absorb_determined(Term.make(1, ExpVec.of([0, 1])), triangle())
 
 
 class TestPrepareExpr:
@@ -120,24 +78,27 @@ class TestPrepareExpr:
             a, b = e.eval([x, y]), p.terms.eval([x, y])
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
-    def test_support_moved_into_J(self):
+    def test_support_moved_into_J(self, capsys):
+        # a determined variable keeps its exponent in the prepared sum; J
+        # names the undetermined positions and confines nothing
         cell = wedge_determined()
         e = CExpr(2, (Term.make(1, ExpVec.of([0, F(3, 2)])),))
         (p,) = prepare_expr(e, cell)
         p.check()
         assert p.J == (0,)
-        (t,) = p.terms.terms
-        assert t.exps.support <= {0}
-        assert t.ratios
-        # folding the ratios back reproduces the original value
-        folded = expand_ratios(p.terms)
-        assert is_zero(normalize(folded - normalize(e)))
+        assert p.terms == normalize(e)
+        assert main(["prepare", "x2 on {0<x1<1, x1<x2<2*x1}"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "  J = [0]: 2 * x2"
 
-    def test_log_of_determined_variable_rejected(self):
+    def test_log_of_determined_variable_rejected(self, capsys):
+        # no longer rejected: on a band fiber the variable is bounded away
+        # from 0, so its log stays in the prepared sum and integrates
         cell = wedge_determined()
         e = CExpr(2, (Term.make(1, ExpVec.zero(2), [0, 1]),))
-        with pytest.raises(FragmentEscape):
-            prepare_expr(e, cell)
+        (p,) = prepare_expr(e, cell)
+        assert p.terms == normalize(e)
+        assert main(["integrate", "log(x1) on {1<x1<2}"]) == 0
+        assert capsys.readouterr().out == "-1 + 2 * log(2)\n"
 
 
 class TestSubstituteThin:
