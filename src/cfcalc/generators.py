@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .cells import Cell, FatVar, MonomialBound, Zero, ZERO, classify
 from .core import CExpr, ExpVec, PolyUnit, Term
+from .tables import table
 
 HALF_EXPS = [Fraction(k, 2) for k in range(-4, 5)]
 POS_HALF_EXPS = [Fraction(k, 2) for k in range(1, 5)]
@@ -32,7 +33,9 @@ def random_cell(
 
     Bounds are supported on earlier asymptotically undetermined positions
     (prepared shape); lower bounds are built under the upper bound so the
-    order certificate always holds."""
+    order certificate always holds.  The draws and the cell do not depend
+    on the table: the cell is certified once per process through
+    _certified, and the table's equal instance is returned."""
     specs: list[FatVar] = []
     undet: list[int] = []
     for i in range(nvars):
@@ -70,7 +73,19 @@ def random_cell(
         specs.append(FatVar(lower, upper))
         if not determined:
             undet.append(i)
-    cell = Cell(tuple(specs))
+    return _certified(Cell(tuple(specs)))
+
+
+# certified cells kept, least recently used dropped first; validate's
+# 192-seed benchmark pool draws 90 distinct cells
+_CERTIFIED_TABLE_SIZE = 256
+
+
+@table("generators._certified", _CERTIFIED_TABLE_SIZE)
+def _certified(cell: Cell) -> Cell:
+    """The cell, once Cell.validate() has certified its bounds and their
+    order; kept per process, keyed by the frozen cell.  A cell that fails
+    the certificate raises on every call and is not stored."""
     cell.validate()
     return cell
 

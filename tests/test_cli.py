@@ -565,18 +565,36 @@ def test_cli_fuzz_exit_codes_and_warm_repeat(argv):
     assert _call(argv) == (code, out, err), argv
 
 
+# (hits, misses) of the cell certificate and round-trip tables after one
+# cold validate call: 30 generated cells and 20 drawn (r, s) pairs, some of
+# them drawn twice in the same call
+VALIDATE_COLD_STATS = {0: ((6, 24), (4, 16)), 7: ((9, 21), (4, 16)),
+                       1001: ((8, 22), (1, 19))}
+
+
+def _validate_stats():
+    stats = table_stats()
+    return tuple((stats[name]["hits"], stats[name]["misses"])
+                 for name in ("generators._certified", "cli._round_trip_holds"))
+
+
 @pytest.mark.parametrize("seed_", [0, 7, 1001])
 @pytest.mark.parametrize("json_", [False, True], ids=["text", "json"])
 def test_validate_cold_and_warm_print_the_same_bytes(seed_, json_):
-    # the warm call meets the probe and antiderivative tables the cold one
-    # filled; every check still runs, and the report must not change by a
-    # byte
+    # the warm call meets the probe, antiderivative, cell certificate and
+    # round-trip tables the cold one filled; the report must not change by
+    # a byte
     argv = ["validate", "--seed", str(seed_)] + ["--json"] * json_
     clear_tables()
     cold = _call(argv)
     assert cold[0] == 0
     probes = table_stats()["oracle.divergence_probe"]
     assert (probes["hits"], probes["misses"]) == (0, 12)
+    assert _validate_stats() == VALIDATE_COLD_STATS[seed_]
     assert _call(argv) == cold
     probes = table_stats()["oracle.divergence_probe"]
     assert (probes["hits"], probes["misses"]) == (12, 12)
+    # the warm call is all hits
+    (cells, cells_missed), (trips, trips_missed) = VALIDATE_COLD_STATS[seed_]
+    assert _validate_stats() == ((cells + 30, cells_missed),
+                                 (trips + 20, trips_missed))

@@ -1,19 +1,22 @@
 """The per-process tables: one registry, the cell normalization table,
-the divergence probe and antiderivative tables."""
+the divergence probe and antiderivative tables, and validate's cell
+certificate and round-trip tables."""
 
 import importlib
 import pkgutil
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, seed, settings
 
 import cfcalc
-from cfcalc import cells, core, integrate, oracle, tables
-from cfcalc.cells import normalize_cell
+from cfcalc import cells, cli, core, generators, integrate, oracle, tables
+from cfcalc.cells import ZERO, Cell, FatVar, MonomialBound, normalize_cell
 from cfcalc.cli import main
-from cfcalc.core import CExpr, Term
-from cfcalc.errors import CalcError, ParseError
+from cfcalc.core import CExpr, Term, differentiate_expr, is_zero, normalize
+from cfcalc.errors import CalcError, ParseError, UncertifiedCell
+from cfcalc.generators import random_cell
 from cfcalc.integrate import (
     antiderivative_pow_log,
     antiderivative_pow_log_recursive,
@@ -34,7 +37,8 @@ NOT_TABLES = {
 TABLES = ("core._fiber_kernel", "cells.normalize_cell",
           "integrate.antiderivative_pow_log",
           "integrate.antiderivative_pow_log_recursive",
-          "integrate.integrate_shape", "oracle.divergence_probe")
+          "integrate.integrate_shape", "oracle.divergence_probe",
+          "generators._certified", "cli._round_trip_holds")
 
 README_CELLS = [
     "{0<y1<1}",
@@ -122,7 +126,9 @@ def test_clear_tables_empties_every_table(capsys):
                                        integrate._ANTI_TABLE_SIZE,
                                        integrate._ANTI_TABLE_SIZE,
                                        integrate._SHAPE_TABLE_SIZE,
-                                       oracle._PROBE_TABLE_SIZE))
+                                       oracle._PROBE_TABLE_SIZE,
+                                       generators._CERTIFIED_TABLE_SIZE,
+                                       cli._ROUND_TRIP_TABLE_SIZE))
     }
 
 
@@ -214,3 +220,68 @@ def test_recursion_takes_its_sub_results_from_the_table():
     antiderivative_pow_log_recursive(F(1, 2), 4)
     stats = table_stats()["integrate.antiderivative_pow_log_recursive"]
     assert (stats["hits"], stats["misses"]) == (1, 5)
+
+
+def _draw(seed_, **kwargs):
+    """random_cell from a seeded generator, and the generator's state."""
+    rng = random.Random(seed_)
+    cell = random_cell(rng, 1 + seed_ % 3, **kwargs)
+    return cell, rng.getstate()
+
+
+@pytest.mark.parametrize("bound_units", [False, True])
+def test_tabled_random_cell_is_the_uncached_build(bound_units, monkeypatch):
+    seeds = range(200)
+    tabled = [_draw(s, bound_units=bound_units) for s in seeds]
+    distinct = _size("generators._certified")
+    assert 0 < distinct <= len(seeds)
+    # the same draws with the certificate computed afresh on every call
+    monkeypatch.setattr(generators, "_certified",
+                        generators._certified.__wrapped__)
+    for s, (cell, state) in zip(seeds, tabled):
+        fresh, fresh_state = _draw(s, bound_units=bound_units)
+        assert cell == fresh and state == fresh_state
+        fresh.validate()
+    monkeypatch.undo()
+    # a cell drawn again is the table's instance
+    for s, (cell, _) in zip(seeds, tabled):
+        assert _draw(s, bound_units=bound_units)[0] is cell
+    assert _size("generators._certified") == distinct
+
+
+def test_uncertifiable_cell_raises_again_and_is_not_stored():
+    # the upper bound 2 is not inside (0, 1]
+    cell = Cell((FatVar(ZERO, MonomialBound.const(2, 1)),))
+    for _ in range(2):
+        with pytest.raises(UncertifiedCell, match="not certified inside"):
+            generators._certified(cell)
+        assert _size("generators._certified") == 0
+
+
+def _fresh_round_trip(r, s):
+    anti = antiderivative_pow_log.__wrapped__(r, s)
+    target = CExpr(1, (Term.make(1, [r], [s]),))
+    recursive = antiderivative_pow_log_recursive.__wrapped__(r, s)
+    return (is_zero(normalize(differentiate_expr(anti, 0) - target))
+            and is_zero(normalize(anti - recursive)))
+
+
+def test_tabled_round_trip_is_the_fresh_verdict():
+    # validate's round trip draws from these 65 pairs
+    for r in (F(k, 2) for k in range(-6, 7)):
+        for s in range(5):
+            verdict = cli._round_trip_holds(r, s)
+            assert verdict is _fresh_round_trip(r, s) is True
+    assert _size("cli._round_trip_holds") == 65
+
+
+def test_false_round_trip_is_stored_and_validate_fails(monkeypatch, capsys):
+    # twice the closed form differentiates to twice the integrand
+    monkeypatch.setattr(cli, "antiderivative_pow_log",
+                        lambda r, s: antiderivative_pow_log(r, s).scaled(2))
+    for _ in range(2):
+        assert cli._round_trip_holds(F(1, 2), 1) is False
+    stats = table_stats()["cli._round_trip_holds"]
+    assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
+    assert main(["validate", "--seed", "7"]) == 5
+    assert "FAIL antiderivative-roundtrip" in capsys.readouterr().out
