@@ -78,7 +78,6 @@ from .oracle import (  # noqa: F401
     ProbeReport,
     adaptive_quadrature,
     divergence_probe,
-    eval_expr,
     quadrature_last,
 )
 from .parser import SourceForm, parse, print_cell, print_expr, print_source  # noqa: F401

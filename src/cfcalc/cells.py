@@ -11,6 +11,7 @@ variable, and expressions follow through `compose_with_map`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -771,6 +772,41 @@ class RawCell:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.vars)
+
+    def closure_contains(self, point: Sequence[Fraction]) -> bool:
+        """Whether the rational point lies in the closure of the cell, decided
+        exactly: every fat variable between its bounds, every thin one on its
+        graph.  A bound with no real value at the point excludes it."""
+        return all(
+            _side(x, rv.thin, point) == 0 if rv.thin is not None
+            else _side(x, rv.lower, point) in (0, 1)
+            and _side(x, rv.upper, point) in (-1, 0)
+            for rv, x in zip(self.vars, point))
+
+
+def _side(x: Fraction, b: RawBound, point: Sequence[Fraction]) -> int | None:
+    """The sign of x - b(point) in rationals: a bound with fractional
+    exponents compares d-th powers, and a negative power of a zero
+    coordinate is the bound's infinite limit.  None where b has no real
+    value (an even root of a negative coordinate)."""
+    if isinstance(b, Inf):
+        return -1
+    sx = (x > 0) - (x < 0)
+    if isinstance(b, Zero):
+        return sx
+    d = math.lcm(*(e.denominator for e in b.exps))
+    sign, power = (1 if b.coeff > 0 else -1), abs(b.coeff) ** d
+    for p, e in zip(point, b.exps):
+        if e and p <= 0:
+            if p == 0:
+                return -sign if e < 0 else sx
+            if e.denominator % 2 == 0:
+                return None
+            sign *= -1 if e.numerator % 2 else 1
+        power *= abs(p) ** int(e * d)
+    if sx != sign:
+        return -sign
+    return sign * ((abs(x) ** d > power) - (abs(x) ** d < power))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage, 2 parse error, 3 refusal (fragment escape,
 a cell that needs a split or whose bound order cannot be certified, a cell
 not in prepared shape, a decay rate on a cell with determined variables or
 of a sum that does not decay, an analysis of a cell with no variable, an
-eval point with no real value), 4 not integrable, 5 internal error.
+eval point outside the closure of its cell or where the sum has no real
+value), 4 not integrable, 5 internal error.
 """
 
 from __future__ import annotations
@@ -238,13 +239,17 @@ def _cmd_eval(args) -> int:
     source = _read_source(args)
     form = parse(source)
     try:
-        point = [float(Fraction(x)) for x in args.at.split(",")]
+        exact = [Fraction(x) for x in args.at.split(",")]
+        point = [float(x) for x in exact]
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _Usage(f"bad --at point: {exc}")
     if len(point) != form.raw_cell.nvars:
         raise _Usage(
             f"point arity {len(point)} != variable count {form.raw_cell.nvars}"
         )
+    if not form.raw_cell.closure_contains(exact):
+        raise DomainError(f"cannot evaluate at {args.at}: the point is outside "
+                          "the closure of the cell")
     try:
         value = prime_form(form.expr).eval(point)
         if isinstance(value, complex):
@@ -428,7 +433,8 @@ def main(argv=None) -> int:
         # cell whose bounds reference determined variables (sliver), a
         # decay rate on a cell with determined variables, and a decay rate
         # of a sum whose dominant exponent is not positive or that has no
-        # terms, and an eval point where the sum has no real float value
+        # terms, and an eval point outside the closure of its cell or where
+        # the sum has no real float value
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CalcError as exc:

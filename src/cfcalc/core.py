@@ -493,7 +493,11 @@ def _atom_sort_key(atom: LogAtom):
         u = atom.unit
         return (1, 0, (u.constant, _unit_sort_key(u.monos)))
     if isinstance(atom, LogExprAtom):
-        return (2, 0, tuple(t.signature() for t in atom.arg.terms))
+        # coefficients and units after the signatures tell log(1+y) from log(2+y)
+        terms = atom.arg.terms
+        return (2, 0, tuple(t.signature() for t in terms),
+                tuple((t.coeff, t.unit.constant, _unit_sort_key(t.unit.monos))
+                      for t in terms))
     raise TypeError(f"unexpected atom in extras: {atom!r}")
 
 

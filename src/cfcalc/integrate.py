@@ -61,18 +61,11 @@ def _falling(s: int, k: int) -> int:
     return out
 
 
-# antiderivatives kept per route, least recently used dropped first; the
-# three golden pools reach 135 distinct (r, s) here and 65 in the recursion
-_ANTI_TABLE_SIZE = 256
-
-
-@table("integrate.antiderivative_pow_log", _ANTI_TABLE_SIZE)
 def antiderivative_pow_log(r: RatLike, s: int) -> CExpr:
     """Closed-form antiderivative of y^r (log y)^s (one ambient variable).
 
     r = -1: (log y)^(s+1) / (s+1).
     r != -1: y^(r+1) * sum_{k=0}^{s} (-1)^k s!/(s-k)! (log y)^(s-k)/(r+1)^(k+1).
-    Both routes keep their exact results per process; s < 0 is not kept.
     """
     r = Fraction(r)
     if s < 0:
@@ -86,11 +79,9 @@ def antiderivative_pow_log(r: RatLike, s: int) -> CExpr:
     return normalize(CExpr(1, tuple(terms)))
 
 
-@table("integrate.antiderivative_pow_log_recursive", _ANTI_TABLE_SIZE)
 def antiderivative_pow_log_recursive(r: RatLike, s: int) -> CExpr:
     """The same antiderivative via the integration-by-parts recursion
-    (the reference route; must agree with the closed form).  It recurses
-    through the module name, so each (r, s - 1) comes from the table."""
+    (the reference route; must agree with the closed form)."""
     r = Fraction(r)
     if r == -1:
         return CExpr(1, (Term.make(Fraction(1, s + 1), [0], [s + 1]),))

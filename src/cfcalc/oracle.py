@@ -1,4 +1,4 @@
-"""Floating-point verification oracle: evaluation, quadrature, divergence probe.
+"""Floating-point verification oracle: quadrature and the divergence probe.
 
 The oracle is quarantined: nothing here feeds back into symbolic results;
 engine modules only ever *test* against it.
@@ -42,15 +42,6 @@ _GAUSS_WEIGHTS = (
     0.381830050505119,
     0.417959183673469,
 )
-
-
-def eval_expr(
-    e: CExpr, point: Sequence[float], cell: Cell | None = None
-) -> float:
-    """IEEE double evaluation at a point strictly inside the cell."""
-    if cell is not None and not cell.contains(point):
-        raise DomainError(f"point {list(point)} is outside the cell")
-    return e.eval(point)
 
 
 _N0, _N1, _N2, _N3, _N4, _N5, _N6, _ = _KRONROD_NODES

@@ -13,10 +13,10 @@ Grammar (whitespace-insensitive):
     varpow := VAR ['^' '(' RAT ')']
 
 Numbers are exact rationals ("3/2", "-1/2"); decimal points are rejected.
-Variables are declared by their cell chain (order defines positions); an
-expression without a cell gets the unit cube over its variables.  Logs of
-single positive monomials expand immediately; composite log arguments stay
-deferred for preparation.
+The cell is read first: its chains declare the variables (order defines
+positions), or without a cell the unit cube over the expression's variables;
+every term is then built at its final positions.  Logs of single positive
+monomials expand immediately; composite log arguments stay deferred.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .core import (
     log_of_monomial_unit,
     normalize,
     prime_form,
+    term_mul,
     times_log_power,
     _extras_key,
     _over_primes,
@@ -105,9 +106,6 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.i = 0
-        self.var_names: list[str] = []
-        self.declared: dict[str, int] | None = None
-        self.seen: dict[str, int] = {}
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -128,6 +126,16 @@ class _Parser:
         t = self.peek()
         return ParseError(msg, t.line, t.col)
 
+    def expect_end(self, end: int) -> None:
+        if self.i != end:
+            raise self.error(f"unexpected trailing input {self.peek().text!r}")
+
+    def declare(self, names: Sequence[str]) -> None:
+        """Fix every variable's final position before any term is built."""
+        self.positions = {n: i for i, n in enumerate(names)}
+        self.nv = nv = len(names)
+        self.one = Term(Fraction(1), ExpVec.zero(nv), (0,) * nv)
+
     # -- numbers and variables ------------------------------------------------
 
     def parse_rat(self) -> Fraction:
@@ -147,53 +155,41 @@ class _Parser:
             v = Fraction(int(t.text))
         return -v if neg else v
 
-    def var_pos(self, name: str, tok: _Tok) -> int:
-        if self.declared is not None:
-            if name not in self.declared:
-                raise ParseError(f"undeclared variable {name!r}", tok.line, tok.col)
-            return self.declared[name]
-        if name not in self.seen:
-            self.seen[name] = len(self.seen)
-        return self.seen[name]
+    # -- expressions: lists of terms over the declared positions ---------------
 
-    # -- expressions -----------------------------------------------------------
-
-    def parse_expr(self, nv_hint: int | None = None) -> "_ExprBuilder":
-        left = self.parse_term()
+    def parse_expr(self) -> list[Term]:
+        out = self.parse_term(1)
         while self.peek().text in ("+", "-"):
-            op = self.next().text
-            right = self.parse_term()
-            if op == "-":
-                right = right.scaled(Fraction(-1))
-            left = left.add(right)
-        return left
+            out += self.parse_term(-1 if self.next().text == "-" else 1)
+        return out
 
-    def parse_term(self) -> "_ExprBuilder":
-        sign = Fraction(1)
+    def parse_term(self, sign: int) -> list[Term]:
         while self.peek().text == "-":
             self.next()
             sign = -sign
-        out = self.parse_factor()
+        out = self.parse_factor([self.one.scaled(sign)])
         while self.peek().text == "*":
             self.next()
-            out = out.mul(self.parse_factor())
-        return out.scaled(sign)
+            out = self.parse_factor(out)
+        return out
 
-    def parse_factor(self) -> "_ExprBuilder":
+    def parse_factor(self, base: list[Term]) -> list[Term]:
+        """The product of base and the next factor."""
         t = self.peek()
         if t.kind == "num":
-            return _ExprBuilder.const(self.parse_rat())
+            q = self.parse_rat()
+            return [b.scaled(q) for b in base] if q else []
         if t.text == "(":
             self.next()
             inner = self.parse_expr()
             self.expect(")")
-            return inner
+            return [x for a in base for b in inner for x in term_mul(a, b)]
         if t.kind != "name":
             raise self.error(f"expected a factor, found {t.text or 'end of input'!r}")
         if t.text == "log":
             self.next()
             self.expect("(")
-            arg = self.parse_expr()
+            arg = normalize(CExpr(self.nv, tuple(self.parse_expr())))
             self.expect(")")
             power = 1
             if self.peek().text == "^":
@@ -205,36 +201,49 @@ class _Parser:
                         "log powers must be positive integers", ptok.line, ptok.col
                     )
                 power = int(p)
-            return _ExprBuilder.log(arg, power)
+            if not arg.terms:
+                raise ParseError("log of zero", t.line, t.col)
+            pieces = _log_pieces(arg, power, self.nv)
+            return [x for b in base for x in times_log_power(b, pieces)]
         name = self.next().text
         if name in _KEYWORDS:
             raise ParseError(f"{name!r} is a keyword", t.line, t.col)
-        pos = self.var_pos(name, t)
-        power = Fraction(1)
-        if self.peek().text == "^":
-            self.next()
-            self.expect("(")
-            power = self.parse_rat()
-            self.expect(")")
-        return _ExprBuilder.var(pos, power)
+        pos = self.positions.get(name)
+        if pos is None:
+            raise ParseError(f"undeclared variable {name!r}", t.line, t.col)
+        power = self.parse_power()
+        return [b.with_exps(b.exps.with_entry(pos, b.exps[pos] + power)) for b in base]
 
     # -- cells -----------------------------------------------------------------
 
-    def parse_cell(self) -> list[tuple[str, object, object, object]]:
-        """Return chains as (name, lower, upper, thin) with raw bound specs
-        over *names* (positions resolved afterwards)."""
+    def parse_cell(self) -> RawCell:
         self.expect("{")
-        chains: list[tuple[str, object, object, object]] = []
-        while True:
+        chains = [self.parse_chain()]
+        while self.peek().text == ",":
+            self.next()
             chains.append(self.parse_chain())
-            if self.peek().text == ",":
-                self.next()
-                continue
-            break
         self.expect("}")
-        return chains
+        names = [c[0] for c in chains]
+        if len(set(names)) != len(names):
+            raise ParseError(f"duplicate variable in cell: {names}")
+        self.declare(names)
+        rawvars = []
+        for i, (name, lower, upper, thin) in enumerate(chains):
+            if thin is not None:
+                tb = self.resolve(thin, i)
+                if not isinstance(tb, RawMono):
+                    raise ParseError(f"thin variable {name!r} needs a monomial graph")
+                rawvars.append(RawVar(name, ZERO, RawMono.const(1, self.nv), thin=tb))
+                continue
+            lo = self.resolve(lower, i)
+            hi = self.resolve(upper, i)
+            if isinstance(hi, Zero) or isinstance(lo, Inf) or _empty_between(lo, hi):
+                raise ParseError(f"invalid bounds for {name!r}")
+            rawvars.append(RawVar(name, lo, hi))
+        return RawCell(tuple(rawvars))
 
     def parse_chain(self):
+        """(name, lower, upper, thin); parse_cell resolves the bounds."""
         save = self.i
         t = self.peek()
         if t.kind == "name" and t.text not in _KEYWORDS:
@@ -258,90 +267,52 @@ class _Parser:
         if t.text == "inf":
             self.next()
             return INF
+        q, factors = Fraction(1), []
         if t.kind == "num" or t.text == "-":
             q = self.parse_rat()
-            factors: list[tuple[str, Fraction]] = []
-            while self.peek().text == "*":
-                self.next()
-                factors.append(self.parse_varpow())
-            if not factors and q == 0:
-                return ZERO
-            return (q, factors)
-        if t.kind == "name" and t.text not in _KEYWORDS:
-            factors = [self.parse_varpow()]
-            while self.peek().text == "*":
-                self.next()
-                factors.append(self.parse_varpow())
-            return (Fraction(1), factors)
-        raise ParseError(f"expected a bound, found {t.text!r}", t.line, t.col)
+        elif t.kind == "name" and t.text not in _KEYWORDS:
+            factors.append(self.parse_varpow())
+        else:
+            raise ParseError(f"expected a bound, found {t.text!r}", t.line, t.col)
+        while self.peek().text == "*":
+            self.next()
+            factors.append(self.parse_varpow())
+        return (q, factors)
 
     def parse_varpow(self) -> tuple[str, Fraction]:
         t = self.next()
         if t.kind != "name" or t.text in _KEYWORDS:
             raise ParseError("expected a variable name", t.line, t.col)
-        power = Fraction(1)
-        if self.peek().text == "^":
-            self.next()
-            self.expect("(")
-            power = self.parse_rat()
-            self.expect(")")
-        return (t.text, power)
+        return (t.text, self.parse_power())
 
+    def parse_power(self) -> Fraction:
+        """['^' '(' RAT ')'], 1 when absent."""
+        if self.peek().text != "^":
+            return Fraction(1)
+        self.next()
+        self.expect("(")
+        power = self.parse_rat()
+        self.expect(")")
+        return power
 
-class _ExprBuilder:
-    """Delayed expression: variables may not have positions yet, so factors
-    accumulate as (kind, payload) products; realized once the arity is known."""
-
-    def __init__(self, items: list[tuple[str, object]]):
-        self.items = items  # list of summand descriptors
-
-    @staticmethod
-    def const(q: Fraction) -> "_ExprBuilder":
-        return _ExprBuilder([("sum", [(q, [], [])])])
-
-    @staticmethod
-    def var(pos: int, power: Fraction) -> "_ExprBuilder":
-        return _ExprBuilder([("sum", [(Fraction(1), [("pow", pos, power)], [])])])
-
-    @staticmethod
-    def log(arg: "_ExprBuilder", power: int) -> "_ExprBuilder":
-        return _ExprBuilder([("sum", [(Fraction(1), [], [("log", arg, power)])])])
-
-    def scaled(self, q: Fraction) -> "_ExprBuilder":
-        (tag, summands), = self.items
-        return _ExprBuilder(
-            [(tag, [(c * q, list(p), list(l)) for c, p, l in summands])]
-        )
-
-    def add(self, other: "_ExprBuilder") -> "_ExprBuilder":
-        (t1, s1), = self.items
-        (t2, s2), = other.items
-        return _ExprBuilder([("sum", list(s1) + list(s2))])
-
-    def mul(self, other: "_ExprBuilder") -> "_ExprBuilder":
-        (t1, s1), = self.items
-        (t2, s2), = other.items
-        out = []
-        for c1, p1, l1 in s1:
-            for c2, p2, l2 in s2:
-                out.append((c1 * c2, list(p1) + list(p2), list(l1) + list(l2)))
-        return _ExprBuilder([("sum", out)])
-
-    def realize(self, nvars: int) -> CExpr:
-        (tag, summands), = self.items
-        terms: list[Term] = []
-        for coeff, pows, logs in summands:
-            if coeff == 0:
-                continue
-            exps = [Fraction(0)] * nvars
-            for _, pos, power in pows:
-                exps[pos] += power
-            variants = [Term.make(coeff, ExpVec(tuple(exps)))]
-            for _, arg, power in logs:
-                pieces = _log_pieces(arg.realize(nvars), power, nvars)
-                variants = [x for v in variants for x in times_log_power(v, pieces)]
-            terms.extend(variants)
-        return normalize(CExpr(nvars, tuple(terms)))
+    def resolve(self, bound, upto: int):
+        if bound is INF:
+            return bound
+        q, factors = bound
+        exps = [Fraction(0)] * self.nv
+        for name, power in factors:
+            if name not in self.positions:
+                raise ParseError(f"undeclared variable {name!r} in a bound")
+            j = self.positions[name]
+            if j >= upto:
+                raise ParseError(
+                    f"bound references {name!r}, which is not an earlier variable"
+                )
+            exps[j] += power
+        if q == 0:
+            # 0 * y^e is the bound 0 whatever the variables
+            return ZERO
+        return RawMono(q, ExpVec(tuple(exps)))
 
 
 def _log_pieces(arg: CExpr, power: int, nvars: int):
@@ -349,16 +320,9 @@ def _log_pieces(arg: CExpr, power: int, nvars: int):
     defer composites for preparation."""
     if len(arg.terms) == 1:
         t = arg.terms[0]
-        if (
-            not any(t.logpows)
-            and not t.extras
-            and t.unit.is_trivial
-            and t.coeff > 0
-        ):
+        if not any(t.logpows) and not t.extras and t.unit.is_trivial and t.coeff > 0:
             items = log_of_monomial_unit(t.coeff, t.exps, PolyUnit.one())
             return expand_log_power(items, power, nvars)
-    if not arg.terms:
-        raise ParseError("log of zero")
     # a deferred argument keeps its constant logs over primes, as printed:
     # its terms are part of the signature of every term it enters
     return [(Fraction(1), (0,) * nvars, ((LogExprAtom(prime_form(arg)), power),))]
@@ -384,75 +348,32 @@ class SourceForm:
 
 
 def parse(text: str) -> SourceForm:
+    """The cell first, so that every variable has its final position before
+    the expression's terms are built: the cell after the top-level 'on', or
+    without one the unit cube over the expression's variables in natural
+    order (x2 before x10)."""
     p = _Parser(text)
-    builder = p.parse_expr()
-    chains = None
-    if p.peek().text == "on":
-        p.next()
-        if p.peek().text == "cell":
-            p.next()
-        chains = p.parse_cell()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
-
-    if chains is None:
-        names = sorted(p.seen.keys(), key=_natural_key)
-        positions = {n: i for i, n in enumerate(names)}
-        nv = len(names)
-        raw = RawCell(
-            tuple(
-                RawVar(n, ZERO, RawMono.const(1, nv)) for n in names
-            )
-        )
-        remap = _total_remap(p.seen, positions, nv)
-        expr = _remap_positions(builder.realize(nv), remap, nv)
-        return SourceForm(raw, expr)
-
-    names = [c[0] for c in chains]
-    if len(set(names)) != len(names):
-        raise ParseError(f"duplicate variable in cell: {names}")
-    positions = {n: i for i, n in enumerate(names)}
-    for n in p.seen:
-        if n not in positions:
-            raise ParseError(f"undeclared variable {n!r}")
-    nv = len(names)
-
-    def resolve(bound, upto: int):
-        if bound is None or isinstance(bound, (Zero, Inf)):
-            return bound
-        q, factors = bound
-        exps = [Fraction(0)] * nv
-        for name, power in factors:
-            if name not in positions:
-                raise ParseError(f"undeclared variable {name!r} in a bound")
-            j = positions[name]
-            if j >= upto:
-                raise ParseError(
-                    f"bound references {name!r}, which is not an earlier variable"
-                )
-            exps[j] += power
-        if q == 0:
-            # 0 * y^e is the bound 0 whatever the variables
-            return ZERO
-        return RawMono(q, ExpVec(tuple(exps)))
-
-    rawvars = []
-    for i, (name, lower, upper, thin) in enumerate(chains):
-        if thin is not None:
-            tb = resolve(thin, i)
-            if not isinstance(tb, RawMono):
-                raise ParseError(f"thin variable {name!r} needs a monomial graph")
-            rawvars.append(RawVar(name, ZERO, RawMono.const(1, nv), thin=tb))
-            continue
-        lo = resolve(lower, i)
-        hi = resolve(upper, i)
-        if isinstance(hi, Zero) or isinstance(lo, Inf) or _empty_between(lo, hi):
-            raise ParseError(f"invalid bounds for {name!r}")
-        rawvars.append(RawVar(name, lo, hi))
-    remap = _total_remap(p.seen, positions, nv)
-    expr = _remap_positions(builder.realize(nv), remap, nv)
-    return SourceForm(RawCell(tuple(rawvars)), expr)
+    depth = 0
+    for on, t in enumerate(p.toks):
+        depth += (t.text == "(") - (t.text == ")")
+        if t.text == "on" and depth == 0:
+            p.i = on + 1
+            if p.peek().text == "cell":
+                p.next()
+            raw = p.parse_cell()
+            p.expect_end(len(p.toks) - 1)
+            break
+    else:
+        on = len(p.toks) - 1
+        names = sorted({t.text for t in p.toks
+                        if t.kind == "name" and t.text not in _KEYWORDS},
+                       key=_natural_key)
+        p.declare(names)
+        raw = RawCell(tuple(RawVar(n, ZERO, RawMono.const(1, p.nv)) for n in names))
+    p.i = 0
+    terms = p.parse_expr()
+    p.expect_end(on)
+    return SourceForm(raw, normalize(CExpr(p.nv, tuple(terms))))
 
 
 def _constant_value(b) -> Fraction | None:
@@ -472,43 +393,6 @@ def _empty_between(lo, hi) -> bool:
         return True
     a, b = _constant_value(lo), _constant_value(hi)
     return a is not None and b is not None and a >= b
-
-
-def _total_remap(
-    seen: dict[str, int], positions: dict[str, int], nv: int
-) -> dict[int, int]:
-    """Permutation sending expression-builder slots to declared positions
-    (unused builder slots take the leftover positions)."""
-    by_slot = sorted(seen.items(), key=lambda kv: kv[1])
-    targets = [positions[name] for name, _ in by_slot]
-    leftovers = [i for i in range(nv) if i not in set(targets)]
-    full = targets + leftovers
-    return {k: full[k] for k in range(nv)}
-
-
-def _remap_positions(e: CExpr, remap: dict[int, int], nv: int) -> CExpr:
-    if all(remap.get(i, i) == i for i in range(nv)):
-        return e
-
-    def remap_exps(v: ExpVec) -> ExpVec:
-        out = [Fraction(0)] * nv
-        for i, x in enumerate(v):
-            out[remap.get(i, i)] = x
-        return ExpVec(tuple(out))
-
-    def remap_term(t: Term) -> Term:
-        logpows = [0] * nv
-        for i, l in enumerate(t.logpows):
-            logpows[remap.get(i, i)] = l
-        extras = []
-        for atom, k in t.extras:
-            if isinstance(atom, LogExprAtom):
-                extras.append((LogExprAtom(_remap_positions(atom.arg, remap, nv)), k))
-            else:
-                extras.append((atom, k))
-        return Term.make(t.coeff, remap_exps(t.exps), tuple(logpows), extras, t.unit)
-
-    return normalize(e.map_terms(remap_term))
 
 
 # ---------------------------------------------------------------------------
@@ -632,4 +516,7 @@ def _print_raw_bound(b, raw: RawCell) -> str:
 
 
 def print_source(form: SourceForm) -> str:
-    return f"{print_expr(form.expr, form.names)} on {print_cell(form.raw_cell)}"
+    """Source text that parses back to form; a form with no variable has
+    no cell to print ('{}' is not a cell)."""
+    text = print_expr(form.expr, form.names)
+    return f"{text} on {print_cell(form.raw_cell)}" if form.names else text

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cfcalc.cells import (
     AxisMap,
     Cell,
     FatVar,
     INF,
+    Inf,
     MonomialBound,
     RawCell,
     RawMono,
@@ -25,12 +28,22 @@ from cfcalc.cells import (
 )
 from cfcalc.core import CExpr, ExpVec, PolyUnit, Term, normalize
 from cfcalc.errors import (
+    CalcError,
     CellError,
     FragmentEscape,
     InconsistentOrientation,
     NotPrepared,
 )
-from tests.conftest import cell_of, fat, mono, parabola_wedge, triangle, wedge_determined
+from cfcalc.parser import parse
+from tests.conftest import (
+    cell_of,
+    cell_texts,
+    fat,
+    mono,
+    parabola_wedge,
+    triangle,
+    wedge_determined,
+)
 
 
 def test_reciprocal_normalization():
@@ -233,3 +246,88 @@ def test_unit_monomial_boundedness_check():
     skew = cell_of(fat(ZERO, mono(1, [0, 0])), fat(ZERO, mono(1, [0, 0])))
     with pytest.raises(CellError):
         skew.certify_unit_monomials(bad)  # y2/y1 unbounded on the square
+
+
+# -- the closure of a raw cell, decided in rationals --------------------------
+
+
+@pytest.mark.parametrize("cell,point,inside", [
+    ("{0<y1<1}", "1/2", True),
+    ("{0<y1<1}", "0", True),
+    ("{0<y1<1}", "1", True),
+    ("{0<y1<1}", "3/2", False),
+    ("{0<y1<1}", "-1/3", False),
+    ("{2 < x1 < inf}", "1000", True),
+    ("{-2<y1<-1}", "-3/2", True),
+    ("{-2<y1<-1}", "-1/2", False),
+    ("{0<y1<1, 0<y2<y1}", "1/2,1/2", True),
+    ("{0<y1<1, 0<y2<y1}", "1/2,3/4", False),
+    ("{1<y1<2, -1*y1<y2<-1}", "3/2,-5/4", True),
+    ("{1<y1<2, -1*y1<y2<-1}", "3/2,-7/4", False),
+    # fractional exponents compare d-th powers: 2^(1/2) lies in (7/5, 3/2)
+    ("{0<y1<4, 0<y2<y1^(1/2)}", "2,7/5", True),
+    ("{0<y1<4, 0<y2<y1^(1/2)}", "2,3/2", False),
+    ("{0<y1<4, y1^(1/2)<y2<inf}", "2,3/2", True),
+    ("{0<y1<4, y1^(1/2)<y2<inf}", "2,7/5", False),
+    ("{0<y1<4, 0<y2<y1^(3/2)}", "1/4,1/8", True),
+    ("{0<y1<4, 0<y2<y1^(3/2)}", "1/4,1/7", False),
+    # an odd root of a negative coordinate is negative; an even one is not real
+    ("{-2<y1<-1, y1^(1/3)<y2<1}", "-1,-1", True),
+    ("{-2<y1<-1, y1^(1/3)<y2<1}", "-1,-2", False),
+    ("{-2<y1<-1, 0<y2<y1^(1/2)}", "-1,1/2", False),
+    ("{-2<y1<-1, y1^(-1)<y2<1}", "-2,-1/2", True),
+    ("{-2<y1<-1, y1^(-1)<y2<1}", "-2,-3/4", False),
+    # a negative power of a zero coordinate is the bound's infinite limit
+    ("{0<y1<1, 0<y2<y1^(-1)}", "0,5", True),
+    ("{0<y1<1, y1^(-1)<y2<inf}", "0,5", False),
+    # a thin variable lies on its graph
+    ("{0<y1<1, y2 = 1/2*y1}", "1/2,1/4", True),
+    ("{0<y1<1, y2 = 1/2*y1}", "1/2,1/3", False),
+    ("{0<y1<1, y2 = y1^(1/2)}", "1/4,1/2", True),
+    ("{0<y1<1, y2 = y1^(1/2)}", "1/2,1/2", False),
+])
+def test_closure_contains_decides_exactly(cell, point, inside):
+    raw = parse(f"1 on {cell}").raw_cell
+    assert raw.closure_contains([F(x) for x in point.split(",")]) is inside
+
+
+def _float_side(x, b, point):
+    """The sign of x - b(point) in floats, or None when it is within
+    rounding of 0 or the bound has no real float value."""
+    if isinstance(b, Inf):
+        return -1
+    value = 0.0
+    if isinstance(b, RawMono):
+        value = float(b.coeff)
+        for p, e in zip(point, b.exps):
+            if e:
+                if p <= 0:
+                    return None
+                value *= float(p) ** float(e)
+    diff = float(x) - value
+    return None if abs(diff) < 1e-9 else (diff > 0) - (diff < 0)
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(cell_texts(), st.lists(st.sampled_from(
+    [F(0), F(1, 8), F(1, 3), F(1, 2), F(1), F(3, 2), F(4), F(-1, 2), F(-3, 2)]),
+    min_size=3, max_size=3))
+def test_closure_contains_agrees_with_floats_away_from_the_boundary(drawn, point):
+    try:
+        raw = parse(f"1 on {drawn[1]}").raw_cell
+    except CalcError:
+        return
+    point = point[:raw.nvars]
+    want = True
+    for rv, x in zip(raw.vars, point):
+        if rv.thin is not None:
+            sides = [_float_side(x, rv.thin, point)]
+            want = False  # clearly off its graph, unless None below
+        else:
+            sides = [_float_side(x, rv.lower, point),
+                     _float_side(x, rv.upper, point)]
+            want = want and sides == [1, -1]
+        if None in sides:
+            return
+    assert raw.closure_contains(point) is want

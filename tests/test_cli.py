@@ -223,11 +223,17 @@ def test_decay_rate_without_decay_is_refused(source, prefix, capsys):
         (["integrate", "2 * 3", "--json"],
          "fragment escape: no variable to analyze: the cell is a point"),
         (["eval", "log(y1) on {0<y1<1}", "--at=-1/3"],
-         "error: cannot evaluate at -1/3: math domain error"),
+         "error: cannot evaluate at -1/3: the point is outside the closure "
+         "of the cell"),
         (["eval", "y1^(-1) on {0<y1<1}", "--at=0"],
          "error: cannot evaluate at 0: "),
         (["eval", "y1^(1/2) on {0<y1<1}", "--at=-1/4", "--json"],
-         "error: cannot evaluate at -1/4: no real value"),
+         "error: cannot evaluate at -1/4: the point is outside the closure "
+         "of the cell"),
+        (["eval", "log(y1) on {-2<y1<-1}", "--at=-3/2"],
+         "error: cannot evaluate at -3/2: math domain error"),
+        (["eval", "y1^(1/2) on {-2<y1<-1}", "--at=-3/2", "--json"],
+         "error: cannot evaluate at -3/2: no real value"),
         (["prepare", "y1 on {y1 = -1}"],
          "fragment escape: power of negative thin variable y1"),
         (["decay-rate", "(1 + 1/3*x1) * log(x2) on {x1 = -1, 0 < x2 < 2}"],
@@ -237,6 +243,7 @@ def test_decay_rate_without_decay_is_refused(source, prefix, capsys):
          "check-no-variable", "decay-no-variable", "sliver-all-thin",
          "integrate-no-variable", "integrate-no-variable-product",
          "eval-log-of-negative", "eval-pole", "eval-complex",
+         "eval-log-of-negative-in-cell", "eval-complex-in-cell",
          "negative-thin", "negative-thin-in-unit"],
 )
 def test_determined_cells_are_refused_not_internal_errors(args, prefix, capsys):
@@ -441,6 +448,31 @@ def test_eval_point_beyond_float_range_is_a_usage_error(capsys):
     assert "usage error: bad --at point:" in captured.err
 
 
+def test_eval_outside_the_closure_of_the_cell_is_refused(capsys):
+    # decided exactly on the source cell: y2 = 3/4 lies above y1 = 1/2
+    assert main(["eval", "y2 on {0<y1<1, 0<y2<y1}", "--at", "1/2,3/4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot evaluate at 1/2,3/4: the point is "
+                            "outside the closure of the cell\n")
+    # a point on the boundary still evaluates
+    assert main(["eval", "y2 on {0<y1<1, 0<y2<y1}", "--at", "1/2,1/2"]) == 0
+    assert capsys.readouterr().out == "0.5\n"
+
+
+def test_logs_of_sums_that_differ_in_a_coefficient_stay_apart(capsys):
+    # log(1 + x1) and log(2 + x1) have arguments with the same term
+    # signatures; they once merged into 2 * log(1 + x1)
+    argv = ["eval", "log(1+x1) + log(2+x1) on {0<x1<1}", "--at", "1/2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "1.3217558399823195\n"
+    # the difference is not 0: the second log is refused, not cancelled
+    assert main(["integrate", "log(1+x1) - log(2+x1) on {0<x1<1}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "opaque unit-log factor involves the analyzed variable" in captured.err
+
+
 def test_integrate_fractional_power_of_huge_bound():
     # the bound's denominator is far beyond float range; the exact root of
     # 10^400 must still be found (integral = (2/3) * 10^-600)
@@ -581,9 +613,8 @@ def _validate_stats():
 @pytest.mark.parametrize("seed_", [0, 7, 1001])
 @pytest.mark.parametrize("json_", [False, True], ids=["text", "json"])
 def test_validate_cold_and_warm_print_the_same_bytes(seed_, json_):
-    # the warm call meets the probe, antiderivative, cell certificate and
-    # round-trip tables the cold one filled; the report must not change by
-    # a byte
+    # the warm call meets the probe, cell certificate and round-trip tables
+    # the cold one filled; the report must not change by a byte
     argv = ["validate", "--seed", str(seed_)] + ["--json"] * json_
     clear_tables()
     cold = _call(argv)

@@ -81,6 +81,12 @@ class TestAntiderivatives:
                 target = CExpr(1, (Term.make(1, [r], [s]),))
                 assert is_zero(normalize(back - target))
 
+    @pytest.mark.parametrize(
+        "route", [antiderivative_pow_log, antiderivative_pow_log_recursive])
+    def test_negative_log_power_is_refused(self, route):
+        with pytest.raises(ValueError, match="nonnegative"):
+            route(F(1, 2), -1)
+
 
 class TestChangeOfVariables:
     def test_jacobian_consistency_random(self, rng):

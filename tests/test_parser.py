@@ -1,12 +1,15 @@
 """Source language: grammar, round trips, error positions."""
 
+import gzip
+import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cfcalc.cells import Inf, RawMono, Zero
@@ -22,7 +25,7 @@ from cfcalc.core import (
     Term,
     prime_form,
 )
-from cfcalc.errors import ParseError
+from cfcalc.errors import CalcError, ParseError
 from cfcalc.parser import (
     _TOKEN_RE,
     _print_unit,
@@ -33,6 +36,9 @@ from cfcalc.parser import (
     print_expr,
     print_source,
 )
+from tests.conftest import source_texts
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_single_term_with_cell():
@@ -57,6 +63,24 @@ def test_simple_log_expands_at_parse():
 def test_undeclared_variable():
     with pytest.raises(ParseError):
         parse("x1 + y on {0 < x1 < 1}")
+
+
+def test_undeclared_variable_is_reported_at_its_token():
+    # the cell is read first, so the expression meets y with x1 declared
+    with pytest.raises(ParseError) as exc:
+        parse("x1 +\n  2 * y on {0 < x1 < 1}")
+    assert (exc.value.line, exc.value.column) == (2, 6)
+    assert str(exc.value) == "2:6: undeclared variable 'y'"
+
+
+def test_logs_of_sums_that_differ_in_a_coefficient_are_two_terms():
+    # the arguments' terms have the same signatures; their coefficients
+    # tell the two logs apart
+    for op in "+-":
+        form = parse(f"log(1 + x1) {op} log(2 + x1) on {{0 < x1 < 1}}")
+        assert len(form.expr.terms) == 2
+        args = {a.arg for t in form.expr.terms for a, _ in t.extras}
+        assert len(args) == 2
 
 
 def test_error_has_position():
@@ -151,6 +175,46 @@ def test_round_trip_random_corpus(rng):
         b = parse(print_source(a))
         assert a.expr == b.expr and a.raw_cell == b.raw_cell
         count += 1
+
+
+def _check_print_parse_round_trip(form):
+    """Printing, parsing and printing again gives the same text, the same
+    raw cell and the same prime-log terms."""
+    text = print_source(form)
+    again = parse(text)
+    assert print_source(again) == text
+    assert again.raw_cell == form.raw_cell
+    assert prime_form(again.expr) == prime_form(form.expr)
+
+
+def test_golden_sources_print_and_parse_back():
+    # every distinct source of the benchmark's cli-mix and log-growth
+    # goldens; the few that do not parse are refusals with exit 2
+    sources = set()
+    for pool in ("cli-mix", "log-growth"):
+        golden = ROOT / "bench" / "goldens" / f"{pool}.json.gz"
+        entries = json.loads(gzip.decompress(golden.read_bytes()))["entries"]
+        sources |= {e["argv"][1] for e in entries if e["argv"][0] != "validate"}
+    parsed = 0
+    for source in sorted(sources):
+        try:
+            form = parse(source)
+        except ParseError:
+            continue
+        _check_print_parse_round_trip(form)
+        parsed += 1
+    assert (parsed, len(sources)) == (700, 711)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(source_texts())
+def test_drawn_sources_print_and_parse_back(drawn):
+    try:
+        form = parse(drawn[1])
+    except (ParseError, CalcError):
+        return
+    _check_print_parse_round_trip(form)
 
 
 def test_print_cell_forms():

@@ -1,6 +1,6 @@
 """The per-process tables: one registry, the cell normalization table,
-the divergence probe and antiderivative tables, and validate's cell
-certificate and round-trip tables."""
+the divergence probe table, and validate's cell certificate and
+round-trip tables."""
 
 import importlib
 import pkgutil
@@ -35,8 +35,6 @@ NOT_TABLES = {
 }
 
 TABLES = ("core._fiber_kernel", "cells.normalize_cell",
-          "integrate.antiderivative_pow_log",
-          "integrate.antiderivative_pow_log_recursive",
           "integrate.integrate_shape", "oracle.divergence_probe",
           "generators._certified", "cli._round_trip_holds")
 
@@ -123,8 +121,6 @@ def test_clear_tables_empties_every_table(capsys):
         name: {"hits": 0, "misses": 0, "size": 0, "maxsize": size}
         for name, size in zip(TABLES, (core._KERNEL_CACHE_SIZE,
                                        cells._CELL_TABLE_SIZE,
-                                       integrate._ANTI_TABLE_SIZE,
-                                       integrate._ANTI_TABLE_SIZE,
                                        integrate._SHAPE_TABLE_SIZE,
                                        oracle._PROBE_TABLE_SIZE,
                                        generators._CERTIFIED_TABLE_SIZE,
@@ -187,41 +183,6 @@ def test_probe_with_a_wrong_base_point_raises_again_and_stores_nothing():
         assert _size("oracle.divergence_probe") == 1
 
 
-@pytest.mark.parametrize(
-    "route", [antiderivative_pow_log, antiderivative_pow_log_recursive])
-def test_tabled_antiderivatives_are_the_fresh_ones(route):
-    for r in (F(k, 2) for k in range(-6, 7)):
-        for s in range(5):
-            cold = route(r, s)
-            assert cold == route.__wrapped__(r, s)
-            assert route(r, s) is cold
-    # validate's round trip draws from these 65 pairs
-    assert _size(f"integrate.{route.__name__}") == 65
-
-
-@pytest.mark.parametrize(
-    "route", [antiderivative_pow_log, antiderivative_pow_log_recursive])
-def test_refused_log_power_is_not_stored(route):
-    name = f"integrate.{route.__name__}"
-    for _ in range(2):
-        with pytest.raises(ValueError, match="nonnegative"):
-            route(F(1, 2), -1)
-        assert _size(name) == 0
-    # an int and a float s are kept apart, so 1.0 still raises
-    route(F(1, 2), 1)
-    with pytest.raises(TypeError):
-        route(F(1, 2), 1.0)
-
-
-def test_recursion_takes_its_sub_results_from_the_table():
-    antiderivative_pow_log_recursive(F(1, 2), 3)
-    stats = table_stats()["integrate.antiderivative_pow_log_recursive"]
-    assert (stats["hits"], stats["misses"]) == (0, 4)
-    antiderivative_pow_log_recursive(F(1, 2), 4)
-    stats = table_stats()["integrate.antiderivative_pow_log_recursive"]
-    assert (stats["hits"], stats["misses"]) == (1, 5)
-
-
 def _draw(seed_, **kwargs):
     """random_cell from a seeded generator, and the generator's state."""
     rng = random.Random(seed_)
@@ -259,9 +220,9 @@ def test_uncertifiable_cell_raises_again_and_is_not_stored():
 
 
 def _fresh_round_trip(r, s):
-    anti = antiderivative_pow_log.__wrapped__(r, s)
+    anti = antiderivative_pow_log(r, s)
     target = CExpr(1, (Term.make(1, [r], [s]),))
-    recursive = antiderivative_pow_log_recursive.__wrapped__(r, s)
+    recursive = antiderivative_pow_log_recursive(r, s)
     return (is_zero(normalize(differentiate_expr(anti, 0) - target))
             and is_zero(normalize(anti - recursive)))
 
