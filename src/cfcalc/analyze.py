@@ -1,5 +1,5 @@
 """Integrability analysis: dominant-term extraction, fiberwise integrability,
-the kept/discarded cell driver, decay rates at infinity, and log-free majorants.
+the per-round integrability gate, decay rates at infinity, and log-free majorants.
 
 Everything operates on normalized cells in (0,1)^n with center 0.  On such a
 cell, integration toward the puncture y_d -> 0 also covers behavior at
@@ -39,6 +39,7 @@ from .sliver import (
     AffineForm,
     Box,
     Sliver,
+    _halve_towards,
     box_center,
     build_sliver,
     corners,
@@ -167,16 +168,8 @@ def _bound_away_poly(
         center_val = abs(peval([float(x) for x in box_center(cur)]))
         if center_val - lip * radius * len(cur) >= center_val / 2 > 0:
             return cur, center_val / 2
-        cur = tuple(
-            _half_towards(lo, hi, t)
-            for (lo, hi), t in zip(cur, target_frac)
-        )
+        cur = _halve_towards(cur, target_frac)
     raise FragmentEscape("could not certify the leading polynomial away from 0")
-
-
-def _half_towards(lo: Fraction, hi: Fraction, t: Fraction) -> tuple[Fraction, Fraction]:
-    mid = (lo + hi) / 2
-    return (lo, mid) if t <= mid else (mid, hi)
 
 
 def dominance(e: CExpr, cell: Cell) -> DominanceReport:
@@ -309,7 +302,7 @@ def dominance(e: CExpr, cell: Cell) -> DominanceReport:
 
 
 # ---------------------------------------------------------------------------
-# Sum integrability and the kept/discarded driver
+# Sum integrability and the per-round integrability gate
 # ---------------------------------------------------------------------------
 
 
@@ -318,59 +311,42 @@ class SumIntegrability:
     verdict: bool
     per_term: tuple[bool, ...]
     report: DominanceReport | None
-    hypothesis: str
 
 
-def sum_integrable_last(
-    e: CExpr, cell: Cell, hypothesis: str = "all"
-) -> SumIntegrability:
-    """A prepared sum is fiberwise integrable iff every term is; under the
-    dense hypothesis a failing sum gets a dominance certificate W with
-    rbar <= -1 witnessing divergence of the sum itself."""
-    if hypothesis not in ("dense", "all"):
-        raise ValueError(f"unknown hypothesis {hypothesis!r}")
+def sum_integrable_last(e: CExpr, cell: Cell) -> SumIntegrability:
+    """A prepared sum is fiberwise integrable iff every term is; a failing
+    sum gets a dominance certificate W with rbar <= -1 witnessing divergence
+    of the sum itself, when one can be extracted."""
     e = normalize(e)
     if not e.terms:
-        return SumIntegrability(True, (), None, hypothesis)
+        return SumIntegrability(True, (), None)
     per_term = tuple(term_integrable_last(t, cell) for t in e.terms)
     verdict = all(per_term)
     report = None
-    if not verdict and hypothesis == "dense":
+    if not verdict:
         try:
             report = dominance(e, cell)
         except (FragmentEscape, NotAllUndetermined):
             report = None
-    return SumIntegrability(verdict, per_term, report, hypothesis)
+    return SumIntegrability(verdict, per_term, report)
 
 
 @dataclass(frozen=True)
 class IntegrableLocus:
     kept: tuple[tuple[Cell, CExpr], ...]
     discarded: tuple[tuple[Cell, CExpr], ...]
-    assumptions: tuple[str, ...]
 
 
-def integrable_locus(
-    pieces: Sequence[tuple[Cell, CExpr]], hypothesis: str = "dense"
-) -> IntegrableLocus:
-    """Keep exactly the cells whose fibers pass the integrability test;
-    density of the kept fibers is recorded as an assumption, never verified
-    (it is not checkable from samples)."""
+def integrable_locus(pieces: Sequence[tuple[Cell, CExpr]]) -> IntegrableLocus:
+    """Split the cells into those whose every term is integrable over the
+    last fiber and the rest.  Every term is decided, so a term that the
+    test refuses raises even after an earlier term failed."""
     kept: list[tuple[Cell, CExpr]] = []
     discarded: list[tuple[Cell, CExpr]] = []
     for cell, e in pieces:
-        if sum_integrable_last(e, cell, hypothesis).verdict:
-            kept.append((cell, e))
-        else:
-            discarded.append((cell, e))
-    return IntegrableLocus(
-        tuple(kept),
-        tuple(discarded),
-        (
-            "density of kept fibers is assumed from the caller's hypothesis, "
-            "not verified",
-        ),
-    )
+        per_term = tuple(term_integrable_last(t, cell) for t in normalize(e).terms)
+        (kept if all(per_term) else discarded).append((cell, e))
+    return IntegrableLocus(tuple(kept), tuple(discarded))
 
 
 # ---------------------------------------------------------------------------

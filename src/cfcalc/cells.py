@@ -915,14 +915,22 @@ def normalize_cell(raw: RawCell) -> CellNormalization:
             )
             specs.append(FatVar(ZERO, new_upper))
             continue
-        assert isinstance(upper, RawMono)
         eps = 1
-        if upper.coeff < 0 or (upper.coeff > 0 and upper.exps.is_zero()
-                               and isinstance(lower, RawMono) and lower.coeff < 0):
+        if isinstance(upper, Zero):
+            # the fiber (-b, 0) mirrors to (0, b)
+            if not (isinstance(lower, RawMono) and lower.coeff < 0
+                    and lower.exps.is_zero()):
+                raise InconsistentOrientation(
+                    "a fiber ending at 0 needs a negative constant lower bound"
+                )
+            eps = -1
+            lower, upper = ZERO, RawMono(-lower.coeff, lower.exps)
+        elif upper.coeff < 0 or (upper.coeff > 0 and upper.exps.is_zero()
+                                 and isinstance(lower, RawMono) and lower.coeff < 0):
             # entirely negative fiber: mirror (constant bounds only)
             if not isinstance(lower, RawMono):
                 raise InconsistentOrientation(
-                    "the fiber (-b, 0) has no single-piece normalization"
+                    "a fiber from 0 to a negative bound is empty"
                 )
             if not (lower.exps.is_zero() and upper.exps.is_zero()):
                 raise InconsistentOrientation(

@@ -1,11 +1,18 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 refusal (fragment escape,
-a cell that needs a split or whose bound order cannot be certified, a cell
-not in prepared shape, a decay rate on a cell with determined variables or
-of a sum that does not decay, an analysis of a cell with no variable, an
-eval point outside the closure of its cell or where the sum has no real
-value), 4 not integrable, 5 internal error.
+a cell that needs a split or whose bound order cannot be certified, a fiber
+ending at 0 whose lower bound is not a negative constant, a cell not in
+prepared shape, a decay rate on a cell with determined variables or of a sum
+that does not decay, an analysis of a cell with no variable, an eval point
+outside the closure of its cell or where the sum has no real value), 4 not
+integrable, 5 internal error.  Codes 2 to 5 and their stderr labels live on
+the error classes in cfcalc.errors.
+
+integrate refuses a round in which a cell is not integrable over its last
+fiber; check-integrability certifies every failing sum with a dominance
+report.  Their JSON reports keep the constant keys "assumptions": [] and
+"hypothesis": "dense".
 """
 
 from __future__ import annotations
@@ -21,19 +28,7 @@ from . import __version__
 from .analyze import decay_rate, sum_integrable_last
 from .cells import normalize_cell, transform_H
 from .core import CExpr, Term, differentiate_expr, is_zero, normalize, prime_form
-from .errors import (
-    CalcError,
-    DomainError,
-    EmptyExpr,
-    FragmentEscape,
-    InconsistentOrientation,
-    NoDecay,
-    NotAllUndetermined,
-    NotIntegrable,
-    NotPrepared,
-    ParseError,
-    UncertifiedCell,
-)
+from .errors import CalcError, DomainError, FragmentEscape
 from .generators import random_integrable_instance
 from .integrate import (
     antiderivative_pow_log,
@@ -140,20 +135,21 @@ def _cmd_integrate(args) -> int:
         raise _Usage(f"--vars must be between 1 and {norm.cell.nvars}")
     prepared = prepare_expr(pulled, norm.cell)
     work = [(p.cell, p.terms) for p in prepared]
-    res = integrate_fubini(work, m, hypothesis=args.hypothesis)
+    res = integrate_fubini(work, m)
     base_names = norm.names[: norm.cell.nvars - m]
     values = [print_expr(e, base_names) for _, e in res.pieces]
     exact = None
     if len(res.pieces) == 1 and res.pieces[0][0].nvars == 0:
         try:
             exact = str(res.pieces[0][1].eval_exact([]))
-        except (FragmentEscape, CalcError):
+        except CalcError:
             exact = None
     result = {
         "vars": m,
         "values": values,
         "exact": exact,
-        "assumptions": list(res.assumptions),
+        # the report schema keeps the key; no result rests on an assumption
+        "assumptions": [],
     }
     lines = list(values) or ["0"]
     if exact is not None and exact not in values:
@@ -167,10 +163,8 @@ def _cmd_check(args) -> int:
                              analyzed=True)
     prepared = prepare_expr(pulled, norm.cell)[0]
     # per_term and the dominance floats are those of the prime-log terms
-    res = sum_integrable_last(prime_form(prepared.terms), norm.cell, args.hypothesis)
-    rbar = None
-    wtext = None
-    certificate = None
+    res = sum_integrable_last(prime_form(prepared.terms), norm.cell)
+    rbar = wtext = certificate = None
     if res.report is not None:
         rep = res.report
         rbar = str(rep.rbar)
@@ -188,7 +182,8 @@ def _cmd_check(args) -> int:
     result = {
         "integrable": res.verdict,
         "per_term": list(res.per_term),
-        "hypothesis": res.hypothesis,
+        # the report schema keeps the key; a failing sum is always certified
+        "hypothesis": "dense",
         "rbar": rbar,
         "W": wtext,
         "certificate": certificate,
@@ -377,12 +372,10 @@ def build_parser() -> _ArgumentParser:
     p = sub.add_parser("integrate")
     common(p)
     p.add_argument("--vars", type=int, default=1)
-    p.add_argument("--hypothesis", choices=("dense", "all"), default="all")
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("check-integrability")
     common(p)
-    p.add_argument("--hypothesis", choices=("dense", "all"), default="dense")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decay-rate")
@@ -415,31 +408,10 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except FragmentEscape as exc:
-        print(f"fragment escape: {exc}", file=sys.stderr)
-        return 3
-    except NotIntegrable as exc:
-        print(f"not integrable: {exc}", file=sys.stderr)
-        return 4
-    except (
-        InconsistentOrientation, UncertifiedCell, NotPrepared,
-        NotAllUndetermined, NoDecay, EmptyExpr, DomainError,
-    ) as exc:
-        # refusals: a valid cell that no single-piece map normalizes (until
-        # cells are split), a cell whose bound order cannot be certified, a
-        # cell whose bounds reference determined variables (sliver), a
-        # decay rate on a cell with determined variables, and a decay rate
-        # of a sum whose dominant exponent is not positive or that has no
-        # terms, and an eval point outside the closure of its cell or where
-        # the sum has no real float value
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except CalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        # each error class carries its exit code and label (cfcalc.errors)
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # pragma: no cover
         print(f"internal error: {exc}", file=sys.stderr)
         return 5

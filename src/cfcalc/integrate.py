@@ -348,7 +348,6 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
 @dataclass(frozen=True)
 class FubiniResult:
     pieces: tuple[tuple[Cell, CExpr], ...]
-    assumptions: tuple[str, ...]
 
     def value(self) -> CExpr:
         """The integral when everything reduced to a single base."""
@@ -366,40 +365,19 @@ class FubiniResult:
         return v.eval_exact([])
 
 
-def integrate_fubini(
-    pieces: Sequence[tuple[Cell, CExpr]],
-    m: int,
-    hypothesis: str = "all",
-) -> FubiniResult:
-    """Integrate the last m variables, cell by cell, gating each round on
-    fiberwise integrability; discarded cells contribute zero (the
-    characteristic-function step) and a gating assumption is recorded.  A
-    round that discards every cell is refused: no hypothesis makes an empty
-    integrable locus dense."""
+def integrate_fubini(pieces: Sequence[tuple[Cell, CExpr]], m: int) -> FubiniResult:
+    """Integrate the last m variables, cell by cell.  Each round is gated
+    exactly: it goes on only when every term of every cell is integrable
+    over its last fiber, and is refused otherwise.  The fiber integrals of
+    cells over one base cell are added."""
     work = list(pieces)
-    assumptions: list[str] = []
     for round_no in range(m):
-        locus = integrable_locus(work, hypothesis)
+        locus = integrable_locus(work)
         if locus.discarded:
-            if hypothesis == "all":
-                raise NotIntegrable(
-                    f"round {round_no + 1}: {len(locus.discarded)} cell(s) "
-                    "fail fiberwise integrability under the 'all' hypothesis"
-                )
-            if not locus.kept:
-                # an empty integrable locus is not dense in a nonempty domain
-                raise NotIntegrable(
-                    f"round {round_no + 1}: all {len(locus.discarded)} cell(s) "
-                    "fail fiberwise integrability, so the integrable locus is "
-                    "empty and not dense"
-                )
-            assumptions.append(
+            raise NotIntegrable(
                 f"round {round_no + 1}: {len(locus.discarded)} cell(s) "
-                "discarded as non-integrable; their contribution is "
-                "a null set under the density hypothesis"
+                "fail fiberwise integrability"
             )
-        if hypothesis == "dense":
-            assumptions.extend(locus.assumptions)
         merged: dict[Cell, list[CExpr]] = {}
         for cell, e in locus.kept:
             merged.setdefault(cell.drop_last(), []).append(integrate_last(e, cell))
@@ -412,4 +390,4 @@ def integrate_fubini(
             work.append((c, normalize(total)))
         if not work:
             break
-    return FubiniResult(tuple(work), tuple(assumptions))
+    return FubiniResult(tuple(work))

@@ -223,27 +223,32 @@ class _Parser:
             self.next()
             chains.append(self.parse_chain())
         self.expect("}")
-        names = [c[0] for c in chains]
-        if len(set(names)) != len(names):
-            raise ParseError(f"duplicate variable in cell: {names}")
+        names = [c[0].text for c in chains]
+        for i, (tok, *_) in enumerate(chains):
+            if tok.text in names[:i]:
+                raise ParseError(f"duplicate variable in cell: {names}",
+                                 tok.line, tok.col)
         self.declare(names)
         rawvars = []
-        for i, (name, lower, upper, thin) in enumerate(chains):
+        for i, (tok, lower, upper, thin) in enumerate(chains):
+            name = tok.text
             if thin is not None:
                 tb = self.resolve(thin, i)
                 if not isinstance(tb, RawMono):
-                    raise ParseError(f"thin variable {name!r} needs a monomial graph")
+                    raise ParseError(f"thin variable {name!r} needs a monomial graph",
+                                     tok.line, tok.col)
                 rawvars.append(RawVar(name, ZERO, RawMono.const(1, self.nv), thin=tb))
                 continue
             lo = self.resolve(lower, i)
             hi = self.resolve(upper, i)
-            if isinstance(hi, Zero) or isinstance(lo, Inf) or _empty_between(lo, hi):
-                raise ParseError(f"invalid bounds for {name!r}")
+            # an upper bound 0 is left to normalize_cell: (-b, 0) mirrors
+            if isinstance(lo, Inf) or _empty_between(lo, hi):
+                raise ParseError(f"invalid bounds for {name!r}", tok.line, tok.col)
             rawvars.append(RawVar(name, lo, hi))
         return RawCell(tuple(rawvars))
 
     def parse_chain(self):
-        """(name, lower, upper, thin); parse_cell resolves the bounds."""
+        """(name token, lower, upper, thin); parse_cell resolves the bounds."""
         save = self.i
         t = self.peek()
         if t.kind == "name" and t.text not in _KEYWORDS:
@@ -251,7 +256,7 @@ class _Parser:
             if self.peek().text == "=":
                 self.next()
                 bound = self.parse_bound()
-                return (name_tok.text, None, None, bound)
+                return (name_tok, None, None, bound)
             self.i = save
         lower = self.parse_bound()
         self.expect("<")
@@ -260,7 +265,7 @@ class _Parser:
             raise ParseError("expected a variable name", vt.line, vt.col)
         self.expect("<")
         upper = self.parse_bound()
-        return (vt.text, lower, upper, None)
+        return (vt, lower, upper, None)
 
     def parse_bound(self):
         t = self.peek()
@@ -279,11 +284,11 @@ class _Parser:
             factors.append(self.parse_varpow())
         return (q, factors)
 
-    def parse_varpow(self) -> tuple[str, Fraction]:
+    def parse_varpow(self) -> tuple[_Tok, Fraction]:
         t = self.next()
         if t.kind != "name" or t.text in _KEYWORDS:
             raise ParseError("expected a variable name", t.line, t.col)
-        return (t.text, self.parse_power())
+        return (t, self.parse_power())
 
     def parse_power(self) -> Fraction:
         """['^' '(' RAT ')'], 1 when absent."""
@@ -300,13 +305,16 @@ class _Parser:
             return bound
         q, factors = bound
         exps = [Fraction(0)] * self.nv
-        for name, power in factors:
+        for tok, power in factors:
+            name = tok.text
             if name not in self.positions:
-                raise ParseError(f"undeclared variable {name!r} in a bound")
+                raise ParseError(f"undeclared variable {name!r} in a bound",
+                                 tok.line, tok.col)
             j = self.positions[name]
             if j >= upto:
                 raise ParseError(
-                    f"bound references {name!r}, which is not an earlier variable"
+                    f"bound references {name!r}, which is not an earlier variable",
+                    tok.line, tok.col,
                 )
             exps[j] += power
         if q == 0:

@@ -120,7 +120,7 @@ class TestSumIntegrable:
     def test_verdict_is_and_of_terms(self):
         cell = unit_fiber(1)
         e = CExpr(1, (Term.make(1, [F(-1)]), Term.make(-1, [F(-1)], [1])))
-        res = sum_integrable_last(e, cell, "dense")
+        res = sum_integrable_last(e, cell)
         assert not res.verdict and res.per_term == (False, False)
         assert res.report is not None and res.report.rbar == -1
 
@@ -167,8 +167,8 @@ class TestIntegrableLocus:
         good = CExpr(1, (Term.make(1, [F(-1, 2)]),))
         bad = CExpr(1, (Term.make(1, [F(-1)]),))
         locus = integrable_locus([(cube, good), (cube, bad)])
-        assert len(locus.kept) == 1 and len(locus.discarded) == 1
-        assert locus.assumptions
+        assert locus.kept == ((cube, good),)
+        assert locus.discarded == ((cube, bad),)
 
     def test_whole_cell_kept(self):
         cube = unit_fiber(1)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from cfcalc import cli
+from cfcalc import cli, errors
 from cfcalc.cli import main
 from cfcalc.tables import clear_tables, table_stats
 from tests.conftest import source_texts
@@ -56,10 +56,17 @@ def test_integrate_json():
 
 
 def test_check_integrability_failure_exit_code():
+    # a failing sum is always certified
     code, report = run_json("check-integrability", "y1^(-1) on {0<y1<1}")
     assert code == 4
-    assert report["result"]["integrable"] is False
-    assert report["result"]["rbar"] == "-1"
+    result = report["result"]
+    assert result["integrable"] is False
+    assert (result["rbar"], result["W"], result["hypothesis"]) == (
+        "-1", "y1^(-1)", "dense")
+    assert result["certificate"] == {
+        "chain": [[0], [0], [0], [0]], "lbar": 0, "lbar_prime": 0,
+        "margin": "1", "sliver": {"box": [], "epsilon": "1/2"},
+    }
 
 
 def test_check_integrability_pass():
@@ -162,21 +169,26 @@ _CELL_SUBCOMMANDS = ("integrate", "prepare", "check-integrability",
     "source,code,prefix",
     [
         # no value lies between the bounds: a parse error
-        ("y1 on {1<y1<1}", 2, "parse error: 1:0: invalid bounds for 'y1'"),
-        ("y1 on {2<y1<1}", 2, "parse error: 1:0: invalid bounds for 'y1'"),
-        ("y1 on {1/2<y1<1/2}", 2, "parse error: 1:0: invalid bounds for 'y1'"),
-        ("y1 on {0<y1<-1}", 2, "parse error: 1:0: invalid bounds for 'y1'"),
+        # (reported at the variable's name)
+        ("y1 on {1<y1<1}", 2, "parse error: 1:9: invalid bounds for 'y1'"),
+        ("y1 on {2<y1<1}", 2, "parse error: 1:9: invalid bounds for 'y1'"),
+        ("y1 on {1/2<y1<1/2}", 2, "parse error: 1:11: invalid bounds for 'y1'"),
+        ("y1 on {0<y1<-1}", 2, "parse error: 1:9: invalid bounds for 'y1'"),
         ("y1 on {0<y1<1, y1<y2<y1}", 2,
-         "parse error: 1:0: invalid bounds for 'y2'"),
+         "parse error: 1:18: invalid bounds for 'y2'"),
         ("y1 on {0<y1<1, 0<y2<0*y1}", 2,
-         "parse error: 1:0: invalid bounds for 'y2'"),
+         "parse error: 1:17: invalid bounds for 'y2'"),
+        ("y1 on {0<y1<0}", 2, "parse error: 1:9: invalid bounds for 'y1'"),
         # a bound order the cell certificate cannot establish: a refusal
         ("y1 on {0<y1<1, 2*y1<y2<y1}", 3,
          "error: bound of variable 1 not certified inside (0,1]"),
+        # a fiber ending at 0 mirrors only from a negative constant
+        ("y1 on {0<y1<1, y1<y2<0}", 3,
+         "error: a fiber ending at 0 needs a negative constant lower bound"),
     ],
     ids=["equal-constants", "reversed-constants", "equal-fractions",
          "reversed-from-zero", "identical-monomials", "zero-monomial",
-         "uncertified-order"],
+         "zero-to-zero", "uncertified-order", "dependent-to-zero"],
 )
 def test_empty_or_uncertified_cell_is_not_an_internal_error(
     cmd, source, code, prefix, capsys
@@ -263,14 +275,94 @@ def test_not_integrable_exit_code():
     assert code == 4
 
 
-def test_dense_hypothesis_refuses_an_empty_integrable_locus():
-    # the only cell is discarded; an empty locus is not dense, so nothing
-    # may be printed as the integral
-    code, out, err = run_cli(
-        "integrate", "y1^(-1) on {0<y1<1}", "--hypothesis", "dense"
+@pytest.mark.parametrize("argv", [
+    ("integrate", "y1^(-1/2) on {0<y1<1}", "--hypothesis", "dense"),
+    ("check-integrability", "y1^(-1) on {0<y1<1}", "--hypothesis", "all"),
+], ids=["integrate", "check-integrability"])
+def test_hypothesis_flag_is_a_usage_error(argv, capsys):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: unrecognized arguments: "
+                                   "--hypothesis")
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrate", "y1^(-1) on {0<y1<1}"),
+    # f(1/2, y2) = y2 is integrable, but no round is gated on a subset
+    ("integrate", "y1*y2^(-1) - 1/2*y2^(-1) + y2 on {0<y1<1, 0<y2<1}"),
+], ids=["one-variable", "integrable-slice"])
+def test_a_round_with_a_failing_cell_is_refused(argv, capsys):
+    assert main(list(argv)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("not integrable: round 1: 1 cell(s) fail "
+                            "fiberwise integrability\n")
+
+
+def test_a_refused_term_outranks_an_earlier_failing_one(capsys):
+    # y1^(-1) fails the gate first; the opaque log after it is still
+    # decided, and refused
+    assert main(["integrate", "y1^(-1) + log(1 + 1/2*y1) on {0<y1<1}"]) == 3
+    assert capsys.readouterr().err == (
+        "fragment escape: opaque unit-log factor involves the analyzed "
+        "variable\n"
     )
-    assert code == 4 and out == ""
-    assert err.startswith("not integrable: round 1: all 1 cell(s) fail")
+
+
+@pytest.mark.parametrize("argv,out", [
+    (("integrate", "y1^(2) on {-1<y1<0}"), "1/3\n"),
+    (("integrate", "y1 on {-1<y1<0}"), "-1/2\n"),
+    (("integrate", "y1^(2) on {-2<y1<0}"), "8/3\n"),
+    (("integrate", "y2 on {-1<y1<0, 0<y2<1}", "--vars", "2"), "1/2\n"),
+    (("eval", "y1^(2) on {-1<y1<0}", "--at=-1/2"), "0.25\n"),
+], ids=["square", "odd", "rescaled", "base", "eval"])
+def test_a_negative_fiber_ending_at_zero_is_mirrored(argv, out, capsys):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == out
+
+
+_EXIT_CODES = {
+    errors.CalcError: (5, "error"),
+    errors.FragmentEscape: (3, "fragment escape"),
+    errors.NotNormalized: (5, "error"),
+    errors.UnitCertificateViolated: (5, "error"),
+    errors.ZeroTestUnsupported: (5, "error"),
+    errors.CellError: (5, "error"),
+    errors.InconsistentOrientation: (3, "error"),
+    errors.UncertifiedCell: (3, "error"),
+    errors.NotPrepared: (3, "error"),
+    errors.NotAllUndetermined: (3, "error"),
+    errors.NotBounded: (5, "error"),
+    errors.EmptyExpr: (3, "error"),
+    errors.NotIntegrable: (4, "not integrable"),
+    errors.BoundUnitUnsupported: (5, "error"),
+    errors.NoDecay: (3, "error"),
+    errors.DomainError: (3, "error"),
+    errors.SingularityTooStrong: (5, "error"),
+    errors.ParseError: (2, "parse error"),
+}
+
+
+def test_every_error_class_has_an_exit_code():
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.CalcError)}
+    assert classes == set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", list(_EXIT_CODES), ids=lambda c: c.__name__)
+def test_exit_code_and_label_of_each_error_class(cls, monkeypatch, capsys):
+    exc = cls("boom")
+
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "prepare_expr", raise_it)
+    code, label = _EXIT_CODES[cls]
+    assert main(["prepare", "y1 on {0<y1<1}"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{label}: {exc}\n"
 
 
 def test_validate_deterministic():
@@ -307,11 +399,10 @@ def test_shared_parser_carries_nothing_between_calls(capsys):
     assert main(["integrate", tri]) == 0
     assert capsys.readouterr().out == "y1\n"  # --vars 1
 
-    src = "y1^(-1/2) on {0<y1<1}"
-    assert main(["check-integrability", src, "--hypothesis", "all", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["hypothesis"] == "all"
-    assert main(["check-integrability", src, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["hypothesis"] == "dense"
+    assert main(["validate", "--seed", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["seed"] == 3
+    assert main(["validate", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["seed"] == 0
 
     assert main(["integrate", tri, "--vars", "2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["exact"] == "1/2"
@@ -534,6 +625,21 @@ def test_validate_goldens_replay(capsys):
     assert not mismatched, mismatched[:5]
 
 
+def test_every_json_golden_report_meets_the_schema():
+    # the pinned --json reports of the three pools, exit 0 and 4, as stored
+    reports = [
+        json.loads(entry["stdout"])
+        for pool in ("cli-mix", "log-growth", "validate")
+        for entry in json.loads(gzip.decompress(
+            (ROOT / "bench" / "goldens" / f"{pool}.json.gz").read_bytes()
+        ))["entries"]
+        if "--json" in entry["argv"] and entry["stdout"]
+    ]
+    assert len(reports) == 421
+    for report in reports:
+        jsonschema.validate(report, SCHEMA)
+
+
 def test_log_growth_goldens_replay(capsys):
     # the benchmark's pinned log-growth calls: integrate y^a * log(P*y)^k
     # over 1- and 2-variable cells, up to 3003 prepared terms; same exit
@@ -592,7 +698,8 @@ def test_cli_fuzz_exit_codes_and_warm_repeat(argv):
     assert code in (0, 1, 2, 3, 4), (argv, err)
     assert code in (0, 4) or out == "", argv
     assert err.count("\n") <= 1, argv
-    if code == 0 and "--json" in argv:
+    if out and "--json" in argv:
+        # a report of exit 0, or of exit 4 from check-integrability
         jsonschema.validate(json.loads(out), SCHEMA)
     assert _call(argv) == (code, out, err), argv
 

@@ -130,7 +130,7 @@ CASES = [
     ("integrate", "y2*log(30*y2)^2 on {0<y1<1, 0<y2<1/6*y1}", "--vars", "1"),
     ("integrate", "y2*log(30*y2)^2 on {0<y1<1, 0<y2<1/6*y1}", "--vars", "2",
      "--json"),
-    ("integrate", "y1^(-1)*log(6*y1) on {0<y1<1}", "--hypothesis", "dense"),
+    ("integrate", "y1^(-1)*log(6*y1) on {0<y1<1}"),
     ("eval", "log(30*y1)^3 on {0<y1<1}", "--at", "1/3"),
     ("eval", "log(6*y1)^2 * log(10*y2) - log(2) on {0<y1<1, 0<y2<y1}",
      "--at", "1/2,1/5"),
@@ -140,10 +140,10 @@ CASES = [
      "y1^(-1)*log(30*y1)^2 + y1^(-1)*log(6) on {0<y1<1}", "--json"),
     ("check-integrability",
      "y2^(-1)*log(6*y2)^2*log(10*y1) + y1*y2^(-1) on {0<y1<1, 0<y2<1}",
-     "--hypothesis", "dense", "--json"),
+     "--json"),
     ("check-integrability",
      "y2^(-1)*log(6*y1)^2*log(2) + y2^(-1)*y1*log(15) on {0<y1<1, 0<y2<1}",
-     "--hypothesis", "dense", "--json"),
+     "--json"),
     ("check-integrability", "x1^(-1)*log(6*x1)^2 on {10<x1<inf}", "--json"),
     ("decay-rate", "x1^(-2)*log(6*x1)^2 on {10<x1<inf}", "--json"),
     ("decay-rate", "x1^(-1/3)*log(30*x1) on {2<x1<inf}"),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from cfcalc.cells import Inf, RawMono, Zero
+from cfcalc.cells import Inf, RawMono, ZERO, Zero
 from cfcalc.core import (
     CExpr,
     ExpVec,
@@ -102,6 +102,31 @@ def test_duplicate_cell_variable():
 def test_forward_bound_reference_rejected():
     with pytest.raises(ParseError):
         parse("x1 on {0 < x1 < x2, 0 < x2 < 1}")
+
+
+@pytest.mark.parametrize("src,where,message", [
+    ("x1 on {0<x1<1,\n  2<x2<1}", (2, 4), "invalid bounds for 'x2'"),
+    ("x1 on {0<x1<1, 0<x1<1}", (1, 17),
+     "duplicate variable in cell: ['x1', 'x1']"),
+    ("x1 on {0 < x1 < x2, 0 < x2 < 1}", (1, 16),
+     "bound references 'x2', which is not an earlier variable"),
+    ("x1 on {0 < x1 < 1, 0 < x2 < y^(2)}", (1, 28),
+     "undeclared variable 'y' in a bound"),
+    ("x1 on {0<x1<1, x2 = 0*x1}", (1, 15),
+     "thin variable 'x2' needs a monomial graph"),
+], ids=["bounds", "duplicate", "later", "undeclared", "thin"])
+def test_cell_errors_are_reported_at_their_token(src, where, message):
+    # a variable's bounds and name at its name, a bound's variable at its own
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (exc.value.line, exc.value.column) == where
+    assert str(exc.value) == f"{where[0]}:{where[1]}: {message}"
+
+
+def test_upper_bound_zero_parses():
+    # (-1, 0) is not empty; the cell normalization mirrors it
+    (var,) = parse("x1 on {-1 < x1 < 0}").raw_cell.vars
+    assert (var.lower, var.upper) == (RawMono.const(-1, 1), ZERO)
 
 
 def test_inf_bound():
