@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -87,16 +88,25 @@ class MonomialBound:
     def support(self) -> frozenset[int]:
         return self.exps.support | self.unit.support()
 
+    @cached_property
+    def _float_plan(self):
+        # the coefficient and the nonzero exponents as floats, converted on
+        # first use; a unit of 1 is left out, as x * 1.0 is x in floats
+        return (
+            float(self.coeff),
+            tuple((i, float(e)) for i, e in enumerate(self.exps) if e),
+            None if self.unit.is_trivial else self.unit,
+        )
+
     def eval(self, point: Sequence[float]) -> float:
         # multiplies the coefficient into each power in turn, unlike
         # Term.eval, which forms the monomial product first: (c*a)*b is not
         # always c*(a*b) in floats, so routing this through the term plan
         # would change the bits of sample_point
-        total = float(self.coeff)
-        for i, e in enumerate(self.exps):
-            if e:
-                total *= float(point[i]) ** float(e)
-        return total * self.unit.eval(point)
+        total, powers, unit = self._float_plan
+        for i, e in powers:
+            total *= float(point[i]) ** e
+        return total if unit is None else total * unit.eval(point)
 
     def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
         total = self.coeff

@@ -854,10 +854,69 @@ def _fiber_term(plan, base: list, last: int, args: list) -> tuple:
     return tuple(kinds)
 
 
+# 7-point Gauss / 15-point Kronrod pair on [-1, 1]: the nodes from the
+# outermost in, then the centre, with their Kronrod weights, and the Gauss
+# weights of every second node and of the centre.
+_KRONROD_NODES = (
+    0.991455371120813,
+    0.949107912342759,
+    0.864864423359769,
+    0.741531185599394,
+    0.586087235467691,
+    0.405845151377397,
+    0.207784955007898,
+    0.0,
+)
+_KRONROD_WEIGHTS = (
+    0.022935322010529,
+    0.063092092629979,
+    0.104790010322250,
+    0.140653259715525,
+    0.169004726639267,
+    0.190350578064785,
+    0.204432940075298,
+    0.209482141084728,
+)
+_GAUSS_WEIGHTS = (
+    0.129484966168870,
+    0.279705391489277,
+    0.381830050505119,
+    0.417959183673469,
+)
+
+# One Gauss-Kronrod panel over (a, b), the float operations of oracle._gk15
+# in its order: the centre c, then c - x and c + x for each node x from the
+# outermost in.  Each node u is the fiber coordinate y, or y = u**k with the
+# Jacobian k * u**(k - 1) when k > 1; {value} is the sum's straight-line
+# expression at y.
+_PANEL_SOURCE = """\
+def panel(a, b, k, base{params}):
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x0, x1, x2, x3, x4, x5, x6 = h * N0, h * N1, h * N2, h * N3, h * N4, h * N5, h * N6
+    u = (c, c - x0, c + x0, c - x1, c + x1, c - x2, c + x2, c - x3, c + x3,
+         c - x4, c + x4, c - x5, c + x5, c - x6, c + x6)
+    f = []
+    for y in u if k == 1 else [x ** k for x in u]:
+        f.append({value})
+    if k != 1:
+        f = [v * k * x ** (k - 1) for v, x in zip(f, u)]
+    fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = f
+    s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
+    kron = (
+        W7 * fc + W0 * (l0 + r0) + W1 * s1 + W2 * (l2 + r2) + W3 * s3
+        + W4 * (l4 + r4) + W5 * s5 + W6 * (l6 + r6)
+    ) * h
+    gauss = (G3 * fc + G0 * s1 + G1 * s3 + G2 * s5) * h
+    return kron, abs(kron - gauss)
+"""
+
+
 def _kernel_source(structure: tuple) -> str:
-    """Source of value(y, base, k0, k1, ...): straight-line code for the
-    fiber's sum at y, with the constants k0, k1, ... in _fiber_term's order.
-    Only these templates and parameter indices go into it."""
+    """Source of panel(a, b, k, base, k0, k1, ...): one Gauss-Kronrod panel
+    of the fiber's sum, straight-line code at each node, with the constants
+    k0, k1, ... in _fiber_term's order.  Only these templates and parameter
+    indices go into it."""
     n = 0
 
     def k() -> str:
@@ -865,52 +924,55 @@ def _kernel_source(structure: tuple) -> str:
         n += 1
         return f"k{n - 1}"
 
-    def monomial(target: str, op: str, reads_y: bool) -> str:
+    def monomial(reads_y: bool) -> str:
         c, pre = k(), k()
-        if reads_y:
-            return f"{target} {op} {c} * ({pre} * y ** {k()})"
-        return f"{target} {op} {c} * {pre}"
+        return f"{c} * ({pre} * y ** {k()})" if reads_y else f"{c} * {pre}"
 
-    body = ["total = 0"]
-    once: set[str] = set()  # ly and point, each set just before its first use
+    once: set[str] = set()  # ly and point, each bound at its first use
 
-    def first_use(line: str) -> None:
-        if line not in once:
-            once.add(line)
-            body.append(line)
+    def first_use(name: str, value: str) -> str:
+        if name in once:
+            return name
+        once.add(name)
+        return f"({name} := {value})"
 
+    value = ["0"]
     for reads_y, *kinds in structure:
-        body.append(monomial("v", "=", reads_y))
+        term = [monomial(reads_y)]
         for kind in kinds:
             if kind.__class__ is tuple:
                 # a unit: constant + sum of c * (pre * y**e), as _unit_value adds
-                body.append(f"u = {k()}")
-                body.extend(monomial("u", "+=", r) for r in kind)
-                body.append("v *= u")
+                term.append(f"({' + '.join([k()] + [monomial(r) for r in kind])})")
             elif kind == _CONST:
-                body.append(f"v *= {k()}")
+                term.append(k())
             elif kind == _LOG_Y:
-                first_use("ly = log(y)")
-                body.append(f"v *= ly ** {k()}")
+                term.append(f"{first_use('ly', 'log(y)')} ** {k()}")
             else:
-                first_use("point = base + [y]")
-                body.append(f"v *= {k()}(point)")
-        body.append("total += v")
-    body.append("return total")
-    params = ", ".join(["y", "base"] + [f"k{i}" for i in range(n)])
-    return "".join([f"def value({params}):\n"] + [f"    {line}\n" for line in body])
+                term.append(f"{k()}({first_use('point', 'base + [y]')})")
+        value.append(" * ".join(term))
+    return _PANEL_SOURCE.format(
+        params="".join(f", k{i}" for i in range(n)), value=" + ".join(value)
+    )
 
 
-# log is the only name a kernel looks up
-_KERNEL_GLOBALS = {"log": math.log}
+# the names a panel looks up: log, abs, zip and the rule's nodes and weights
+_KERNEL_GLOBALS = {
+    "log": math.log,
+    "abs": abs,
+    "zip": zip,
+    **{f"N{i}": x for i, x in enumerate(_KRONROD_NODES[:7])},
+    **{f"W{i}": w for i, w in enumerate(_KRONROD_WEIGHTS)},
+    **{f"G{i}": w for i, w in enumerate(_GAUSS_WEIGHTS)},
+}
 
 
 @table("core._fiber_kernel", _KERNEL_CACHE_SIZE)
 def _fiber_kernel(structure: tuple) -> CodeType:
-    """The code of value(y, base, k0, k1, ...), compiled once per structure."""
+    """The code of panel(a, b, k, base, k0, k1, ...), compiled once per
+    structure; k is an argument, so one code serves every substitution."""
     namespace = dict(_KERNEL_GLOBALS)
     exec(compile(_kernel_source(structure), "<fiber kernel>", "exec"), namespace)
-    return namespace["value"].__code__
+    return namespace["panel"].__code__
 
 
 def _eval_monomial_exact(m: ExpVec, point: Sequence[Fraction]) -> Fraction:
@@ -986,8 +1048,13 @@ class CExpr:
     def eval(self, point: Sequence[float]) -> float:
         return left_sum(_term_values(self._float_plan, point))
 
-    def fiber(self, base_point: Sequence[float]) -> Callable[[float], float]:
-        """y -> self.eval(list(base_point) + [y]), bit for bit.
+    def panel(
+        self, base_point: Sequence[float], k: int = 1
+    ) -> Callable[[float, float], tuple[float, float]]:
+        """(a, b) -> the 15-point Gauss-Kronrod estimate of the integral of
+        y -> self.eval(list(base_point) + [y]) over (a, b), or over y = u**k
+        with its Jacobian for k > 1, and its error: the floats of
+        oracle._gk15 over that function, bit for bit.
 
         Every factor that does not read the last coordinate is computed once
         here, as the value eval would compute for it, and so is the base part
@@ -995,13 +1062,14 @@ class CExpr:
         reads y.  The function returned is a compiled kernel: straight-line
         code for the sum's structure (the number of terms; for each, whether
         its monomial reads y and the kind of each factor, a unit that reads
-        y with the y-flags of its monomials), whose parameters after y
-        default to these constants, so no number enters its source.  Sums
-        of one structure share one compile; the _KERNEL_CACHE_SIZE
-        structures used last stay compiled.  At each y the kernel
-        still multiplies the factors one by one in eval's order (constants
-        are never pre-multiplied: (t*a)*b is not always t*(a*b) in floats),
-        and adds the terms left to right from int 0.
+        y with the y-flags of its monomials) at each node, whose parameters
+        after b default to k, the base and these constants, so no number
+        enters its source.  Sums of one structure share one compile, for
+        every k; the _KERNEL_CACHE_SIZE structures used last stay compiled.
+        At each node the kernel still multiplies the factors one by one in
+        eval's order (constants are never pre-multiplied: (t*a)*b is not
+        always t*(a*b) in floats), and adds the terms left to right from
+        int 0.
         """
         base = list(base_point)
         if len(base) != self.nvars - 1:
@@ -1015,7 +1083,7 @@ class CExpr:
             _fiber_term(plan, base, last, args) for plan in self._float_plan
         )
         return FunctionType(
-            _fiber_kernel(structure), _KERNEL_GLOBALS, "value", (base, *args)
+            _fiber_kernel(structure), _KERNEL_GLOBALS, "panel", (k, base, *args)
         )
 
     def eval_exact(self, point: Sequence[Fraction]) -> Fraction:

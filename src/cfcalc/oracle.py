@@ -8,41 +8,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .cells import Cell, Zero
-from .core import CExpr, left_sum
+from .core import (
+    _GAUSS_WEIGHTS,
+    _KRONROD_NODES,
+    _KRONROD_WEIGHTS,
+    CExpr,
+    left_sum,
+)
 from .errors import DomainError, SingularityTooStrong
 from .tables import table
-
-# 7-point Gauss / 15-point Kronrod pair on [-1, 1].
-_KRONROD_NODES = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
-)
-_KRONROD_WEIGHTS = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-)
-_GAUSS_WEIGHTS = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
-)
-
 
 _N0, _N1, _N2, _N3, _N4, _N5, _N6, _ = _KRONROD_NODES
 _W0, _W1, _W2, _W3, _W4, _W5, _W6, _W7 = _KRONROD_WEIGHTS
@@ -93,11 +71,24 @@ def adaptive_quadrature(
 
     Kronrod nodes are interior, so integrable endpoint singularities
     (integrand defined on the open interval) are sampled safely."""
+    return _bisect(partial(_gk15, f), a, b, tol, max_intervals, rel_tol)
+
+
+def _bisect(
+    panel: Callable[[float, float], tuple[float, float]],
+    a: float,
+    b: float,
+    tol: float = 1e-10,
+    max_intervals: int = 4000,
+    rel_tol: float = 1e-13,
+) -> tuple[float, float]:
+    """adaptive_quadrature over panel(x0, x1), the estimate and error of one
+    15-point panel: _gk15 of a callable, or a sum's compiled CExpr.panel."""
     import heapq
 
     if a == b:
         return 0.0, 0.0
-    val, err = _gk15(f, a, b)
+    val, err = panel(a, b)
     heap = [(-err, a, b, val, err)]
     total_val, total_err = val, err
     count = 1
@@ -110,8 +101,8 @@ def adaptive_quadrature(
             if all(item[0] == 0.0 for item in heap):
                 break
             continue
-        lv, le = _gk15(f, x0, m)
-        rv, re = _gk15(f, m, x1)
+        lv, le = panel(x0, m)
+        rv, re = panel(m, x1)
         total_val += lv + rv - v
         total_err += le + re - e
         heapq.heappush(heap, (-le, x0, m, lv, le))
@@ -151,18 +142,11 @@ def quadrature_last(
             )
         for t in e.terms:
             k = k * t.exps[pos].denominator // math.gcd(k, t.exps[pos].denominator)
-
-    integrand = e.fiber(base_point)
     if k == 1:
         # y = u**1 is the identity and its Jacobian is 1
-        return adaptive_quadrature(integrand, lo, hi, tol)
-
+        return _bisect(e.panel(base_point), lo, hi, tol)
     # k > 1 only when lo == 0
-    def substituted(u: float) -> float:
-        y = u ** k
-        return integrand(y) * k * u ** (k - 1)
-
-    return adaptive_quadrature(substituted, 0.0, hi ** (1.0 / k), tol)
+    return _bisect(e.panel(base_point, k), 0.0, hi ** (1.0 / k), tol)
 
 
 @dataclass(frozen=True)
@@ -237,7 +221,7 @@ def _divergence_probe(e, base_point, hi, kmax, tol, signs) -> ProbeReport:
     if not 0.0 < hi < math.inf:
         # hi <= 0, infinite or NaN: no dyadic panel (2^-k, hi) to integrate
         return ProbeReport("inconclusive", (), "none")
-    integrand = e.fiber(base_point)
+    panel = e.panel(base_point)
     partials: list[float] = []
     increments: list[float] = []
     total = 0.0
@@ -245,9 +229,7 @@ def _divergence_probe(e, base_point, hi, kmax, tol, signs) -> ProbeReport:
     k0 = max(1, int(math.ceil(-math.log2(hi))) + 1)
     for k in range(k0, kmax + 1):
         cut = 2.0 ** (-k)
-        v, _ = adaptive_quadrature(
-            integrand, cut, prev, 1e-12, max_intervals=400, rel_tol=1e-10
-        )
+        v, _ = _bisect(panel, cut, prev, 1e-12, max_intervals=400, rel_tol=1e-10)
         total += v
         increments.append(v)
         partials.append(total)

@@ -242,7 +242,7 @@ class _Parser:
             lo = self.resolve(lower, i)
             hi = self.resolve(upper, i)
             # an upper bound 0 is left to normalize_cell: (-b, 0) mirrors
-            if isinstance(lo, Inf) or _empty_between(lo, hi):
+            if isinstance(lo, Inf) or _empty_between(lo, hi, rawvars):
                 raise ParseError(f"invalid bounds for {name!r}", tok.line, tok.col)
             rawvars.append(RawVar(name, lo, hi))
         return RawCell(tuple(rawvars))
@@ -392,15 +392,34 @@ def _constant_value(b) -> Fraction | None:
     return None
 
 
-def _empty_between(lo, hi) -> bool:
+def _empty_between(lo, hi, earlier: Sequence[RawVar]) -> bool:
     """No value lies strictly between the bounds, whatever the earlier
-    variables are: the bounds are identical, or constants in reverse order.
-    Other monomial bounds are ordered by the cell certificate, which knows
-    the ranges of the earlier variables."""
+    variables are: the bounds are identical, constants in reverse order, or
+    the upper bound is negative and the lower one is not over the whole cell
+    of the earlier variables.  Other monomial bounds are ordered by the cell
+    certificate, which knows the ranges of the earlier variables."""
     if lo == hi:
         return True
     a, b = _constant_value(lo), _constant_value(hi)
-    return a is not None and b is not None and a >= b
+    if a is not None and b is not None:
+        return a >= b
+    if not (isinstance(hi, RawMono) and hi.coeff < 0):
+        return False
+    positive: list[bool] = []  # earlier variables positive over the cell
+    for rv in earlier:
+        positive.append(rv.thin is None and _sign(rv.lower, positive) in (0, 1))
+    return _sign(hi, positive) == -1 and _sign(lo, positive) in (0, 1)
+
+
+def _sign(b, positive: Sequence[bool]) -> int | None:
+    """The sign of a bound over the whole cell where the raw cell shows it
+    exactly: 0 for the bound 0, and the sign of a monomial's coefficient
+    when each variable it reads is positive.  None otherwise."""
+    if isinstance(b, Zero):
+        return 0
+    if not isinstance(b, RawMono) or any(e and not p for p, e in zip(positive, b.exps)):
+        return None
+    return 1 if b.coeff > 0 else -1
 
 
 # ---------------------------------------------------------------------------

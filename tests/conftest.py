@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cfcalc.cells import Cell, FatVar, MonomialBound, ZERO
-from cfcalc.core import ExpVec
+from cfcalc.core import _GAUSS_WEIGHTS, _KRONROD_NODES, _KRONROD_WEIGHTS, ExpVec
 from cfcalc.tables import clear_tables
 
 
@@ -33,6 +33,33 @@ def cell_of(*specs) -> Cell:
     c = Cell(tuple(specs))
     c.validate()
     return c
+
+
+def gk15_reference(f, a, b):
+    """The 15-point Gauss-Kronrod panel as a loop over the node table: the
+    reference for oracle._gk15 and for the compiled CExpr.panel."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    kron = _KRONROD_WEIGHTS[7] * fc
+    gauss = _GAUSS_WEIGHTS[3] * fc
+    for i in range(7):
+        x = h * _KRONROD_NODES[i]
+        fl, fr = f(c - x), f(c + x)
+        kron += _KRONROD_WEIGHTS[i] * (fl + fr)
+        if i % 2 == 1:
+            gauss += _GAUSS_WEIGHTS[i // 2] * (fl + fr)
+    kron *= h
+    gauss *= h
+    return kron, abs(kron - gauss)
+
+
+def substituted(f, k):
+    """u -> f(u**k) * k * u**(k - 1), the integrand over y = u**k; f when
+    k = 1."""
+    if k == 1:
+        return f
+    return lambda u: f(u ** k) * k * u ** (k - 1)
 
 
 def unit_fiber(n: int) -> Cell:

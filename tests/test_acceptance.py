@@ -29,8 +29,8 @@ from cfcalc.core import (
 from cfcalc.errors import CalcError, NoDecay
 from cfcalc.generators import (
     random_cell,
-    random_decay_instance,
     random_integrable_instance,
+    random_prepared_terms,
     random_probe_sum,
 )
 from cfcalc.integrate import (
@@ -139,6 +139,26 @@ def test_criterion_3_integrability_equivalence():
     )
 
 
+def _random_decay_instance(rng, nvars):
+    """A prepared sum with positive last-variable exponents (dominant
+    exponent > 0), over an all-undetermined cell."""
+    cell = random_cell(rng, nvars, constrained_prob=0.3, determined_prob=0.0)
+    e = random_prepared_terms(
+        rng, nvars, range(nvars), max_terms=3, max_logpow=2,
+        last_var_exp_pool=[F(k, 2) for k in range(1, 5)],
+    )
+    # force a genuinely positive dominant exponent on the last variable
+    pos = nvars - 1
+    fixed = [
+        t if t.exps[pos] > 0 else t.with_exps(t.exps.with_entry(pos, F(1, 2)))
+        for t in e.terms
+    ]
+    dedup = {}
+    for t in fixed:
+        dedup[t.signature()] = t
+    return cell, CExpr(nvars, tuple(dedup.values()))
+
+
 def test_criterion_4_decay():
     """50 instances with positive dominant exponent: |f| <= y^-r on a 20x20
     grid below the threshold, zero violations; worked example r = 1/8."""
@@ -150,7 +170,7 @@ def test_criterion_4_decay():
     violations = 0
     while instances < 50:
         n = rng.choice([2, 3])
-        cell, e = random_decay_instance(rng, n)
+        cell, e = _random_decay_instance(rng, n)
         try:
             dr = decay_rate(e, cell)
         except (NoDecay, CalcError):

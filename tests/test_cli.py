@@ -179,16 +179,25 @@ _CELL_SUBCOMMANDS = ("integrate", "prepare", "check-integrability",
         ("y1 on {0<y1<1, 0<y2<0*y1}", 2,
          "parse error: 1:17: invalid bounds for 'y2'"),
         ("y1 on {0<y1<0}", 2, "parse error: 1:9: invalid bounds for 'y1'"),
+        # a negative monomial over positive earlier variables
+        ("y1 on {0<y1<1, 0<y2<-1*y1}", 2,
+         "parse error: 1:17: invalid bounds for 'y2'"),
+        ("y1 on {0<y1<1, y1<y2<-1*y1^(-1/2)}", 2,
+         "parse error: 1:18: invalid bounds for 'y2'"),
         # a bound order the cell certificate cannot establish: a refusal
         ("y1 on {0<y1<1, 2*y1<y2<y1}", 3,
          "error: bound of variable 1 not certified inside (0,1]"),
         # a fiber ending at 0 mirrors only from a negative constant
         ("y1 on {0<y1<1, y1<y2<0}", 3,
          "error: a fiber ending at 0 needs a negative constant lower bound"),
+        # -y1 is positive where y1 is negative: not empty, but refused
+        ("y1 on {-1<y1<-1/2, 0<y2<-1*y1}", 3,
+         "error: dependent bounds may only reference positive variables"),
     ],
     ids=["equal-constants", "reversed-constants", "equal-fractions",
          "reversed-from-zero", "identical-monomials", "zero-monomial",
-         "zero-to-zero", "uncertified-order", "dependent-to-zero"],
+         "zero-to-zero", "negative-monomial", "positive-to-negative-monomial",
+         "uncertified-order", "dependent-to-zero", "negative-base-monomial"],
 )
 def test_empty_or_uncertified_cell_is_not_an_internal_error(
     cmd, source, code, prefix, capsys
@@ -606,23 +615,22 @@ def test_cli_mix_goldens_replay(capsys):
 
 
 def test_validate_goldens_replay(capsys):
-    # every 8th pinned validate call, text and --json: the JSON reports
-    # print each max_deviation in full, so this pins the float evaluation
-    # bit for bit
+    # every pinned validate call, text and --json, in one process: the JSON
+    # reports print each max_deviation in full, so this pins the float
+    # evaluation bit for bit
     golden = ROOT / "bench" / "goldens" / "validate.json.gz"
     entries = json.loads(gzip.decompress(golden.read_bytes()))["entries"]
-    picked = [
-        entry
-        for stratum in ("validate-text", "validate-json")
-        for entry in [e for e in entries if e["stratum"] == stratum][::8]
-    ]
-    assert len(picked) == 24
+    assert len(entries) == 192
     mismatched = []
-    for entry in picked:
+    for entry in entries:
         code = main(list(entry["argv"]))
         if (code, capsys.readouterr().out) != (entry["exit"], entry["stdout"]):
             mismatched.append(entry["argv"])
     assert not mismatched, mismatched[:5]
+    # the whole pool's panel structures fit the kernel table: each was
+    # compiled once and none was dropped, so repeated passes never compile
+    kernels = table_stats()["core._fiber_kernel"]
+    assert kernels["misses"] == kernels["size"] < kernels["maxsize"]
 
 
 def test_every_json_golden_report_meets_the_schema():
@@ -704,7 +712,7 @@ def test_cli_fuzz_exit_codes_and_warm_repeat(argv):
     assert _call(argv) == (code, out, err), argv
 
 
-# (hits, misses) of the cell certificate and round-trip tables after one
+# (hits, misses) of the generated-cell and round-trip tables after one
 # cold validate call: 30 generated cells and 20 drawn (r, s) pairs, some of
 # them drawn twice in the same call
 VALIDATE_COLD_STATS = {0: ((6, 24), (4, 16)), 7: ((9, 21), (4, 16)),
@@ -714,13 +722,13 @@ VALIDATE_COLD_STATS = {0: ((6, 24), (4, 16)), 7: ((9, 21), (4, 16)),
 def _validate_stats():
     stats = table_stats()
     return tuple((stats[name]["hits"], stats[name]["misses"])
-                 for name in ("generators._certified", "cli._round_trip_holds"))
+                 for name in ("generators._cell", "cli._round_trip_holds"))
 
 
 @pytest.mark.parametrize("seed_", [0, 7, 1001])
 @pytest.mark.parametrize("json_", [False, True], ids=["text", "json"])
 def test_validate_cold_and_warm_print_the_same_bytes(seed_, json_):
-    # the warm call meets the probe, cell certificate and round-trip tables
+    # the warm call meets the probe, generated-cell and round-trip tables
     # the cold one filled; the report must not change by a byte
     argv = ["validate", "--seed", str(seed_)] + ["--json"] * json_
     clear_tables()

@@ -39,6 +39,7 @@ from cfcalc.errors import (
     ZeroTestUnsupported,
 )
 from cfcalc.generators import random_integrable_instance
+from tests.conftest import gk15_reference, substituted
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64
@@ -473,6 +474,14 @@ def _same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+def _panel_matches(e, base, a, b, k=1):
+    """e's compiled panel over (a, b) against the reference rule over the
+    direct evaluator at each node, y = u**k with its Jacobian when k > 1."""
+    f = substituted(lambda y: _ref_expr(e, list(base) + [y]), k)
+    got, want = e.panel(base, k)(a, b), gk15_reference(f, a, b)
+    return all(map(_same_float, got, want))
+
+
 def test_eval_matches_direct_evaluation_bit_for_bit_on_generated():
     compared = 0
     for seed in range(300):
@@ -481,8 +490,9 @@ def test_eval_matches_direct_evaluation_bit_for_bit_on_generated():
         for _ in range(4):
             pt = cell.sample_point(rng)
             assert _same_float(e.eval(pt), _ref_expr(e, pt)), (seed, pt)
-            assert _same_float(e.fiber(pt[:-1])(pt[-1]), _ref_expr(e, pt)), (
-                seed, pt)
+            y = pt[-1]
+            assert _panel_matches(e, pt[:-1], y / 2, y), (seed, pt)
+            assert _panel_matches(e, pt[:-1], 0.0, math.sqrt(y), k=2), (seed, pt)
             for t in e.terms:
                 assert _same_float(t.eval(pt), _ref_term(t, pt)), (seed, t, pt)
             compared += 1
@@ -511,7 +521,7 @@ def test_eval_matches_direct_evaluation_bit_for_bit_on_opaque_factors():
     for _ in range(500):
         pt = [0.01 + 0.98 * rng.random() for _ in range(2)]
         assert _same_float(e.eval(pt), _ref_expr(e, pt)), pt
-        assert _same_float(e.fiber(pt[:-1])(pt[-1]), _ref_expr(e, pt)), pt
+        assert _panel_matches(e, pt[:1], pt[1] / 2, pt[1]), pt
         for t in terms:
             assert _same_float(t.eval(pt), _ref_term(t, pt)), (t, pt)
         assert _same_float(unit.eval(pt), _ref_unit(unit, pt))
@@ -548,26 +558,31 @@ def test_fiber_matches_direct_evaluation_bit_for_bit_on_opaque_factors():
     terms.append(Term.make(F(-3, 10), [0, 0], extras=[(LogPrime(5), 3)]))
     e = CExpr(2, tuple(terms))
     rng = random.Random(11)
-    for _ in range(500):
+    for _ in range(200):
         pt = [0.01 + 0.98 * rng.random() for _ in range(2)]
-        assert _same_float(e.fiber(pt[:1])(pt[1]), _ref_expr(e, pt)), pt
+        assert _panel_matches(e, pt[:1], pt[1] / 2, pt[1]), pt
+        assert _panel_matches(e, pt[:1], 0.0, pt[1], k=3), pt
 
 
 def test_fiber_on_the_empty_base_matches_direct_evaluation():
-    # the divergence probe's integrands: y^r * log(y)^s over one variable
+    # the divergence probe's integrands y^r * log(y)^s over one variable, on
+    # its dyadic panels and on panels from 0 over y = u**2
     rng = random.Random(3)
     for r in (F(-3, 2), F(-1), F(-1, 2), F(0), F(5, 2)):
         for s in range(4):
             e = CExpr(1, (Term.make(1, [r], [s]),))
-            f = e.fiber([])
-            for y in [2.0 ** -k for k in range(41)] + [rng.random() for _ in range(50)]:
-                assert _same_float(f(y), _ref_expr(e, [y])), (r, s, y)
-    # a negative zero term still sums to +0.0 from int 0
-    f = CExpr(1, (Term.make(-1, [1]),)).fiber([])
-    assert _same_float(f(0.0), 0.0)
-    assert CExpr.zero(1).fiber([])(0.5) == 0
+            for k in range(41):
+                assert _panel_matches(e, [], 2.0 ** -(k + 1), 2.0 ** -k), (r, s, k)
+            for _ in range(10):
+                y = rng.random()
+                assert _panel_matches(e, [], 0.0, y, k=2), (r, s, y)
+    # a lone negative zero term still sums to +0.0 from int 0 at each node
+    assert _panel_matches(CExpr(1, (Term.make(-1, [1]),)), [], 0.0, 0.0)
+    # the empty sum is int 0 at each node
+    assert _panel_matches(CExpr.zero(1), [], 0.25, 0.5)
+    assert _panel_matches(CExpr.zero(1), [], 0.0, 0.5, k=2)
     with pytest.raises(ValueError):
-        CExpr.zero(2).fiber([])
+        CExpr.zero(2).panel([])
 
 
 def test_eval_keeps_the_sign_of_a_zero_sum():
@@ -621,15 +636,17 @@ def _one_structure_sum(c, r, p, prime, u):
 
 
 def test_fiber_kernels_are_shared_by_sums_of_one_structure(kernel_compiles):
+    # one compile serves both sums, with and without the substitution y = u**k
     rng = random.Random(7)
     for e, x in (
         (_one_structure_sum(F(3, 7), F(1, 2), 1, 3, F(1, 3)), 0.3),
         (_one_structure_sum(F(-11, 5), F(5, 3), 2, 7, F(-2, 9)), 0.8),
     ):
-        f = e.fiber([x])
-        for _ in range(50):
-            y = 0.01 + 0.98 * rng.random()
-            assert _same_float(f(y), _ref_expr(e, [x, y])), (x, y)
+        for _ in range(20):
+            a = 0.01 + 0.49 * rng.random()
+            b = a + 0.5 * rng.random()
+            assert _panel_matches(e, [x], a, b), (x, a, b)
+            assert _panel_matches(e, [x], 0.0, b, k=2), (x, b)
     assert len(kernel_compiles) == 1
     assert core._fiber_kernel.cache_info().currsize == 1
 
@@ -639,21 +656,27 @@ def test_fiber_kernel_source_depends_on_the_structure_only():
         return tuple(core._fiber_term(plan, base, len(base), [])
                      for plan in e._float_plan)
 
+    def literals(source):
+        return [node.value for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Constant)]
+
     a = structure(_one_structure_sum(F(3, 7), F(1, 2), 1, 3, F(1, 3)), [0.25])
     b = structure(_one_structure_sum(F(-11, 5), F(5, 3), 2, 7, F(-2, 9)), [0.75])
     assert a == b
     source = core._kernel_source(a)
     assert source == core._kernel_source(b)
-    # no number of the input: the only literal is the sum's starting int 0
-    literals = [node.value for node in ast.walk(ast.parse(source))
-                if isinstance(node, ast.Constant)]
-    assert literals == [0]
+    # no number of the input: the literals are those of the panel of the
+    # empty sum, the rule's 0.5 and k's 1, and the sum's starting int 0
+    assert literals(source) == literals(core._kernel_source(()))
+    assert sorted(set(literals(source))) == [0, 0.5, 1]
 
 
 def test_fiber_kernel_cache_evicts_past_its_bound(kernel_compiles):
     e = _one_structure_sum(F(3, 7), F(1, 2), 1, 3, F(1, 3))
-    ys = [0.01 + 0.98 * random.Random(3).random() for _ in range(50)]
-    before = [e.fiber([0.4])(y) for y in ys]
+    rng = random.Random(3)
+    ends = [0.01 + 0.98 * rng.random() for _ in range(20)]
+    panel = e.panel([0.4])
+    before = [panel(b / 2, b) for b in ends]
     assert len(kernel_compiles) == 1
     # fill the cache with other structures of one or two small terms
     kinds = [core._CONST, core._LOG_Y, core._AT_POINT, (True,), (False, True)]
@@ -668,8 +691,8 @@ def test_fiber_kernel_cache_evicts_past_its_bound(kernel_compiles):
     assert info.currsize == core._KERNEL_CACHE_SIZE
     assert len(kernel_compiles) == core._KERNEL_CACHE_SIZE + 1
     # the first kernel was dropped, so this compiles it again
-    f = e.fiber([0.4])
+    panel = e.panel([0.4])
     assert len(kernel_compiles) == core._KERNEL_CACHE_SIZE + 2
-    for y, old in zip(ys, before):
-        assert _same_float(f(y), old)
-        assert _same_float(f(y), _ref_expr(e, [0.4, y]))
+    for b, old in zip(ends, before):
+        assert panel(b / 2, b) == old
+        assert _panel_matches(e, [0.4], b / 2, b)

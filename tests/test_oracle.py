@@ -11,16 +11,15 @@ from cfcalc.core import CExpr, ExpVec, PolyUnit, Term, left_sum
 from cfcalc.errors import DomainError, SingularityTooStrong
 from cfcalc.generators import random_integrable_instance
 from cfcalc.oracle import (
-    _GAUSS_WEIGHTS,
-    _KRONROD_NODES,
-    _KRONROD_WEIGHTS,
     ProbeReport,
+    _bisect,
     _gk15,
     adaptive_quadrature,
     divergence_probe,
     fiber_bounds,
     quadrature_last,
 )
+from tests.conftest import gk15_reference, substituted
 
 
 KNOWN_INTEGRALS = [
@@ -173,27 +172,10 @@ def _same_floats(xs, ys):
     return len(xs) == len(ys) and all(map(_same_float, xs, ys))
 
 
-def _gk15_reference(f, a, b):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    kron = _KRONROD_WEIGHTS[7] * fc
-    gauss = _GAUSS_WEIGHTS[3] * fc
-    for i in range(7):
-        x = h * _KRONROD_NODES[i]
-        fl, fr = f(c - x), f(c + x)
-        kron += _KRONROD_WEIGHTS[i] * (fl + fr)
-        if i % 2 == 1:
-            gauss += _GAUSS_WEIGHTS[i // 2] * (fl + fr)
-    kron *= h
-    gauss *= h
-    return kron, abs(kron - gauss)
-
-
 def _adaptive_reference(f, a, b, tol=1e-10, max_intervals=4000, rel_tol=1e-13):
     if a == b:
         return 0.0, 0.0
-    val, err = _gk15_reference(f, a, b)
+    val, err = gk15_reference(f, a, b)
     heap = [(-err, a, b, val, err)]
     total_val, total_err = val, err
     count = 1
@@ -206,8 +188,8 @@ def _adaptive_reference(f, a, b, tol=1e-10, max_intervals=4000, rel_tol=1e-13):
             if all(item[0] == 0.0 for item in heap):
                 break
             continue
-        lv, le = _gk15_reference(f, x0, m)
-        rv, re = _gk15_reference(f, m, x1)
+        lv, le = gk15_reference(f, x0, m)
+        rv, re = gk15_reference(f, m, x1)
         total_val += lv + rv - v
         total_err += le + re - e
         heapq.heappush(heap, (-le, x0, m, lv, le))
@@ -223,27 +205,35 @@ def _quadrature_last_reference(e, base_point, lo, hi, tol=1e-10):
     if lo == 0.0:
         for t in e.terms:
             k = k * t.exps[pos].denominator // math.gcd(k, t.exps[pos].denominator)
+    f = substituted(lambda y: e.eval(list(base_point) + [y]), k)
+    return _adaptive_reference(f, lo, hi ** (1.0 / k) if k > 1 else hi, tol)
 
-    def integrand(y):
-        return e.eval(list(base_point) + [y])
 
-    if k == 1:
-        return _adaptive_reference(integrand, lo, hi, tol)
-    return _adaptive_reference(
-        lambda u: integrand(u ** k) * k * u ** (k - 1), 0.0, hi ** (1.0 / k), tol
-    )
+def _panel_matches(e, base, a, b, k=1):
+    """e's compiled panel against the reference rule over e.eval, at
+    y = u**k with its Jacobian when k > 1."""
+    f = substituted(lambda y: e.eval(list(base) + [y]), k)
+    return _same_floats(e.panel(base, k)(a, b), gk15_reference(f, a, b))
 
 
 @pytest.mark.parametrize("r", [F(-3, 2), F(-1), F(-1, 2), F(0), F(5, 2)])
 def test_gk15_matches_the_loop_bit_for_bit_on_probe_panels(r):
-    # the probe's integrands y^r log(y)^s on its dyadic panels (2^-k, 2^-k+1)
+    # the probe's integrands y^r log(y)^s on its dyadic panels (2^-k, 2^-k+1),
+    # through the straight-line rule and through the compiled panel
     for s in range(4):
-        f = CExpr(1, (Term.make(1, [r], [s]),)).fiber([])
+        e = CExpr(1, (Term.make(1, [r], [s]),))
+
+        def f(y):
+            return e.eval([y])
+
         for k in range(1, 41):
             a, b = 2.0 ** -k, 2.0 ** (1 - k)
-            assert _same_floats(_gk15(f, a, b), _gk15_reference(f, a, b)), (s, k)
-            got = adaptive_quadrature(f, a, b, 1e-12, max_intervals=400, rel_tol=1e-10)
+            assert _same_floats(_gk15(f, a, b), gk15_reference(f, a, b)), (s, k)
+            assert _panel_matches(e, [], a, b), (s, k)
             want = _adaptive_reference(f, a, b, 1e-12, max_intervals=400, rel_tol=1e-10)
+            got = adaptive_quadrature(f, a, b, 1e-12, max_intervals=400, rel_tol=1e-10)
+            assert _same_floats(got, want), (s, k)
+            got = _bisect(e.panel([]), a, b, 1e-12, max_intervals=400, rel_tol=1e-10)
             assert _same_floats(got, want), (s, k)
 
 
@@ -251,7 +241,7 @@ def test_gk15_evaluates_the_nodes_in_the_loop_order():
     for a, b in ((0.0, 1.0), (2.0 ** -30, 2.0 ** -29), (-3.5, 7.25)):
         got, want = [], []
         _gk15(lambda x: got.append(x) or math.exp(x), a, b)
-        _gk15_reference(lambda x: want.append(x) or math.exp(x), a, b)
+        gk15_reference(lambda x: want.append(x) or math.exp(x), a, b)
         assert len(got) == 15 and _same_floats(got, want)
 
 
@@ -283,17 +273,17 @@ def test_fiber_matches_eval_bit_for_bit_on_mixed_unit_monomials():
     for _ in range(40):
         e = _mixed_unit_sum(rng, rng.choice([2, 3]))
         base = [0.05 + 0.9 * rng.random() for _ in range(e.nvars - 1)]
-        f = e.fiber(base)
-        for _ in range(10):
+        for _ in range(3):
             y = 0.01 + 0.98 * rng.random()
-            assert _same_float(f(y), e.eval(base + [y])), (e, base, y)
+            assert _panel_matches(e, base, y / 2, y), (e, base, y)
+            assert _panel_matches(e, base, 0.0, y, k=2), (e, base, y)
         got = quadrature_last(e, base, 0.0, 1.0)
         assert _same_floats(got, _quadrature_last_reference(e, base, 0.0, 1.0))
 
 
 def test_quadrature_matches_the_loop_bit_for_bit_on_unit_fibers():
     # fibers whose polynomial units read the last coordinate, integrated
-    # from the folded fiber and from direct evaluation at each node
+    # through the compiled panels and from direct evaluation at each node
     compared = 0
     seed = 0
     while compared < 50:
@@ -305,8 +295,7 @@ def test_quadrature_matches_the_loop_bit_for_bit_on_unit_fibers():
             continue
         base = cell.sample_point(rng)[:-1]
         lo, hi = fiber_bounds(cell, base)
-        f = e.fiber(base)
-        assert _same_floats(_gk15(f, lo, hi), _gk15_reference(f, lo, hi)), seed
+        assert _panel_matches(e, base, lo, hi), seed
         got = quadrature_last(e, base, lo, hi)
         assert _same_floats(got, _quadrature_last_reference(e, base, lo, hi)), seed
         compared += 1

@@ -1,6 +1,6 @@
 """The per-process tables: one registry, the cell normalization table,
-the divergence probe table, and validate's cell certificate and
-round-trip tables."""
+the divergence probe table, and validate's generator and round-trip
+tables."""
 
 import importlib
 import pkgutil
@@ -12,11 +12,27 @@ from hypothesis import given, seed, settings
 
 import cfcalc
 from cfcalc import cells, cli, core, generators, integrate, oracle, tables
-from cfcalc.cells import ZERO, Cell, FatVar, MonomialBound, normalize_cell
+from cfcalc.cells import (
+    ZERO,
+    Cell,
+    FatVar,
+    MonomialBound,
+    Zero,
+    classify,
+    normalize_cell,
+)
 from cfcalc.cli import main
-from cfcalc.core import CExpr, Term, differentiate_expr, is_zero, normalize
+from cfcalc.core import (
+    CExpr,
+    ExpVec,
+    PolyUnit,
+    Term,
+    differentiate_expr,
+    is_zero,
+    normalize,
+)
 from cfcalc.errors import CalcError, ParseError, UncertifiedCell
-from cfcalc.generators import random_cell
+from cfcalc.generators import random_cell, random_integrable_instance
 from cfcalc.integrate import (
     antiderivative_pow_log,
     antiderivative_pow_log_recursive,
@@ -36,7 +52,7 @@ NOT_TABLES = {
 
 TABLES = ("core._fiber_kernel", "cells.normalize_cell",
           "integrate.integrate_shape", "oracle.divergence_probe",
-          "generators._certified", "cli._round_trip_holds")
+          "generators._cell", "generators._unit", "cli._round_trip_holds")
 
 README_CELLS = [
     "{0<y1<1}",
@@ -123,7 +139,8 @@ def test_clear_tables_empties_every_table(capsys):
                                        cells._CELL_TABLE_SIZE,
                                        integrate._SHAPE_TABLE_SIZE,
                                        oracle._PROBE_TABLE_SIZE,
-                                       generators._CERTIFIED_TABLE_SIZE,
+                                       generators._CELL_TABLE_SIZE,
+                                       generators._UNIT_TABLE_SIZE,
                                        cli._ROUND_TRIP_TABLE_SIZE))
     }
 
@@ -194,11 +211,10 @@ def _draw(seed_, **kwargs):
 def test_tabled_random_cell_is_the_uncached_build(bound_units, monkeypatch):
     seeds = range(200)
     tabled = [_draw(s, bound_units=bound_units) for s in seeds]
-    distinct = _size("generators._certified")
+    distinct = _size("generators._cell")
     assert 0 < distinct <= len(seeds)
-    # the same draws with the certificate computed afresh on every call
-    monkeypatch.setattr(generators, "_certified",
-                        generators._certified.__wrapped__)
+    # the same draws with the cell built and certified afresh on every call
+    monkeypatch.setattr(generators, "_cell", generators._cell.__wrapped__)
     for s, (cell, state) in zip(seeds, tabled):
         fresh, fresh_state = _draw(s, bound_units=bound_units)
         assert cell == fresh and state == fresh_state
@@ -207,16 +223,114 @@ def test_tabled_random_cell_is_the_uncached_build(bound_units, monkeypatch):
     # a cell drawn again is the table's instance
     for s, (cell, _) in zip(seeds, tabled):
         assert _draw(s, bound_units=bound_units)[0] is cell
-    assert _size("generators._certified") == distinct
+    assert _size("generators._cell") == distinct
 
 
 def test_uncertifiable_cell_raises_again_and_is_not_stored():
-    # the upper bound 2 is not inside (0, 1]
-    cell = Cell((FatVar(ZERO, MonomialBound.const(2, 1)),))
+    # a lower bound equal to the upper bound 1: no value lies between them
+    record = (((0,), 1, None, 1),)
     for _ in range(2):
-        with pytest.raises(UncertifiedCell, match="not certified inside"):
-            generators._certified(cell)
-        assert _size("generators._certified") == 0
+        with pytest.raises(UncertifiedCell, match="cannot certify"):
+            generators._cell(1, record)
+        assert _size("generators._cell") == 0
+
+
+# The generators as they were before draw records, kept as the reference:
+# the tabled generators must draw the same numbers in the same order and
+# build equal cells and sums.
+_HALF_EXPS = [F(k, 2) for k in range(-4, 5)]
+_COEFF_POOL = [F(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2)]
+
+
+def _reference_cell(rng, nvars, constrained_prob=0.4, determined_prob=0.5,
+                    bound_units=False):
+    specs = []
+    undet = []
+    for i in range(nvars):
+        exps = [F(0)] * nvars
+        for j in undet:
+            if rng.random() < 0.5:
+                exps[j] = F(rng.randint(1, 2))
+        unit = PolyUnit.one()
+        coeff = rng.choice([F(1), F(1), F(1, 4)])
+        if bound_units and undet and rng.random() < 0.3:
+            mono = [F(0)] * nvars
+            mono[rng.choice(undet)] = F(rng.randint(1, 2))
+            unit = PolyUnit.build(1, {ExpVec(tuple(mono)): F(1, 2)})
+            coeff = min(coeff, F(1, 4))
+        upper = MonomialBound(coeff, ExpVec(tuple(exps)), unit)
+        lower = ZERO
+        determined = False
+        if rng.random() < constrained_prob:
+            if rng.random() < determined_prob:
+                lower = MonomialBound(coeff * rng.choice([F(1, 4), F(1, 16)]),
+                                      ExpVec(tuple(exps)), unit)
+                determined = True
+            elif undet:
+                extra = [F(0)] * nvars
+                extra[rng.choice(undet)] = F(rng.randint(1, 2))
+                lower = MonomialBound(
+                    coeff * F(1, 4),
+                    ExpVec(tuple(e + x for e, x in zip(exps, extra))), unit)
+        specs.append(FatVar(lower, upper))
+        if not determined:
+            undet.append(i)
+    cell = Cell(tuple(specs))
+    cell.validate()
+    return cell
+
+
+def _reference_terms(rng, cell, max_terms, max_logpow, with_units,
+                     last_var_exp_pool):
+    nv = cell.nvars
+    undet = classify(cell).undetermined_positions()
+    terms = []
+    sigs = set()
+    for _ in range(rng.randint(1, max_terms)):
+        exps = [F(0)] * nv
+        logpows = [0] * nv
+        for j in undet:
+            pool = last_var_exp_pool if j == nv - 1 else _HALF_EXPS
+            exps[j] = rng.choice(list(pool))
+            if rng.random() < 0.5:
+                logpows[j] = rng.randint(0, max_logpow)
+        unit = PolyUnit.one()
+        if with_units and rng.random() < 0.4:
+            mono = [F(0)] * nv
+            mono[rng.randrange(nv)] = F(rng.randint(1, 2))
+            unit = PolyUnit.build(
+                1, {ExpVec(tuple(mono)): rng.choice([F(1, 2), F(-1, 4)])})
+        t = Term.make(rng.choice(_COEFF_POOL), ExpVec(tuple(exps)),
+                      tuple(logpows), unit=unit)
+        if t.signature() in sigs:
+            continue
+        sigs.add(t.signature())
+        terms.append(t)
+    return CExpr(nv, tuple(terms))
+
+
+def _reference_instance(rng, nvars, with_units):
+    cell = _reference_cell(rng, nvars, constrained_prob=0.5)
+    unconstrained = isinstance(cell.specs[nvars - 1].lower, Zero)
+    pool = [F(k, 2) for k in range(-1, 5)] if unconstrained else _HALF_EXPS
+    return cell, _reference_terms(rng, cell, 3, 2, with_units, pool)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_tabled_generators_draw_as_the_reference(flag):
+    # random_cell with bound_units=flag and random_integrable_instance with
+    # with_units=flag, from the tables warmed by earlier seeds: the same
+    # instances, and the generator left in the same state
+    for seed_ in range(1000):
+        nvars = 1 + seed_ % 3
+        rng, ref = random.Random(seed_), random.Random(seed_)
+        assert (random_cell(rng, nvars, bound_units=flag)
+                == _reference_cell(ref, nvars, bound_units=flag)), seed_
+        assert rng.getstate() == ref.getstate(), seed_
+        got = random_integrable_instance(rng, nvars, with_units=flag)
+        assert got == _reference_instance(ref, nvars, flag), seed_
+        assert rng.getstate() == ref.getstate(), seed_
+    assert 0 < _size("generators._cell") < 1000
 
 
 def _fresh_round_trip(r, s):
