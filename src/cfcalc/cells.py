@@ -81,10 +81,6 @@ class MonomialBound:
     def const(q: RatLike, nvars: int) -> "MonomialBound":
         return MonomialBound(Fraction(q), ExpVec.zero(nvars))
 
-    @staticmethod
-    def mono(q: RatLike, exps: Sequence[RatLike]) -> "MonomialBound":
-        return MonomialBound(Fraction(q), ExpVec.of(exps))
-
     def support(self) -> frozenset[int]:
         return self.exps.support | self.unit.support()
 
@@ -129,21 +125,14 @@ INF = Inf()
 Interval = tuple[Fraction, Fraction | None]
 
 
-def _pow_lower(q: Fraction, e: Fraction) -> Fraction:
-    """Rational lower bound for q**e, exact when possible."""
+def _pow_bound(q: Fraction, e: Fraction, upper: bool) -> Fraction:
+    """Rational upper (or lower) bound for q**e, exact when possible."""
     v = frac_pow(q, e)
     if v is not None:
         return v
     f = float(q) ** float(e)
-    return Fraction(f * (1 - 1e-9)).limit_denominator(10 ** 12)
-
-
-def _pow_upper(q: Fraction, e: Fraction) -> Fraction:
-    v = frac_pow(q, e)
-    if v is not None:
-        return v
-    f = float(q) ** float(e)
-    return Fraction(f * (1 + 1e-9)).limit_denominator(10 ** 12)
+    f *= 1 + 1e-9 if upper else 1 - 1e-9
+    return Fraction(f).limit_denominator(10 ** 12)
 
 
 def interval_mul(a: Interval, b: Interval) -> Interval:
@@ -214,9 +203,13 @@ class Cell:
         head = list(exps.exps[: self.nvars])
         if any(e != 0 for e in exps.exps[self.nvars:]):
             raise CellError("monomial references variables beyond this cell")
-        return (self._mono_inf(list(head)), self._mono_sup(list(head)))
+        return (self._mono_bound(list(head), False), self._mono_bound(head, True))
 
-    def _mono_sup(self, exps: list[Fraction]) -> Fraction | None:
+    def _mono_bound(self, exps: list[Fraction], upper: bool) -> Fraction | None:
+        """A certified upper (or lower) bound of y^exps over the cell.  Each
+        variable, last first, is replaced by its upper bound when its
+        exponent's sign agrees with `upper`, else by its lower bound; a
+        lower bound 0 makes the upper bound None (+inf) and the lower one 0."""
         coeff = Fraction(1)
         for i in range(len(exps) - 1, -1, -1):
             e = exps[i]
@@ -224,39 +217,13 @@ class Cell:
                 continue
             exps[i] = Fraction(0)
             spec = self.specs[i]
-            bound: MonomialBound
-            if e > 0:
-                bound = spec.upper
-            else:
-                if isinstance(spec.lower, Zero):
-                    return None
-                bound = spec.lower
+            use_upper = (e > 0) == upper
+            if not use_upper and isinstance(spec.lower, Zero):
+                return None if upper else Fraction(0)
+            bound = spec.upper if use_upper else spec.lower
             ulo, uhi = bound.unit.value_bounds()
-            ub = uhi if e > 0 else ulo
-            coeff *= _pow_upper(bound.coeff, e) * _pow_upper(ub, e)
-            for j, be in enumerate(bound.exps):
-                if be:
-                    exps[j] += e * be
-        return coeff
-
-    def _mono_inf(self, exps: list[Fraction]) -> Fraction:
-        coeff = Fraction(1)
-        for i in range(len(exps) - 1, -1, -1):
-            e = exps[i]
-            if e == 0:
-                continue
-            exps[i] = Fraction(0)
-            spec = self.specs[i]
-            bound: MonomialBound
-            if e > 0:
-                if isinstance(spec.lower, Zero):
-                    return Fraction(0)
-                bound = spec.lower
-            else:
-                bound = spec.upper
-            ulo, uhi = bound.unit.value_bounds()
-            ub = ulo if e > 0 else uhi
-            coeff *= _pow_lower(bound.coeff, e) * _pow_lower(ub, e)
+            ub = uhi if use_upper else ulo
+            coeff *= _pow_bound(bound.coeff, e, upper) * _pow_bound(ub, e, upper)
             for j, be in enumerate(bound.exps):
                 if be:
                     exps[j] += e * be

@@ -1,13 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage, 2 parse error, 3 refusal (fragment escape,
-a cell that needs a split or whose bound order cannot be certified, a fiber
-ending at 0 whose lower bound is not a negative constant, a cell not in
-prepared shape, a decay rate on a cell with determined variables or of a sum
-that does not decay, an analysis of a cell with no variable, an eval point
-outside the closure of its cell or where the sum has no real value), 4 not
-integrable, 5 internal error.  Codes 2 to 5 and their stderr labels live on
-the error classes in cfcalc.errors.
+Exit codes: 0 success, 1 usage, 2 parse error (also bounds with nothing
+between them, such as a fiber from a positive bound to 0), 3 refusal
+(fragment escape, a cell that needs a split or whose bound order cannot be
+certified, a non-empty fiber ending at 0 whose lower bound is not a
+negative constant, a cell not in prepared shape, a decay rate on a cell with
+determined variables or of a sum that does not decay, an analysis of a cell
+with no variable, an eval point outside the closure of its cell or where the
+sum has no real value), 4 not integrable, 5 internal error.  Codes 2 to 5
+and their stderr labels live on the error classes in cfcalc.errors.
 
 integrate refuses a round in which a cell is not integrable over its last
 fiber; check-integrability certifies every failing sum with a dominance

@@ -188,9 +188,6 @@ class ExpVec:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.exps)
 
-    def drop_last(self) -> "ExpVec":
-        return ExpVec(self.exps[:-1])
-
     def pad(self, nvars: int) -> "ExpVec":
         if nvars < len(self):
             raise ValueError("cannot pad to a smaller ambient size")
@@ -884,11 +881,12 @@ _GAUSS_WEIGHTS = (
     0.417959183673469,
 )
 
-# One Gauss-Kronrod panel over (a, b), the float operations of oracle._gk15
-# in its order: the centre c, then c - x and c + x for each node x from the
-# outermost in.  Each node u is the fiber coordinate y, or y = u**k with the
-# Jacobian k * u**(k - 1) when k > 1; {value} is the sum's straight-line
-# expression at y.
+# One Gauss-Kronrod panel over (a, b), the float operations of the loop over
+# the node table in tests/conftest.gk15_reference, in its order: the centre
+# c, then c - x and c + x for each node x from the outermost in.  Each node
+# u is the fiber coordinate y, or y = u**k with the Jacobian
+# k * u**(k - 1) when k > 1; {value} is the sum's straight-line expression
+# at y.
 _PANEL_SOURCE = """\
 def panel(a, b, k, base{params}):
     c = 0.5 * (a + b)
@@ -1004,10 +1002,6 @@ class CExpr:
                 raise ValueError("term ambient size differs from expression")
 
     @staticmethod
-    def of(terms: Iterable[Term], nvars: int) -> "CExpr":
-        return CExpr(nvars, tuple(terms))
-
-    @staticmethod
     def zero(nvars: int) -> "CExpr":
         return CExpr(nvars, ())
 
@@ -1053,8 +1047,9 @@ class CExpr:
     ) -> Callable[[float, float], tuple[float, float]]:
         """(a, b) -> the 15-point Gauss-Kronrod estimate of the integral of
         y -> self.eval(list(base_point) + [y]) over (a, b), or over y = u**k
-        with its Jacobian for k > 1, and its error: the floats of
-        oracle._gk15 over that function, bit for bit.
+        with its Jacobian for k > 1, and its error: the floats of the loop
+        over the node table (tests/conftest.gk15_reference) over that
+        function, bit for bit.
 
         Every factor that does not read the last coordinate is computed once
         here, as the value eval would compute for it, and so is the base part
@@ -1567,10 +1562,6 @@ def expand_log_power(
     if power == 0:
         return [(Fraction(1), (0,) * nvars, ())]
     fact = [math.factorial(j) for j in range(power + 1)]
-    # c**k for k = 0..power per item, or None for c == 1 (nothing to multiply)
-    coeff_pows = [
-        None if c == 1 else [c ** k for k in range(power + 1)] for c, _ in items
-    ]
     out: list[LogPowerPiece] = []
     for parts in compositions(power, len(items)):
         multinomial = fact[power]
@@ -1579,11 +1570,11 @@ def expand_log_power(
         coeff = Fraction(multinomial)
         logpows = [0] * nvars
         extras: list[tuple[LogAtom, int]] = []
-        for (_, atom), pows, k in zip(items, coeff_pows, parts):
+        for (c, atom), k in zip(items, parts):
             if k == 0:
                 continue
-            if pows is not None:
-                coeff *= pows[k]
+            if c != 1:
+                coeff *= c ** k
             if isinstance(atom, LogVar):
                 logpows[atom.pos] += k
             else:

@@ -293,21 +293,17 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
     FragmentEscape, term by term in the order of the sum.  The integral is
     linear over the base: a monomial piece c * b(x) * y^r (log y)^s (the
     polynomial unit distributed, b the base monomial, logs and extras)
-    integrates to c * b(x) * integrate_shape(r, s).  A call looks
-    each fiber shape (r, s) up once, when a piece first shows it, in
-    integrate_shape's per-process table (so the bounds are hashed once per
-    shape, not once per piece), and every piece multiplies its base into
-    that shape's integral; the products
-    are collected in one list and normalized once, the only
-    canonicalization of the sum, so the work is linear in the number of
-    pieces."""
+    integrates to c * b(x) * integrate_shape(r, s), looked up in
+    integrate_shape's per-process table, and every piece multiplies its base
+    into that shape's integral; the products are collected in one list and
+    normalized once, the only canonicalization of the sum, so the work is
+    linear in the number of pieces."""
     e = normalize(e)
     if e.nvars != cell.nvars:
         raise ValueError("expression/cell ambient size mismatch")
     pos = cell.nvars - 1
     spec = cell.specs[pos]
     zero_lower = isinstance(spec.lower, Zero)
-    shapes: dict[tuple[Fraction, int], tuple[Fraction, CExpr]] = {}
     terms: list[Term] = []
     for t in e.terms:
         if zero_lower and t.exps[pos] <= -1:
@@ -319,16 +315,12 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
         logpows = t.logpows[:pos]
         pieces = _monomial_pieces(t)
         if len(pieces) > 1:
-            # new shapes are integrated, and refused, in claim-form slab order
+            # shapes are integrated, and refused, in claim-form slab order
             pieces.sort(key=lambda ce: _slab_order(ce[1][pos]))
         for c, exps in pieces:
-            key = (exps[pos], s)
-            shape = shapes.get(key)
-            if shape is None:
-                shape = shapes[key] = integrate_shape(
-                    exps[pos], s, cell.nvars, spec.lower, spec.upper
-                )
-            scale, integral = shape
+            scale, integral = integrate_shape(
+                exps[pos], s, cell.nvars, spec.lower, spec.upper
+            )
             # the unit-free base part (t's canonical extras) multiplies each
             # term of the integral, never built on its own
             coeff = c * scale

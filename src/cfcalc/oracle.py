@@ -6,72 +6,15 @@ engine modules only ever *test* against it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 from .cells import Cell, Zero
-from .core import (
-    _GAUSS_WEIGHTS,
-    _KRONROD_NODES,
-    _KRONROD_WEIGHTS,
-    CExpr,
-    left_sum,
-)
+from .core import CExpr, left_sum
 from .errors import DomainError, SingularityTooStrong
 from .tables import table
-
-_N0, _N1, _N2, _N3, _N4, _N5, _N6, _ = _KRONROD_NODES
-_W0, _W1, _W2, _W3, _W4, _W5, _W6, _W7 = _KRONROD_WEIGHTS
-_G0, _G1, _G2, _G3 = _GAUSS_WEIGHTS
-
-
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """15-point Kronrod estimate with embedded 7-point Gauss error.
-
-    Evaluates f(c), then f(c - x) and f(c + x) for each node x from the
-    outermost in; both sums start from the centre term and add the node
-    pairs left to right, the Gauss sum over every second node."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    x = h * _N0
-    s0 = f(c - x) + f(c + x)
-    x = h * _N1
-    s1 = f(c - x) + f(c + x)
-    x = h * _N2
-    s2 = f(c - x) + f(c + x)
-    x = h * _N3
-    s3 = f(c - x) + f(c + x)
-    x = h * _N4
-    s4 = f(c - x) + f(c + x)
-    x = h * _N5
-    s5 = f(c - x) + f(c + x)
-    x = h * _N6
-    s6 = f(c - x) + f(c + x)
-    kron = (
-        _W7 * fc + _W0 * s0 + _W1 * s1 + _W2 * s2 + _W3 * s3 + _W4 * s4
-        + _W5 * s5 + _W6 * s6
-    ) * h
-    gauss = (_G3 * fc + _G0 * s1 + _G1 * s3 + _G2 * s5) * h
-    return kron, abs(kron - gauss)
-
-
-def adaptive_quadrature(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_intervals: int = 4000,
-    rel_tol: float = 1e-13,
-) -> tuple[float, float]:
-    """Globally adaptive Gauss-Kronrod: repeatedly bisect the worst
-    subinterval until the summed error estimate is below tol.
-
-    Kronrod nodes are interior, so integrable endpoint singularities
-    (integrand defined on the open interval) are sampled safely."""
-    return _bisect(partial(_gk15, f), a, b, tol, max_intervals, rel_tol)
 
 
 def _bisect(
@@ -82,10 +25,13 @@ def _bisect(
     max_intervals: int = 4000,
     rel_tol: float = 1e-13,
 ) -> tuple[float, float]:
-    """adaptive_quadrature over panel(x0, x1), the estimate and error of one
-    15-point panel: _gk15 of a callable, or a sum's compiled CExpr.panel."""
-    import heapq
+    """Globally adaptive Gauss-Kronrod: repeatedly bisect the worst
+    subinterval until the summed error estimate is below tol.  panel(x0, x1)
+    is the estimate and error of one 15-point panel, a sum's compiled
+    CExpr.panel.
 
+    Kronrod nodes are interior, so integrable endpoint singularities
+    (integrand defined on the open interval) are sampled safely."""
     if a == b:
         return 0.0, 0.0
     val, err = panel(a, b)

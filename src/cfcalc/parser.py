@@ -241,7 +241,8 @@ class _Parser:
                 continue
             lo = self.resolve(lower, i)
             hi = self.resolve(upper, i)
-            # an upper bound 0 is left to normalize_cell: (-b, 0) mirrors
+            # a non-empty fiber ending at 0 is left to normalize_cell:
+            # (-b, 0) mirrors
             if isinstance(lo, Inf) or _empty_between(lo, hi, rawvars):
                 raise ParseError(f"invalid bounds for {name!r}", tok.line, tok.col)
             rawvars.append(RawVar(name, lo, hi))
@@ -395,20 +396,21 @@ def _constant_value(b) -> Fraction | None:
 def _empty_between(lo, hi, earlier: Sequence[RawVar]) -> bool:
     """No value lies strictly between the bounds, whatever the earlier
     variables are: the bounds are identical, constants in reverse order, or
-    the upper bound is negative and the lower one is not over the whole cell
-    of the earlier variables.  Other monomial bounds are ordered by the cell
-    certificate, which knows the ranges of the earlier variables."""
+    over the whole cell of the earlier variables the upper bound is 0 or
+    negative and the lower one is not negative.  Other monomial bounds are
+    ordered by the cell certificate, which knows the ranges of the earlier
+    variables."""
     if lo == hi:
         return True
     a, b = _constant_value(lo), _constant_value(hi)
     if a is not None and b is not None:
         return a >= b
-    if not (isinstance(hi, RawMono) and hi.coeff < 0):
+    if not (isinstance(hi, Zero) or isinstance(hi, RawMono) and hi.coeff < 0):
         return False
     positive: list[bool] = []  # earlier variables positive over the cell
     for rv in earlier:
         positive.append(rv.thin is None and _sign(rv.lower, positive) in (0, 1))
-    return _sign(hi, positive) == -1 and _sign(lo, positive) in (0, 1)
+    return _sign(hi, positive) in (-1, 0) and _sign(lo, positive) in (0, 1)
 
 
 def _sign(b, positive: Sequence[bool]) -> int | None:

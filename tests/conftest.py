@@ -37,7 +37,7 @@ def cell_of(*specs) -> Cell:
 
 def gk15_reference(f, a, b):
     """The 15-point Gauss-Kronrod panel as a loop over the node table: the
-    reference for oracle._gk15 and for the compiled CExpr.panel."""
+    reference for the compiled CExpr.panel."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)

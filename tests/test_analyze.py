@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cfcalc import analyze
 from cfcalc.analyze import (
     decay_rate,
     dominance,
@@ -19,6 +20,7 @@ from cfcalc.core import CExpr, ExpVec, LogUnitAtom, PolyUnit, Term, normalize
 from cfcalc.errors import EmptyExpr, FragmentEscape, NoDecay
 from cfcalc.generators import random_probe_sum
 from cfcalc.oracle import divergence_probe
+from cfcalc.sliver import build_sliver, form_min, pull_exponent
 from tests.conftest import cell_of, fat, mono, triangle, unit_fiber, wedge_determined
 
 
@@ -114,6 +116,34 @@ class TestDominance:
         e = CExpr(1, (Term.make(3, [F(-1, 2)]),))
         rep = dominance(e, unit_fiber(1))
         assert rep.limit_floor > 0
+
+    def test_unit_monomials_in_the_base_decay_on_the_sliver(self, monkeypatch):
+        # a unit 1 + 1/2*y1^(-1)*y2 over {0<y1<1, 0<y2<y1, 0<y3<1}: the
+        # sliver keeps its base monomial's pull-back decaying as t1 -> 0
+        cell = cell_of(fat(ZERO, mono(1, [0, 0, 0])),
+                       fat(ZERO, mono(1, [1, 0, 0])),
+                       fat(ZERO, mono(1, [0, 0, 0])))
+        u = PolyUnit.build(1, {ExpVec.of([-1, 1, 0]): F(1, 2)})
+        e = CExpr(3, (Term.make(1, [0, 0, F(-1, 2)], unit=u),))
+        margins = []
+
+        def spy(beta, s):
+            shrunk, c = shrink(beta, s)
+            margins.append(c)
+            return shrunk, c
+
+        shrink = analyze.shrink_for_decay
+        monkeypatch.setattr(analyze, "shrink_for_decay", spy)
+        rep = dominance(e, cell)
+        assert margins == [F(1, 4)]
+        outer = build_sliver(cell.prefix(2)).box
+        assert len(rep.sliver.box) == len(outer) == 1
+        assert all(lo <= a < b <= hi
+                   for (a, b), (lo, hi) in zip(rep.sliver.box, outer))
+        base_monos = [ExpVec(m.exps[:2]) for _, m in u.monos]
+        assert base_monos == [ExpVec.of([-1, 1])]
+        for m in base_monos:
+            assert form_min(pull_exponent(m), rep.sliver.box) > 0
 
 
 class TestSumIntegrable:

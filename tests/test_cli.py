@@ -184,20 +184,24 @@ _CELL_SUBCOMMANDS = ("integrate", "prepare", "check-integrability",
          "parse error: 1:17: invalid bounds for 'y2'"),
         ("y1 on {0<y1<1, y1<y2<-1*y1^(-1/2)}", 2,
          "parse error: 1:18: invalid bounds for 'y2'"),
+        # an upper bound 0 over a positive monomial
+        ("y1 on {0<y1<1, y1<y2<0}", 2,
+         "parse error: 1:18: invalid bounds for 'y2'"),
         # a bound order the cell certificate cannot establish: a refusal
         ("y1 on {0<y1<1, 2*y1<y2<y1}", 3,
          "error: bound of variable 1 not certified inside (0,1]"),
-        # a fiber ending at 0 mirrors only from a negative constant
-        ("y1 on {0<y1<1, y1<y2<0}", 3,
-         "error: a fiber ending at 0 needs a negative constant lower bound"),
         # -y1 is positive where y1 is negative: not empty, but refused
         ("y1 on {-1<y1<-1/2, 0<y2<-1*y1}", 3,
+         "error: dependent bounds may only reference positive variables"),
+        # y1 < y2 < 0 is not empty where y1 is negative, but refused
+        ("y1 on {-1<y1<-1/2, y1<y2<0}", 3,
          "error: dependent bounds may only reference positive variables"),
     ],
     ids=["equal-constants", "reversed-constants", "equal-fractions",
          "reversed-from-zero", "identical-monomials", "zero-monomial",
          "zero-to-zero", "negative-monomial", "positive-to-negative-monomial",
-         "uncertified-order", "dependent-to-zero", "negative-base-monomial"],
+         "dependent-to-zero", "uncertified-order", "negative-base-monomial",
+         "negative-base-to-zero"],
 )
 def test_empty_or_uncertified_cell_is_not_an_internal_error(
     cmd, source, code, prefix, capsys
@@ -325,7 +329,8 @@ def test_a_refused_term_outranks_an_earlier_failing_one(capsys):
     (("integrate", "y1^(2) on {-2<y1<0}"), "8/3\n"),
     (("integrate", "y2 on {-1<y1<0, 0<y2<1}", "--vars", "2"), "1/2\n"),
     (("eval", "y1^(2) on {-1<y1<0}", "--at=-1/2"), "0.25\n"),
-], ids=["square", "odd", "rescaled", "base", "eval"])
+    (("integrate", "y2 on {0<y1<1, -1<y2<0}", "--vars", "2"), "-1/2\n"),
+], ids=["square", "odd", "rescaled", "base", "eval", "over-a-base"])
 def test_a_negative_fiber_ending_at_zero_is_mirrored(argv, out, capsys):
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == out
