@@ -256,7 +256,7 @@ def test_decay_rate_without_decay_is_refused(source, prefix, capsys):
          "error: cannot evaluate at -1/4: the point is outside the closure "
          "of the cell"),
         (["eval", "log(y1) on {-2<y1<-1}", "--at=-3/2"],
-         "error: cannot evaluate at -3/2: math domain error"),
+         "error: cannot evaluate at -3/2: log of a nonpositive value"),
         (["eval", "y1^(1/2) on {-2<y1<-1}", "--at=-3/2", "--json"],
          "error: cannot evaluate at -3/2: no real value"),
         (["prepare", "y1 on {y1 = -1}"],
@@ -749,3 +749,29 @@ def test_validate_cold_and_warm_print_the_same_bytes(seed_, json_):
     (cells, cells_missed), (trips, trips_missed) = VALIDATE_COLD_STATS[seed_]
     assert _validate_stats() == ((cells + 30, cells_missed),
                                  (trips + 20, trips_missed))
+
+
+# quadrature calls of one validate call: each of its ten generated instances
+# that integrates to one piece is integrated at three base points drawn from
+# its base cell, or once when it has one variable, whose only base point is
+# the empty one
+VALIDATE_QUADRATURE_CALLS = {0: 22, 7: 18, 1001: 20}
+
+
+@pytest.mark.parametrize("seed_", [0, 7, 1001])
+@pytest.mark.parametrize("json_", [False, True], ids=["text", "json"])
+def test_validate_integrates_each_fiber_once(seed_, json_, monkeypatch):
+    # every quadrature of one validate call is a different fiber: a
+    # one-variable instance is not integrated again over the same empty
+    # base point
+    calls = []
+    quadrature = cli.quadrature_last
+
+    def recording(e, base_point, lo, hi, tol):
+        calls.append((e, tuple(base_point), lo, hi))
+        return quadrature(e, base_point, lo, hi, tol=tol)
+
+    monkeypatch.setattr(cli, "quadrature_last", recording)
+    argv = ["validate", "--seed", str(seed_)] + ["--json"] * json_
+    assert _call(argv)[0] == 0
+    assert len(set(calls)) == len(calls) == VALIDATE_QUADRATURE_CALLS[seed_]
