@@ -11,7 +11,6 @@ integrates iff its exponent exceeds -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,6 +46,7 @@ from .sliver import (
     separate,
     shrink_for_decay,
 )
+from .values import Value
 
 
 def _check_last_var_atoms(t: Term, pos: int) -> None:
@@ -80,8 +80,7 @@ def term_integrable_last(t: Term, cell: Cell) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(Value):
     """Extremal-exponent bookkeeping certifying a non-cancelling leading
     term: the nested index chain, the comparison term W, the sliver the
     certificate lives on, and the separation margin."""
@@ -306,8 +305,7 @@ def dominance(e: CExpr, cell: Cell) -> DominanceReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SumIntegrability:
+class SumIntegrability(Value):
     verdict: bool
     per_term: tuple[bool, ...]
     report: DominanceReport | None
@@ -331,8 +329,7 @@ def sum_integrable_last(e: CExpr, cell: Cell) -> SumIntegrability:
     return SumIntegrability(verdict, per_term, report)
 
 
-@dataclass(frozen=True)
-class IntegrableLocus:
+class IntegrableLocus(Value):
     kept: tuple[tuple[Cell, CExpr], ...]
     discarded: tuple[tuple[Cell, CExpr], ...]
 
@@ -354,8 +351,7 @@ def integrable_locus(pieces: Sequence[tuple[Cell, CExpr]]) -> IntegrableLocus:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Majorant:
+class Majorant(Value):
     """Log-free pointwise bound: |e| <= max(1, sum of the stored terms) on
     the open unit box (each |log y| is replaced by 1/y, each |log c| by its
     rational overestimate, units by their certified sup)."""
@@ -400,8 +396,7 @@ def subanalytic_bound(e: CExpr) -> Majorant:
     return Majorant(e.nvars, tuple(out))
 
 
-@dataclass(frozen=True)
-class DecayRate:
+class DecayRate(Value):
     """Certified decay: |f(x, y)| <= y^(-r) in original coordinates whenever
     y exceeds 1/threshold(x); in normalized coordinates (y_d = 1/y):
     |f(y', y_d)| <= y_d^r for y_d below threshold(y')."""

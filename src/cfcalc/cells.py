@@ -12,7 +12,6 @@ variable, and expressions follow through `compose_with_map`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -47,24 +46,22 @@ from .errors import (
     UncertifiedCell,
 )
 from .tables import table
+from .values import Value
 
 # ---------------------------------------------------------------------------
 # Bound kinds
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(Value):
     """Lower bound 0."""
 
 
-@dataclass(frozen=True)
-class Inf:
+class Inf(Value):
     """Upper bound +infinity (raw cells only)."""
 
 
-@dataclass(frozen=True)
-class MonomialBound:
+class MonomialBound(Value):
     """q * y^exps * unit with q > 0; exps/unit over earlier positions."""
 
     coeff: Fraction
@@ -150,14 +147,12 @@ def interval_scale(a: Interval, q: Fraction) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FatVar:
+class FatVar(Value):
     lower: Union[Zero, MonomialBound]
     upper: MonomialBound
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Value):
     """Normalized cell in (0,1)^n with center 0.  Every variable is fat:
     thin (graph) variables are substituted away at the source level."""
 
@@ -325,8 +320,7 @@ class Cell:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymClass:
+class AsymClass(Value):
     """Per position: asymptotically determined / constrained flags."""
 
     determined: tuple[bool, ...]
@@ -376,8 +370,7 @@ def assert_prepared_shape(cell: Cell) -> AsymClass:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxisMap:
+class AxisMap(Value):
     """old_pos = eps * (scale * new_pos)^zeta."""
 
     pos: int
@@ -398,8 +391,7 @@ class AxisMap:
         return w / self.scale
 
 
-@dataclass(frozen=True)
-class HStep:
+class HStep(Value):
     """old_pos = new_<pos^alpha * (R * new_pos + u(new_<pos)).
 
     u carries its own constant (the lower-bound unit q_a * u_a); R is a
@@ -655,8 +647,7 @@ def compose_with_map(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HTransform:
+class HTransform(Value):
     cell: Cell
     steps: tuple[HStep, ...]
 
@@ -715,8 +706,7 @@ def transform_H(cell: Cell) -> HTransform:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RawMono:
+class RawMono(Value):
     """q * prod x_j^e_j over raw coordinates (no unit part in source)."""
 
     coeff: Fraction
@@ -730,16 +720,14 @@ class RawMono:
 RawBound = Union[Zero, Inf, RawMono]
 
 
-@dataclass(frozen=True)
-class RawVar:
+class RawVar(Value):
     name: str
     lower: RawBound
     upper: RawBound
     thin: RawMono | None = None
 
 
-@dataclass(frozen=True)
-class RawCell:
+class RawCell(Value):
     vars: tuple[RawVar, ...]
 
     @property
@@ -786,8 +774,7 @@ def _side(x: Fraction, b: RawBound, point: Sequence[Fraction]) -> int | None:
     return sign * ((abs(x) ** d > power) - (abs(x) ** d < power))
 
 
-@dataclass(frozen=True)
-class CellNormalization:
+class CellNormalization(Value):
     """Result of normalize_cell: the unit-box cell, the map G expressing old
     coordinates in terms of new ones, and G's Jacobian as a term."""
 

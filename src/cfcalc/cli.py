@@ -256,6 +256,9 @@ def _cmd_eval(args) -> int:
                           "log of a nonpositive value")
     except (ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"cannot evaluate at {args.at}: {exc}")
+    except TypeError:
+        # math.log of a complex value: an opaque log's argument at the point
+        raise DomainError(f"cannot evaluate at {args.at}: no real value")
     if isinstance(value, complex):
         raise DomainError(f"cannot evaluate at {args.at}: no real value")
     return _emit(args, source, {"point": args.at, "value": value}, [repr(value)])

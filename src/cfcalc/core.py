@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from types import CodeType, FunctionType
@@ -33,6 +32,7 @@ from .errors import (
     ZeroTestUnsupported,
 )
 from .tables import table
+from .values import Value, set_field
 
 # Exact rational scalar used everywhere.  Always reduced, denominator > 0,
 # arbitrary precision.
@@ -128,11 +128,13 @@ def log_const_exponents(q: Fraction) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpVec:
+class ExpVec(Value):
     """Per-variable rational exponents; zero entries carried explicitly."""
 
     exps: tuple[Fraction, ...]
+
+    def __init__(self, exps):
+        set_field(self, "exps", exps)
 
     @staticmethod
     def zero(nvars: int) -> "ExpVec":
@@ -238,8 +240,7 @@ def _unit_sort_key(monos: Iterable[tuple[Fraction, ExpVec]]):
     return tuple(sorted((m.exps, c) for c, m in monos))
 
 
-@dataclass(frozen=True)
-class PolyUnit:
+class PolyUnit(Value):
     """A certified nonvanishing polynomial: constant + sum coeff_k * y^exps_k.
 
     Every monomial must take values in (0, 1] on the owning cell (the cells
@@ -258,7 +259,9 @@ class PolyUnit:
     constant: Fraction
     monos: tuple[tuple[Fraction, ExpVec], ...] = ()
 
-    def __post_init__(self):
+    def __init__(self, constant, monos=()):
+        set_field(self, "constant", constant)
+        set_field(self, "monos", monos)
         if self.constant == 0:
             raise UnitCertificateViolated("unit constant must be nonzero")
         if any(c == 0 or m.is_zero() for c, m in self.monos):
@@ -424,22 +427,19 @@ def poly_is_certifiable_unit(poly: MonoPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogVar:
+class LogVar(Value):
     """log y_pos for a fat variable of the owning cell."""
 
     pos: int
 
 
-@dataclass(frozen=True)
-class LogPrime:
+class LogPrime(Value):
     """log p for a prime p >= 2 (canonical form of log of a constant)."""
 
     prime: int
 
 
-@dataclass(frozen=True)
-class LogComposite:
+class LogComposite(Value):
     """log n for a squarefree n with two or more prime factors (rising in
     primes), kept as one atom of a coprime base instead of the sum of its
     prime logs."""
@@ -448,8 +448,7 @@ class LogComposite:
     primes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LogUnitAtom:
+class LogUnitAtom(Value):
     """log u for a certified positive polynomial unit, kept opaque."""
 
     unit: PolyUnit
@@ -459,8 +458,7 @@ class LogUnitAtom:
             raise FragmentEscape("log of a negative unit")
 
 
-@dataclass(frozen=True)
-class LogExprAtom:
+class LogExprAtom(Value):
     """log of a not-yet-prepared composite argument (parser output only).
 
     The argument is an unexpanded constructible expression; preparation
@@ -520,8 +518,7 @@ def _rising_constant_logs(extras: tuple[tuple[LogAtom, int], ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Value):
     """One prepared summand: coeff * y^exps * logs * extras * unit."""
 
     coeff: Fraction
@@ -530,13 +527,18 @@ class Term:
     extras: tuple[tuple[LogAtom, int], ...] = ()
     unit: PolyUnit = _UNIT_ONE
 
-    def __post_init__(self):
-        if self.coeff == 0:
+    def __init__(self, coeff, exps, logpows, extras=(), unit=_UNIT_ONE):
+        if coeff == 0:
             raise ValueError("zero terms are deleted, not constructed")
-        if len(self.logpows) != len(self.exps):
+        if len(logpows) != len(exps):
             raise ValueError("logpows and exps must share the ambient size")
-        if self.logpows and min(self.logpows) < 0:
+        if logpows and min(logpows) < 0:
             raise ValueError("log powers are nonnegative")
+        set_field(self, "coeff", coeff)
+        set_field(self, "exps", exps)
+        set_field(self, "logpows", logpows)
+        set_field(self, "extras", extras)
+        set_field(self, "unit", unit)
 
     @staticmethod
     def make(
@@ -986,8 +988,7 @@ def _eval_monomial_exact(m: ExpVec, point: Sequence[Fraction]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CExpr:
+class CExpr(Value):
     """A finite sum of terms over a fixed ambient variable count."""
 
     nvars: int
@@ -996,10 +997,12 @@ class CExpr:
     # not a field, so equality and hashing are unchanged
     _normal = False
 
-    def __post_init__(self):
-        for t in self.terms:
-            if t.nvars != self.nvars:
+    def __init__(self, nvars, terms=()):
+        for t in terms:
+            if t.nvars != nvars:
                 raise ValueError("term ambient size differs from expression")
+        set_field(self, "nvars", nvars)
+        set_field(self, "terms", terms)
 
     @staticmethod
     def zero(nvars: int) -> "CExpr":

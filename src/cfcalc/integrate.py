@@ -18,7 +18,6 @@ continuous extension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -47,6 +46,7 @@ from .errors import (
     NotPrepared,
 )
 from .tables import table
+from .values import Value
 
 # ---------------------------------------------------------------------------
 # Antiderivatives of y^r (log y)^s
@@ -105,8 +105,7 @@ def _anti_pieces(m: Fraction, s: int) -> list[tuple[Fraction, int, Fraction]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SForm:
+class SForm(Value):
     """One prepared summand in claim shape after clearing denominators:
 
         (sum_i laurent_i(x) z^-i + sum_k analytic_k(x) z^k) (log z)^s
@@ -337,8 +336,7 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FubiniResult:
+class FubiniResult(Value):
     pieces: tuple[tuple[Cell, CExpr], ...]
 
     def value(self) -> CExpr:

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cells import Cell, Zero
 from .core import CExpr, left_sum
 from .errors import DomainError, SingularityTooStrong
 from .tables import table
+from .values import Value
 
 
 def _bisect(
@@ -95,8 +95,7 @@ def quadrature_last(
     return _bisect(e.panel(base_point, k), 0.0, hi ** (1.0 / k), tol)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Value):
     """Empirical integrability verdict from dyadic partial integrals."""
 
     verdict: str  # "converged" | "diverged" | "inconclusive"

@@ -22,7 +22,6 @@ monomials expand immediately; composite log arguments stay deferred.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
@@ -48,6 +47,7 @@ from .core import (
     _prime_powers,
 )
 from .errors import ParseError
+from .values import Value
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -344,8 +344,7 @@ def _natural_key(name: str):
     return (name, 0)
 
 
-@dataclass(frozen=True)
-class SourceForm:
+class SourceForm(Value):
     """Parsed source: the raw cell with named variables and the expression."""
 
     raw_cell: RawCell
@@ -464,8 +463,9 @@ def _rows(t: Term, powers: dict, names: Sequence[str]) -> list[tuple]:
     only when there are composites to sort by."""
     split = [ak for ak in t.extras if type(ak[0]) is LogComposite] if powers else ()
     kept = tuple(ak for ak in t.extras if ak not in split) if split else t.extras
-    if len(split) > 1 or split and any(type(a) is LogPrime for a, _ in kept):
-        # prime logs that may interleave: _over_primes merges them atom by atom
+    if len(split) > 1 or split and any(
+            type(a) is LogPrime and a.prime < split[0][0].primes[-1] for a, _ in kept):
+        # interleaving primes (several composites, a kept prime below one): _over_primes
         return [row for u in _over_primes([t]) for row in _rows(u, powers, names)]
     left = [_print_varpow(names[i], ex) for i, ex in enumerate(t.exps) if ex]
     left += [f"log({names[i]})" + (f"^{l}" if l > 1 else "")
@@ -477,7 +477,7 @@ def _rows(t: Term, powers: dict, names: Sequence[str]) -> list[tuple]:
     if not split:
         text = _signed(num, den, " * ".join(left + right))
         return [(t.signature() if powers else None, text)]
-    # one composite, whose prime logs come before kept unit and expression logs
+    # one composite, whose prime logs come before every kept log
     (a, k), = split
     exps, logpows, _ = t.signature()
     kept_key = _extras_key(kept)

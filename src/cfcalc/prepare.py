@@ -12,7 +12,6 @@ form between the bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cells import Cell, RawCell, RawMono, RawVar, classify
@@ -32,6 +31,7 @@ from .core import (
     times_log_power,
 )
 from .errors import FragmentEscape, NotPrepared
+from .values import Value
 
 # ---------------------------------------------------------------------------
 # Dominant-monomial extraction
@@ -168,8 +168,7 @@ def substitute_thin(raw: RawCell, e: CExpr) -> tuple[RawCell, CExpr]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PreparedCellData:
+class PreparedCellData(Value):
     """A cell, the prepared sum, and the cell's asymptotically undetermined
     positions J."""
 

@@ -11,7 +11,6 @@ corner check *is* the certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
@@ -19,12 +18,12 @@ from typing import Iterable, Sequence
 from .cells import Cell, MonomialBound, Zero, classify
 from .core import ExpVec
 from .errors import NotAllUndetermined, NotBounded, NotPrepared
+from .values import Value
 
 Box = tuple[tuple[Fraction, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(Value):
     """constant + sum coeffs[j] * t_(j+2) over the sliver box parameters."""
 
     constant: Fraction
@@ -129,8 +128,7 @@ def separate(
     raise ValueError("separation did not certify")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class Sliver:
+class Sliver(Value):
     """The box (0, epsilon) x box and the probe map it parameterizes."""
 
     epsilon: Fraction

@@ -259,6 +259,9 @@ def test_decay_rate_without_decay_is_refused(source, prefix, capsys):
          "error: cannot evaluate at -3/2: log of a nonpositive value"),
         (["eval", "y1^(1/2) on {-2<y1<-1}", "--at=-3/2", "--json"],
          "error: cannot evaluate at -3/2: no real value"),
+        # math.log of the complex value of an opaque log's argument
+        (["eval", "log(1+y1^(1/2)) on {-2<y1<-1}", "--at=-3/2"],
+         "error: cannot evaluate at -3/2: no real value"),
         (["prepare", "y1 on {y1 = -1}"],
          "fragment escape: power of negative thin variable y1"),
         (["decay-rate", "(1 + 1/3*x1) * log(x2) on {x1 = -1, 0 < x2 < 2}"],
@@ -269,6 +272,7 @@ def test_decay_rate_without_decay_is_refused(source, prefix, capsys):
          "integrate-no-variable", "integrate-no-variable-product",
          "eval-log-of-negative", "eval-pole", "eval-complex",
          "eval-log-of-negative-in-cell", "eval-complex-in-cell",
+         "eval-complex-in-opaque-log",
          "negative-thin", "negative-thin-in-unit"],
 )
 def test_determined_cells_are_refused_not_internal_errors(args, prefix, capsys):

@@ -419,6 +419,35 @@ def test_print_expr_matches_prime_form_route(terms):
     assert print_expr(e, ["y1", "y2"]) == _print_reference(e, ["y1", "y2"])
 
 
+@st.composite
+def _composite_beside_kept_primes(draw):
+    """Terms that share one composite log and keep prime logs above, inside
+    and below its primes, each prime in one term only: the constant logs of
+    the sum are pairwise coprime, so normalize keeps them all."""
+    primes = draw(st.sampled_from([(3, 7), (5, 11), (2, 5, 13)]))
+    pool = [p for p in (2, 3, 5, 7, 11, 13, 17) if p not in primes]
+    kept = draw(st.lists(st.lists(st.sampled_from(pool), max_size=2),
+                         min_size=1, max_size=3))
+    terms, used = [], set()
+    for ps in kept:
+        extras = [(_composite(*primes), draw(st.integers(min_value=1, max_value=3)))]
+        extras += [(LogPrime(p), draw(st.integers(min_value=1, max_value=2)))
+                   for p in sorted(set(ps) - used)]
+        used.update(ps)
+        if draw(st.booleans()):
+            extras.append((LogUnitAtom(_UNIT), 1))
+        coeff = draw(st.fractions(min_value=-9, max_value=9, max_denominator=6))
+        terms.append(Term.make(coeff or 1, draw(st.sampled_from([[0, 0], [1, 0]])),
+                               None, extras))
+    return CExpr(2, tuple(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_composite_beside_kept_primes())
+def test_print_expr_matches_prime_form_route_beside_kept_primes(e):
+    assert print_expr(e, ["y1", "y2"]) == _print_reference(e, ["y1", "y2"])
+
+
 def _sum(*terms):
     return CExpr(2, tuple(Term.make(*t) for t in terms))
 
