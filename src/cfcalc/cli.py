@@ -377,44 +377,25 @@ def build_parser() -> _ArgumentParser:
     ap = _ArgumentParser(prog="cfcalc", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, needs_source=True):
+    def command(name, func, needs_source=True):
+        p = sub.add_parser(name)
         if needs_source:
             p.add_argument("source", nargs="?", help="source text")
             p.add_argument("--input", help="read source from a file")
         p.add_argument("--json", action="store_true", help="JSON report output")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("prepare")
-    common(p)
-    p.set_defaults(func=_cmd_prepare)
-
-    p = sub.add_parser("integrate")
-    common(p)
-    p.add_argument("--vars", type=int, default=1)
-    p.set_defaults(func=_cmd_integrate)
-
-    p = sub.add_parser("check-integrability")
-    common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("decay-rate")
-    common(p)
-    p.set_defaults(func=_cmd_decay)
-
-    p = sub.add_parser("sliver")
-    common(p)
-    p.set_defaults(func=_cmd_sliver)
-
-    p = sub.add_parser("eval")
-    common(p)
-    p.add_argument("--at", required=True, help="comma-separated rationals; "
-                   "write --at=-3/2 when the first is negative")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("validate")
-    common(p, needs_source=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_validate)
-
+    command("prepare", _cmd_prepare)
+    command("integrate", _cmd_integrate).add_argument("--vars", type=int, default=1)
+    command("check-integrability", _cmd_check)
+    command("decay-rate", _cmd_decay)
+    command("sliver", _cmd_sliver)
+    command("eval", _cmd_eval).add_argument(
+        "--at", required=True,
+        help="comma-separated rationals; write --at=-3/2 when the first is negative")
+    command("validate", _cmd_validate, needs_source=False).add_argument(
+        "--seed", type=int, default=0)
     return ap
 
 

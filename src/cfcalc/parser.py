@@ -12,19 +12,29 @@ Grammar (whitespace-insensitive):
     mono   := RAT ['*' varpow ('*' varpow)*] | varpow ('*' varpow)*
     varpow := VAR ['^' '(' RAT ')']
 
-Numbers are exact rationals ("3/2", "-1/2"); decimal points are rejected.
-The cell is read first: its chains declare the variables (order defines
-positions), or without a cell the unit cube over the expression's variables;
-every term is then built at its final positions.  Logs of single positive
-monomials expand immediately; composite log arguments stay deferred.
+Numbers are exact rationals ("3/2", "-1/2") of ASCII digits; decimal points
+are rejected.  The cell is read first: its chains declare the variables
+(order defines positions), or without a cell the unit cube over the
+expression's variables; every term is then built at its final positions.
+Logs of single positive monomials expand immediately; composite log
+arguments stay deferred.
+
+The source is read as a list of token texts, found by one regular
+expression, with "" for the end of input; a token's kind is its first
+character (a digit, a letter or '_', or an operator).  Tokens keep no
+position: an error scans the source again up to its token and reports that
+token's line and column, or the position just past the last token for the
+end of input.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Sequence
+from operator import add
+from typing import Sequence
 
 from .cells import INF, Inf, RawCell, RawMono, RawVar, ZERO, Zero
 from .core import (
@@ -42,6 +52,7 @@ from .core import (
     prime_form,
     term_mul,
     times_log_power,
+    times_term,
     _extras_key,
     _over_primes,
     _prime_powers,
@@ -49,194 +60,227 @@ from .core import (
 from .errors import ParseError
 from .values import Value
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^(){}<=,]))"
-)
+# a character that starts no token is a token of its own, so that findall
+# skips only whitespace and the first stray character can be reported
+_TOKEN_RE = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*^(){}<=,]|\S")
+_STRAY_RE = re.compile(r"[^\s0-9A-Za-z_/+*^(){}<=,-]")  # and '/' outside a number
 
+_DIGITS = frozenset(string.digits)
+_NAME_START = frozenset(string.ascii_letters + "_")
+_MONOMIAL_START = _DIGITS | _NAME_START
+_TOKEN_START = _MONOMIAL_START | frozenset("-+*^(){}<=,")
 _KEYWORDS = {"log", "on", "cell", "inf"}
 
-
-class _Tok(NamedTuple):
-    kind: str  # "num" | "name" | "op" | "eof"
-    text: str
-    line: int
-    col: int
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+_UNIT_ONE = PolyUnit.one()
 
 
-def _tokenize(src: str) -> list[_Tok]:
-    """One pass over ``src``.  Tokens hold no newline, so the current line
-    and the offset where it starts are carried from token to token."""
-    toks: list[_Tok] = []
-    match = _TOKEN_RE.match
-    line = 1
-    line_start = 0
-    pos = 0
-    end = len(src)
-    while pos < end:
-        m = match(src, pos)
-        if m is None:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            start = end - len(stripped)
-        else:
-            kind = m.lastgroup
-            start = m.start(kind)
-        nl = src.rfind("\n", pos, start)
-        if nl >= 0:
-            line += src.count("\n", pos, nl + 1)
-            line_start = nl + 1
-        if m is None:
-            if stripped[0] == ".":
-                raise ParseError(
-                    "decimal literals are rejected; use exact rationals",
-                    line, start - line_start,
-                )
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             line, start - line_start)
-        toks.append(_Tok(kind, m.group(kind), line, start - line_start))
-        pos = m.end()
-    # the eof token keeps the last token's line
-    toks.append(_Tok("eof", "", line, 0))
+def _tokenize(src: str) -> list[str]:
+    """The token texts of src, then "" for the end of input."""
+    toks = _TOKEN_RE.findall(src)
+    if "/" in toks or _STRAY_RE.search(src):
+        for at, t in enumerate(toks):
+            if t[0] not in _TOKEN_START:
+                raise ParseError("decimal literals are rejected; use exact rationals"
+                                 if t == "." else f"unexpected character {t!r}",
+                                 *_position(src, at))
+    toks.append("")
     return toks
+
+
+def _position(src: str, at: int) -> tuple[int, int]:
+    """(line, column) of token number at of src; for the end of input, just
+    past the last token."""
+    spans = [(0, 0)] + [m.span() for m in _TOKEN_RE.finditer(src)]
+    offset = spans[at + 1][0] if at + 1 < len(spans) else spans[-1][1]
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset) - 1
 
 
 class _Parser:
     def __init__(self, src: str):
+        self.src = src
         self.toks = _tokenize(src)
         self.i = 0
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def fail(self, msg: str, at: int | None = None) -> ParseError:
+        """An error at token number at, by default the current one."""
+        return ParseError(msg, *_position(self.src, self.i if at is None else at))
 
-    def next(self) -> _Tok:
+    def expect(self, text: str) -> None:
         t = self.toks[self.i]
+        if t != text:
+            raise self.fail(f"expected {text!r}, found {t or 'end of input'!r}")
         self.i += 1
-        return t
-
-    def expect(self, text: str) -> _Tok:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
-        return t
-
-    def error(self, msg: str) -> ParseError:
-        t = self.peek()
-        return ParseError(msg, t.line, t.col)
 
     def expect_end(self, end: int) -> None:
         if self.i != end:
-            raise self.error(f"unexpected trailing input {self.peek().text!r}")
+            raise self.fail(f"unexpected trailing input {self.toks[self.i]!r}")
 
     def declare(self, names: Sequence[str]) -> None:
         """Fix every variable's final position before any term is built."""
         self.positions = {n: i for i, n in enumerate(names)}
-        self.nv = nv = len(names)
-        self.one = Term(Fraction(1), ExpVec.zero(nv), (0,) * nv)
+        self.nv = len(names)
 
     # -- numbers and variables ------------------------------------------------
 
     def parse_rat(self) -> Fraction:
-        neg = False
-        if self.peek().text == "-":
-            self.next()
-            neg = True
-        t = self.next()
-        if t.kind != "num":
-            raise ParseError(f"expected a rational, found {t.text!r}", t.line, t.col)
-        if "/" in t.text:
-            a, b = t.text.split("/")
-            if int(b) == 0:
-                raise ParseError("zero denominator", t.line, t.col)
-            v = Fraction(int(a), int(b))
-        else:
-            v = Fraction(int(t.text))
+        neg = self.toks[self.i] == "-"
+        self.i += neg
+        t = self.toks[self.i]
+        if t[:1] not in _DIGITS:
+            raise self.fail(f"expected a rational, found {t!r}")
+        num, _, den = t.partition("/")
+        if den and int(den) == 0:
+            raise self.fail("zero denominator")
+        self.i += 1
+        v = Fraction(int(num), int(den)) if den else Fraction(int(num))
         return -v if neg else v
+
+    def times_factor(self, coeff: Fraction, exps: list) -> Fraction:
+        """coeff times the number at the current token, returned, or the
+        variable power there added into exps.  A factor 1 or a variable's
+        first power does no Fraction arithmetic."""
+        t = self.toks[self.i]
+        if t[:1] in _DIGITS:
+            q = self.parse_rat()
+            return coeff if t == "1" else q if coeff is _ONE else coeff * q
+        if t in _KEYWORDS:
+            raise self.fail(f"{t!r} is a keyword")
+        pos = self.positions.get(t)
+        if pos is None:
+            raise self.fail(f"undeclared variable {t!r}")
+        self.i += 1
+        power = self.parse_power()
+        exps[pos] = power if exps[pos] is _ZERO else exps[pos] + power
+        return coeff
 
     # -- expressions: lists of terms over the declared positions ---------------
 
     def parse_expr(self) -> list[Term]:
         out = self.parse_term(1)
-        while self.peek().text in ("+", "-"):
-            out += self.parse_term(-1 if self.next().text == "-" else 1)
+        while self.toks[self.i] in ("+", "-"):
+            self.i += 1
+            out += self.parse_term(-1 if self.toks[self.i - 1] == "-" else 1)
         return out
 
     def parse_term(self, sign: int) -> list[Term]:
-        while self.peek().text == "-":
-            self.next()
+        """One product.  Numbers, variable powers and logs that expand to one
+        piece without constant logs update one accumulator coeff * y^exps *
+        log(y)^logpows.  A parenthesised factor or another log makes terms:
+        the first takes the accumulator in, which starts again from 1, and
+        what it holds at the end is multiplied into the terms once."""
+        toks, nv = self.toks, self.nv
+        while toks[self.i] == "-":
+            self.i += 1
             sign = -sign
-        out = self.parse_factor([self.one.scaled(sign)])
-        while self.peek().text == "*":
-            self.next()
-            out = self.parse_factor(out)
-        return out
+        coeff = _ONE if sign > 0 else _MINUS_ONE
+        exps, logpows = [_ZERO] * nv, [0] * nv
+        made = None
+        while True:
+            t = toks[self.i]
+            if t[:1] in _MONOMIAL_START and t != "log":
+                coeff = self.times_factor(coeff, exps)
+            elif t == "(":
+                self.i += 1
+                inner = self.parse_expr()
+                self.expect(")")
+                if made is not None:
+                    made = [x for a in made for b in inner for x in term_mul(a, b)]
+                elif coeff:
+                    ev, lp = ExpVec(tuple(exps)), tuple(logpows)
+                    made = [x for b in inner
+                            for x in times_term(coeff, ev, lp, (), _UNIT_ONE, b)]
+                    coeff, exps, logpows = _ONE, [_ZERO] * nv, [0] * nv
+            elif t == "log":
+                pieces = self.parse_log()
+                if len(pieces) == 1 and not pieces[0][2]:
+                    c, lp, _ = pieces[0]
+                    coeff = coeff if c == 1 else c if coeff is _ONE else coeff * c
+                    logpows = list(map(add, logpows, lp))
+                elif made is not None:
+                    made = [x for a in made for x in times_log_power(a, pieces)]
+                elif coeff:
+                    ev = ExpVec(tuple(exps))
+                    made = [Term.make(coeff * c, ev, tuple(map(add, logpows, lp)), ex)
+                            for c, lp, ex in pieces]
+                    coeff, exps, logpows = _ONE, [_ZERO] * nv, [0] * nv
+            else:
+                raise self.fail(f"expected a factor, found {t or 'end of input'!r}")
+            if toks[self.i] != "*":
+                break
+            self.i += 1
+        if not coeff:
+            return []
+        ev, lp = ExpVec(tuple(exps)), tuple(logpows)
+        if made is None:
+            return [Term(coeff, ev, lp)]
+        if coeff is _ONE and not any(exps) and not any(logpows):
+            return made
+        return [x for b in made for x in times_term(coeff, ev, lp, (), _UNIT_ONE, b)]
 
-    def parse_factor(self, base: list[Term]) -> list[Term]:
-        """The product of base and the next factor."""
-        t = self.peek()
-        if t.kind == "num":
-            q = self.parse_rat()
-            return [b.scaled(q) for b in base] if q else []
-        if t.text == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect(")")
-            return [x for a in base for b in inner for x in term_mul(a, b)]
-        if t.kind != "name":
-            raise self.error(f"expected a factor, found {t.text or 'end of input'!r}")
-        if t.text == "log":
-            self.next()
-            self.expect("(")
+    def parse_log(self) -> list:
+        """'log' '(' expr ')' ['^' INT] as (coefficient, logpows, extras)
+        pieces.  A single positive monomial expands: an argument that is one
+        product of numbers and variable powers is read straight into one,
+        with no term built for it, and any other is read again as a sum and
+        normalized.  Any other argument stays deferred with its constant
+        logs over primes, as printed: its terms are part of the signature of
+        every term it enters."""
+        toks = self.toks
+        at = self.i
+        self.i += 1
+        self.expect("(")
+        start = self.i
+        coeff, exps, items = _ONE, [_ZERO] * self.nv, None
+        while toks[self.i][:1] in _MONOMIAL_START and toks[self.i] != "log":
+            coeff = self.times_factor(coeff, exps)
+            if toks[self.i] != "*":
+                if toks[self.i] == ")" and coeff > 0:
+                    items = log_of_monomial_unit(coeff, ExpVec(tuple(exps)), _UNIT_ONE)
+                break
+            self.i += 1
+        if items is None:
+            self.i = start
             arg = normalize(CExpr(self.nv, tuple(self.parse_expr())))
-            self.expect(")")
-            power = 1
-            if self.peek().text == "^":
-                self.next()
-                ptok = self.peek()
-                p = self.parse_rat()
-                if p.denominator != 1 or p <= 0:
-                    raise ParseError(
-                        "log powers must be positive integers", ptok.line, ptok.col
-                    )
-                power = int(p)
+        self.expect(")")
+        power = 1
+        if toks[self.i] == "^":
+            self.i += 1
+            ptok = self.i
+            p = self.parse_rat()
+            if p.denominator != 1 or p <= 0:
+                raise self.fail("log powers must be positive integers", ptok)
+            power = int(p)
+        if items is None:
             if not arg.terms:
-                raise ParseError("log of zero", t.line, t.col)
-            pieces = _log_pieces(arg, power, self.nv)
-            return [x for b in base for x in times_log_power(b, pieces)]
-        name = self.next().text
-        if name in _KEYWORDS:
-            raise ParseError(f"{name!r} is a keyword", t.line, t.col)
-        pos = self.positions.get(name)
-        if pos is None:
-            raise ParseError(f"undeclared variable {name!r}", t.line, t.col)
-        power = self.parse_power()
-        return [b.with_exps(b.exps.with_entry(pos, b.exps[pos] + power)) for b in base]
+                raise self.fail("log of zero", at)
+            t, *more = arg.terms
+            if more or any(t.logpows) or t.extras or t.coeff < 0 or not t.unit.is_trivial:
+                return [(_ONE, (0,) * self.nv, ((LogExprAtom(prime_form(arg)), power),))]
+            items = log_of_monomial_unit(t.coeff, t.exps, _UNIT_ONE)
+        return expand_log_power(items, power, self.nv)
 
     # -- cells -----------------------------------------------------------------
 
     def parse_cell(self) -> RawCell:
         self.expect("{")
         chains = [self.parse_chain()]
-        while self.peek().text == ",":
-            self.next()
+        while self.toks[self.i] == ",":
+            self.i += 1
             chains.append(self.parse_chain())
         self.expect("}")
-        names = [c[0].text for c in chains]
-        for i, (tok, *_) in enumerate(chains):
-            if tok.text in names[:i]:
-                raise ParseError(f"duplicate variable in cell: {names}",
-                                 tok.line, tok.col)
+        names = [self.toks[c[0]] for c in chains]
+        for i, (at, *_) in enumerate(chains):
+            if names[i] in names[:i]:
+                raise self.fail(f"duplicate variable in cell: {names}", at)
         self.declare(names)
         rawvars = []
-        for i, (tok, lower, upper, thin) in enumerate(chains):
-            name = tok.text
+        for i, (at, lower, upper, thin) in enumerate(chains):
+            name = names[i]
             if thin is not None:
                 tb = self.resolve(thin, i)
                 if not isinstance(tb, RawMono):
-                    raise ParseError(f"thin variable {name!r} needs a monomial graph",
-                                     tok.line, tok.col)
+                    raise self.fail(f"thin variable {name!r} needs a monomial graph", at)
                 rawvars.append(RawVar(name, ZERO, RawMono.const(1, self.nv), thin=tb))
                 continue
             lo = self.resolve(lower, i)
@@ -244,58 +288,55 @@ class _Parser:
             # a non-empty fiber ending at 0 is left to normalize_cell:
             # (-b, 0) mirrors
             if isinstance(lo, Inf) or _empty_between(lo, hi, rawvars):
-                raise ParseError(f"invalid bounds for {name!r}", tok.line, tok.col)
+                raise self.fail(f"invalid bounds for {name!r}", at)
             rawvars.append(RawVar(name, lo, hi))
         return RawCell(tuple(rawvars))
 
     def parse_chain(self):
-        """(name token, lower, upper, thin); parse_cell resolves the bounds."""
-        save = self.i
-        t = self.peek()
-        if t.kind == "name" and t.text not in _KEYWORDS:
-            name_tok = self.next()
-            if self.peek().text == "=":
-                self.next()
-                bound = self.parse_bound()
-                return (name_tok, None, None, bound)
-            self.i = save
+        """(name token index, lower, upper, thin); parse_cell resolves the
+        bounds."""
+        at = self.i
+        t = self.toks[at]
+        if t[:1] in _NAME_START and t not in _KEYWORDS and self.toks[at + 1] == "=":
+            self.i += 2
+            return (at, None, None, self.parse_bound())
         lower = self.parse_bound()
         self.expect("<")
-        vt = self.next()
-        if vt.kind != "name" or vt.text in _KEYWORDS:
-            raise ParseError("expected a variable name", vt.line, vt.col)
+        at = self.parse_name()
         self.expect("<")
         upper = self.parse_bound()
-        return (vt, lower, upper, None)
+        return (at, lower, upper, None)
 
     def parse_bound(self):
-        t = self.peek()
-        if t.text == "inf":
-            self.next()
+        t = self.toks[self.i]
+        if t == "inf":
+            self.i += 1
             return INF
-        q, factors = Fraction(1), []
-        if t.kind == "num" or t.text == "-":
+        q, factors = _ONE, []
+        if t[:1] in _DIGITS or t == "-":
             q = self.parse_rat()
-        elif t.kind == "name" and t.text not in _KEYWORDS:
-            factors.append(self.parse_varpow())
+        elif t[:1] in _NAME_START and t not in _KEYWORDS:
+            factors.append((self.parse_name(), self.parse_power()))
         else:
-            raise ParseError(f"expected a bound, found {t.text!r}", t.line, t.col)
-        while self.peek().text == "*":
-            self.next()
-            factors.append(self.parse_varpow())
+            raise self.fail(f"expected a bound, found {t!r}")
+        while self.toks[self.i] == "*":
+            self.i += 1
+            factors.append((self.parse_name(), self.parse_power()))
         return (q, factors)
 
-    def parse_varpow(self) -> tuple[_Tok, Fraction]:
-        t = self.next()
-        if t.kind != "name" or t.text in _KEYWORDS:
-            raise ParseError("expected a variable name", t.line, t.col)
-        return (t, self.parse_power())
+    def parse_name(self) -> int:
+        """The index of the variable name at the current token."""
+        t = self.toks[self.i]
+        if t[:1] not in _NAME_START or t in _KEYWORDS:
+            raise self.fail("expected a variable name")
+        self.i += 1
+        return self.i - 1
 
     def parse_power(self) -> Fraction:
         """['^' '(' RAT ')'], 1 when absent."""
-        if self.peek().text != "^":
-            return Fraction(1)
-        self.next()
+        if self.toks[self.i] != "^":
+            return _ONE
+        self.i += 1
         self.expect("(")
         power = self.parse_rat()
         self.expect(")")
@@ -306,35 +347,20 @@ class _Parser:
             return bound
         q, factors = bound
         exps = [Fraction(0)] * self.nv
-        for tok, power in factors:
-            name = tok.text
+        for at, power in factors:
+            name = self.toks[at]
             if name not in self.positions:
-                raise ParseError(f"undeclared variable {name!r} in a bound",
-                                 tok.line, tok.col)
+                raise self.fail(f"undeclared variable {name!r} in a bound", at)
             j = self.positions[name]
             if j >= upto:
-                raise ParseError(
-                    f"bound references {name!r}, which is not an earlier variable",
-                    tok.line, tok.col,
+                raise self.fail(
+                    f"bound references {name!r}, which is not an earlier variable", at
                 )
             exps[j] += power
         if q == 0:
             # 0 * y^e is the bound 0 whatever the variables
             return ZERO
         return RawMono(q, ExpVec(tuple(exps)))
-
-
-def _log_pieces(arg: CExpr, power: int, nvars: int):
-    """(log arg)^power: expand immediately for single positive monomials,
-    defer composites for preparation."""
-    if len(arg.terms) == 1:
-        t = arg.terms[0]
-        if not any(t.logpows) and not t.extras and t.unit.is_trivial and t.coeff > 0:
-            items = log_of_monomial_unit(t.coeff, t.exps, PolyUnit.one())
-            return expand_log_power(items, power, nvars)
-    # a deferred argument keeps its constant logs over primes, as printed:
-    # its terms are part of the signature of every term it enters
-    return [(Fraction(1), (0,) * nvars, ((LogExprAtom(prime_form(arg)), power),))]
 
 
 def _natural_key(name: str):
@@ -361,20 +387,16 @@ def parse(text: str) -> SourceForm:
     without one the unit cube over the expression's variables in natural
     order (x2 before x10)."""
     p = _Parser(text)
-    depth = 0
-    for on, t in enumerate(p.toks):
-        depth += (t.text == "(") - (t.text == ")")
-        if t.text == "on" and depth == 0:
-            p.i = on + 1
-            if p.peek().text == "cell":
-                p.next()
-            raw = p.parse_cell()
-            p.expect_end(len(p.toks) - 1)
-            break
+    toks = p.toks
+    end = len(toks) - 1
+    on = next((k for k, t in enumerate(toks) if t == "on"
+               and toks[:k].count("(") == toks[:k].count(")")), end)
+    if on < end:
+        p.i = on + 1 + (toks[on + 1] == "cell")
+        raw = p.parse_cell()
+        p.expect_end(end)
     else:
-        on = len(p.toks) - 1
-        names = sorted({t.text for t in p.toks
-                        if t.kind == "name" and t.text not in _KEYWORDS},
+        names = sorted({t for t in toks if t[:1] in _NAME_START and t not in _KEYWORDS},
                        key=_natural_key)
         p.declare(names)
         raw = RawCell(tuple(RawVar(n, ZERO, RawMono.const(1, p.nv)) for n in names))
@@ -534,14 +556,10 @@ def _print_raw_bound(b, raw: RawCell) -> str:
         return "0"
     if isinstance(b, Inf):
         return "inf"
-    assert isinstance(b, RawMono)
-    bits = []
-    for i, e in enumerate(b.exps):
-        if e != 0:
-            bits.append(_print_varpow(raw.vars[i].name, e))
-    if b.coeff != 1 or not bits:
-        bits.insert(0, str(b.coeff))
-    return " * ".join(bits)
+    mono = _print_mono(b.exps, raw.names)
+    if not mono or b.coeff != 1:
+        return f"{b.coeff} * {mono}" if mono else str(b.coeff)
+    return mono
 
 
 def print_source(form: SourceForm) -> str:

@@ -4,15 +4,18 @@ import gzip
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
-from fractions import Fraction as F
+from fractions import Fraction, Fraction as F
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from cfcalc.cells import Inf, RawMono, ZERO, Zero
+from cfcalc import cli, parser
+from cfcalc.cells import INF, Inf, RawCell, RawMono, RawVar, ZERO, Zero
 from cfcalc.core import (
     CExpr,
     ExpVec,
@@ -23,11 +26,20 @@ from cfcalc.core import (
     LogVar,
     PolyUnit,
     Term,
+    expand_log_power,
+    log_of_monomial_unit,
+    normalize,
     prime_form,
+    term_mul,
+    times_log_power,
 )
 from cfcalc.errors import CalcError, ParseError
 from cfcalc.parser import (
-    _TOKEN_RE,
+    SourceForm,
+    _KEYWORDS,
+    _empty_between,
+    _natural_key,
+    _position,
     _print_unit,
     _print_varpow,
     _tokenize,
@@ -212,16 +224,21 @@ def _check_print_parse_round_trip(form):
     assert prime_form(again.expr) == prime_form(form.expr)
 
 
-def test_golden_sources_print_and_parse_back():
-    # every distinct source of the benchmark's cli-mix and log-growth
-    # goldens; the few that do not parse are refusals with exit 2
+def _golden_sources():
+    """Every distinct source of the benchmark's cli-mix and log-growth
+    goldens; the few that do not parse are refusals with exit 2."""
     sources = set()
     for pool in ("cli-mix", "log-growth"):
         golden = ROOT / "bench" / "goldens" / f"{pool}.json.gz"
         entries = json.loads(gzip.decompress(golden.read_bytes()))["entries"]
         sources |= {e["argv"][1] for e in entries if e["argv"][0] != "validate"}
+    return sorted(sources)
+
+
+def test_golden_sources_print_and_parse_back():
+    sources = _golden_sources()
     parsed = 0
-    for source in sorted(sources):
+    for source in sources:
         try:
             form = parse(source)
         except ParseError:
@@ -262,9 +279,17 @@ def test_keyword_collision():
         parse("log on {0 < x1 < 1}")
 
 
-# The tokenizer as it was before it carried the line along: it recounted the
-# newlines from the start of the source for every token.  Kept as the
-# reference for positions and error messages.
+# The tokenizer as it was when tokens carried their line and column: it
+# recounted the newlines from the start of the source for every token.  Kept
+# as the reference for positions and error messages, with two changes made
+# in the parser: numbers are ASCII digits (the pattern's [0-9], where it had
+# \d), and the end of input lies just past the last token (it was column 0).
+_OLD_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*^(){}<=,]))"
+)
+
+
 @dataclass(frozen=True)
 class _OldTok:
     kind: str
@@ -278,7 +303,7 @@ def _old_tokenize(src):
     line = 1
     pos = 0
     while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
+        m = _OLD_TOKEN_RE.match(src, pos)
         if not m or m.end() == pos:
             stripped = src[pos:].lstrip()
             if not stripped:
@@ -302,13 +327,31 @@ def _old_tokenize(src):
         else:
             toks.append(_OldTok("op", m.group("op"), line, col))
         pos = m.end()
-    toks.append(_OldTok("eof", "", line, 0))
+    toks.append(_OldTok("eof", "", line, pos - (src.rfind("\n", 0, pos) + 1)))
     return toks
 
 
-def _tokenized(tokenize, src):
+def _kind(text):
+    """A token's kind, from its first character."""
+    if not text:
+        return "eof"
+    if text[0].isascii() and text[0].isdigit():
+        return "num"
+    return "name" if text[0].isalpha() or text[0] == "_" else "op"
+
+
+def _tokenized(src):
+    """The tokens of src as (kind, text, line, column), or the error."""
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
+        return [(_kind(t), t, *_position(src, at))
+                for at, t in enumerate(_tokenize(src))]
+    except ParseError as exc:
+        return ("error", exc.line, exc.column, str(exc))
+
+
+def _old_tokenized(src):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in _old_tokenize(src)]
     except ParseError as exc:
         return ("error", exc.line, exc.column, str(exc))
 
@@ -327,15 +370,374 @@ _SOURCES = st.lists(
 @settings(max_examples=400)
 @given(_SOURCES)
 def test_tokenize_matches_old_tokenizer(src):
-    assert _tokenized(_tokenize, src) == _tokenized(_old_tokenize, src)
+    assert _tokenized(src) == _old_tokenized(src)
 
 
 @pytest.mark.parametrize("src", [
     "", "  \n\t ", "x1 +\n\n  y1\n  ", "x1\n\t+ 1.5", "x1 +\n  #",
-    "log(y1)^2 on\n{0<y1<1}\n\n", "\n\n  .5",
+    "log(y1)^2 on\n{0<y1<1}\n\n", "\n\n  .5", "y1 * \u0663",
 ])
 def test_tokenize_matches_old_tokenizer_on_fixed_sources(src):
-    assert _tokenized(_tokenize, src) == _tokenized(_old_tokenize, src)
+    assert _tokenized(src) == _old_tokenized(src)
+
+
+# The parser as it was when each factor was multiplied into the running
+# product of terms as it was read: a number scaled every term, a variable
+# power rebuilt every term's exponents, and a log's argument was parsed,
+# normalized and expanded as a sum of terms.  Kept as the reference for the
+# accumulator, over the reference tokenizer above.
+class _ReferenceParser:
+    def __init__(self, src: str):
+        self.toks = _old_tokenize(src)
+        self.i = 0
+
+    def peek(self) -> _OldTok:
+        return self.toks[self.i]
+
+    def next(self) -> _OldTok:
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def expect(self, text: str) -> _OldTok:
+        t = self.next()
+        if t.text != text:
+            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
+                             t.line, t.col)
+        return t
+
+    def error(self, msg: str) -> ParseError:
+        t = self.peek()
+        return ParseError(msg, t.line, t.col)
+
+    def expect_end(self, end: int) -> None:
+        if self.i != end:
+            raise self.error(f"unexpected trailing input {self.peek().text!r}")
+
+    def declare(self, names: Sequence[str]) -> None:
+        """Fix every variable's final position before any term is built."""
+        self.positions = {n: i for i, n in enumerate(names)}
+        self.nv = nv = len(names)
+        self.one = Term(Fraction(1), ExpVec.zero(nv), (0,) * nv)
+
+    # -- numbers and variables ------------------------------------------------
+
+    def parse_rat(self) -> Fraction:
+        neg = False
+        if self.peek().text == "-":
+            self.next()
+            neg = True
+        t = self.next()
+        if t.kind != "num":
+            raise ParseError(f"expected a rational, found {t.text!r}", t.line, t.col)
+        if "/" in t.text:
+            a, b = t.text.split("/")
+            if int(b) == 0:
+                raise ParseError("zero denominator", t.line, t.col)
+            v = Fraction(int(a), int(b))
+        else:
+            v = Fraction(int(t.text))
+        return -v if neg else v
+
+    # -- expressions: lists of terms over the declared positions ---------------
+
+    def parse_expr(self) -> list[Term]:
+        out = self.parse_term(1)
+        while self.peek().text in ("+", "-"):
+            out += self.parse_term(-1 if self.next().text == "-" else 1)
+        return out
+
+    def parse_term(self, sign: int) -> list[Term]:
+        while self.peek().text == "-":
+            self.next()
+            sign = -sign
+        out = self.parse_factor([self.one.scaled(sign)])
+        while self.peek().text == "*":
+            self.next()
+            out = self.parse_factor(out)
+        return out
+
+    def parse_factor(self, base: list[Term]) -> list[Term]:
+        """The product of base and the next factor."""
+        t = self.peek()
+        if t.kind == "num":
+            q = self.parse_rat()
+            return [b.scaled(q) for b in base] if q else []
+        if t.text == "(":
+            self.next()
+            inner = self.parse_expr()
+            self.expect(")")
+            return [x for a in base for b in inner for x in term_mul(a, b)]
+        if t.kind != "name":
+            raise self.error(f"expected a factor, found {t.text or 'end of input'!r}")
+        if t.text == "log":
+            self.next()
+            self.expect("(")
+            arg = normalize(CExpr(self.nv, tuple(self.parse_expr())))
+            self.expect(")")
+            power = 1
+            if self.peek().text == "^":
+                self.next()
+                ptok = self.peek()
+                p = self.parse_rat()
+                if p.denominator != 1 or p <= 0:
+                    raise ParseError(
+                        "log powers must be positive integers", ptok.line, ptok.col
+                    )
+                power = int(p)
+            if not arg.terms:
+                raise ParseError("log of zero", t.line, t.col)
+            pieces = _log_pieces(arg, power, self.nv)
+            return [x for b in base for x in times_log_power(b, pieces)]
+        name = self.next().text
+        if name in _KEYWORDS:
+            raise ParseError(f"{name!r} is a keyword", t.line, t.col)
+        pos = self.positions.get(name)
+        if pos is None:
+            raise ParseError(f"undeclared variable {name!r}", t.line, t.col)
+        power = self.parse_power()
+        return [b.with_exps(b.exps.with_entry(pos, b.exps[pos] + power)) for b in base]
+
+    # -- cells -----------------------------------------------------------------
+
+    def parse_cell(self) -> RawCell:
+        self.expect("{")
+        chains = [self.parse_chain()]
+        while self.peek().text == ",":
+            self.next()
+            chains.append(self.parse_chain())
+        self.expect("}")
+        names = [c[0].text for c in chains]
+        for i, (tok, *_) in enumerate(chains):
+            if tok.text in names[:i]:
+                raise ParseError(f"duplicate variable in cell: {names}",
+                                 tok.line, tok.col)
+        self.declare(names)
+        rawvars = []
+        for i, (tok, lower, upper, thin) in enumerate(chains):
+            name = tok.text
+            if thin is not None:
+                tb = self.resolve(thin, i)
+                if not isinstance(tb, RawMono):
+                    raise ParseError(f"thin variable {name!r} needs a monomial graph",
+                                     tok.line, tok.col)
+                rawvars.append(RawVar(name, ZERO, RawMono.const(1, self.nv), thin=tb))
+                continue
+            lo = self.resolve(lower, i)
+            hi = self.resolve(upper, i)
+            # a non-empty fiber ending at 0 is left to normalize_cell:
+            # (-b, 0) mirrors
+            if isinstance(lo, Inf) or _empty_between(lo, hi, rawvars):
+                raise ParseError(f"invalid bounds for {name!r}", tok.line, tok.col)
+            rawvars.append(RawVar(name, lo, hi))
+        return RawCell(tuple(rawvars))
+
+    def parse_chain(self):
+        """(name token, lower, upper, thin); parse_cell resolves the bounds."""
+        save = self.i
+        t = self.peek()
+        if t.kind == "name" and t.text not in _KEYWORDS:
+            name_tok = self.next()
+            if self.peek().text == "=":
+                self.next()
+                bound = self.parse_bound()
+                return (name_tok, None, None, bound)
+            self.i = save
+        lower = self.parse_bound()
+        self.expect("<")
+        vt = self.next()
+        if vt.kind != "name" or vt.text in _KEYWORDS:
+            raise ParseError("expected a variable name", vt.line, vt.col)
+        self.expect("<")
+        upper = self.parse_bound()
+        return (vt, lower, upper, None)
+
+    def parse_bound(self):
+        t = self.peek()
+        if t.text == "inf":
+            self.next()
+            return INF
+        q, factors = Fraction(1), []
+        if t.kind == "num" or t.text == "-":
+            q = self.parse_rat()
+        elif t.kind == "name" and t.text not in _KEYWORDS:
+            factors.append(self.parse_varpow())
+        else:
+            raise ParseError(f"expected a bound, found {t.text!r}", t.line, t.col)
+        while self.peek().text == "*":
+            self.next()
+            factors.append(self.parse_varpow())
+        return (q, factors)
+
+    def parse_varpow(self) -> tuple[_OldTok, Fraction]:
+        t = self.next()
+        if t.kind != "name" or t.text in _KEYWORDS:
+            raise ParseError("expected a variable name", t.line, t.col)
+        return (t, self.parse_power())
+
+    def parse_power(self) -> Fraction:
+        """['^' '(' RAT ')'], 1 when absent."""
+        if self.peek().text != "^":
+            return Fraction(1)
+        self.next()
+        self.expect("(")
+        power = self.parse_rat()
+        self.expect(")")
+        return power
+
+    def resolve(self, bound, upto: int):
+        if bound is INF:
+            return bound
+        q, factors = bound
+        exps = [Fraction(0)] * self.nv
+        for tok, power in factors:
+            name = tok.text
+            if name not in self.positions:
+                raise ParseError(f"undeclared variable {name!r} in a bound",
+                                 tok.line, tok.col)
+            j = self.positions[name]
+            if j >= upto:
+                raise ParseError(
+                    f"bound references {name!r}, which is not an earlier variable",
+                    tok.line, tok.col,
+                )
+            exps[j] += power
+        if q == 0:
+            # 0 * y^e is the bound 0 whatever the variables
+            return ZERO
+        return RawMono(q, ExpVec(tuple(exps)))
+
+
+
+def _log_pieces(arg: CExpr, power: int, nvars: int):
+    """(log arg)^power: expand immediately for single positive monomials,
+    defer composites for preparation."""
+    if len(arg.terms) == 1:
+        t = arg.terms[0]
+        if not any(t.logpows) and not t.extras and t.unit.is_trivial and t.coeff > 0:
+            items = log_of_monomial_unit(t.coeff, t.exps, PolyUnit.one())
+            return expand_log_power(items, power, nvars)
+    # a deferred argument keeps its constant logs over primes, as printed:
+    # its terms are part of the signature of every term it enters
+    return [(Fraction(1), (0,) * nvars, ((LogExprAtom(prime_form(arg)), power),))]
+
+
+
+def _parse_reference(text: str) -> SourceForm:
+    """The cell first, so that every variable has its final position before
+    the expression's terms are built: the cell after the top-level 'on', or
+    without one the unit cube over the expression's variables in natural
+    order (x2 before x10)."""
+    p = _ReferenceParser(text)
+    depth = 0
+    for on, t in enumerate(p.toks):
+        depth += (t.text == "(") - (t.text == ")")
+        if t.text == "on" and depth == 0:
+            p.i = on + 1
+            if p.peek().text == "cell":
+                p.next()
+            raw = p.parse_cell()
+            p.expect_end(len(p.toks) - 1)
+            break
+    else:
+        on = len(p.toks) - 1
+        names = sorted({t.text for t in p.toks
+                        if t.kind == "name" and t.text not in _KEYWORDS},
+                       key=_natural_key)
+        p.declare(names)
+        raw = RawCell(tuple(RawVar(n, ZERO, RawMono.const(1, p.nv)) for n in names))
+    p.i = 0
+    terms = p.parse_expr()
+    p.expect_end(on)
+    return SourceForm(raw, normalize(CExpr(p.nv, tuple(terms))))
+
+
+
+def _outcome(parse_source, src):
+    """The parsed form, or the error with its position."""
+    try:
+        return parse_source(src)
+    except ParseError as exc:
+        return ("parse error", exc.line, exc.column, str(exc))
+    except CalcError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_parser_matches_reference_on_golden_sources():
+    sources = _golden_sources()
+    assert len(sources) == 711
+    for source in sources:
+        assert _outcome(parse, source) == _outcome(_parse_reference, source), source
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(source_texts())
+def test_parser_matches_reference_on_drawn_sources(drawn):
+    assert _outcome(parse, drawn[1]) == _outcome(_parse_reference, drawn[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SOURCES)
+def test_parser_errors_match_reference(src):
+    assert _outcome(parse, src) == _outcome(_parse_reference, src)
+
+
+@pytest.mark.parametrize("src", [
+    "log(y1 + y1)", "log(2*y1 - y1)^2", "log(y1*log(y1))", "log(log(y1))",
+    "log(1)", "log(1) * y1", "log(0*y1)", "0 * log(2*y1)", "log(2*y1) * 0",
+    "log(-y1)", "log()", "log(y1 *)", "log(y1 y2)", "log(y1^(1/2))^3",
+    "y1 * (y1 + 1) * 2", "(y1 - y1) * log(3*y1)", "--y1 * -(1)",
+    "-(y1 + 2) * (log(2) + y1) * y1^(-1) * log(6*y1)^2",
+    "log(4) * y1 * log(6*y1)^2 * 3/2 * log(y1)", "y1 * y1^(-1) * log(y1)",
+    "2 * 3 * 4/5 * log(7/3*y1) * y2", "log(on)", "y1 * on", "1 * 1/1 * y1",
+])
+def test_parser_matches_reference_on_fixed_sources(src):
+    src = f"{src} on {{0<y1<1, 0<y2<y1}}"
+    assert _outcome(parse, src) == _outcome(_parse_reference, src)
+
+
+@pytest.mark.parametrize("src,where", [
+    ("y1*", "1:3"), ("(y1", "1:3"), ("log(y1", "1:6"), ("y1 on", "1:5"),
+    ("y1 on {0<y1<1", "1:13"), ("y1 *\n  ", "1:4"),
+])
+def test_end_of_input_is_reported_past_the_last_token(src, where, capsys):
+    assert cli.main(["integrate", src]) == 2
+    assert f"{where}: " in capsys.readouterr().err
+    with pytest.raises(ParseError, match="end of input"):
+        parse(src)
+
+
+def test_non_ascii_digits_are_rejected(capsys):
+    # U+0663 (ARABIC-INDIC DIGIT THREE) is a decimal digit, not a number
+    assert cli.main(["integrate", "\u0663 * y1 on {0<y1<1}"]) == 2
+    assert "1:0: unexpected character '\u0663'" in capsys.readouterr().err
+
+
+def test_one_term_per_product(monkeypatch):
+    # numbers, variable powers and a log of a variable update one
+    # accumulator: the product builds one Term, and normalize what it builds
+    built = [0]
+    in_normalize = [0]
+    init = Term.__init__
+    norm = parser.normalize
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    def counting_normalize(e):
+        before = built[0]
+        out = norm(e)
+        in_normalize[0] += built[0] - before
+        return out
+
+    monkeypatch.setattr(Term, "__init__", counting_init)
+    monkeypatch.setattr(parser, "normalize", counting_normalize)
+    form = parse("3/2 * y1^(1/2) * y2^(2) * log(y1)^2 on {0<y1<1, 0<y2<y1}")
+    (t,) = form.expr.terms
+    assert (t.coeff, tuple(t.exps), t.logpows) == (F(3, 2), (F(1, 2), 2), (2, 0))
+    assert built[0] - in_normalize[0] == 1
 
 
 # -- printing over primes, against the route that built prime-form terms ------
