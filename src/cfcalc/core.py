@@ -1296,39 +1296,29 @@ def _over_primes(
     terms: Sequence[Term], which: set[LogComposite] | None = None
 ) -> list[Term]:
     """The terms with each composite constant log in `which` (every one when
-    None) written over its primes: log(p_1 * ... * p_m)^k expands
-    multinomially, the expansions of each composite built once.  Each new
-    term is built once, directly from canonical parts, with its signature."""
+    None) written over its primes, unsorted: the products of _prime_powers,
+    built once per composite, their prime-log extras from its keys with one
+    LogPrime per prime, each new term built once from canonical parts."""
     powers = _prime_powers(terms, which)
+    logs = {p: LogPrime(p) for a in powers for p in a.primes}
+    pieces: dict[tuple, list[tuple]] = {}  # (composite, k): its products
     out: list[Term] = []
     for t in terms:
         split = [ak for ak in t.extras if ak[0] in powers]
         if not split:
             out.append(t)
             continue
-        kept = tuple(ak for ak in t.extras if ak not in split)
-        # (coefficient, extras, extras key or None to compute)
-        variants = [(t.coeff, kept, () if not kept else None)]
+        variants = [(t.coeff, tuple(ak for ak in t.extras if ak not in split))]
         for a, k in split:
+            if (a, k) not in pieces:
+                pieces[a, k] = [(m, tuple((logs[pk[1]], i) for pk, i in key))
+                                for m, key, _ in powers[a][k]]
             product = []
-            for c, ex, key in variants:
-                times: dict[int, Fraction] = {}  # few distinct multinomials
-                for m, piece, piece_key, _ in powers[a][k]:
-                    cm = times.get(m)
-                    if cm is None:
-                        cm = times[m] = c * m
-                    if ex:
-                        # prime logs have keys of their own: never None
-                        product.append((cm, _merge_extras(ex, piece), None))
-                    else:
-                        product.append((cm, piece, piece_key))
+            for c, ex in variants:
+                times = {m: c * m for m in {m for m, _ in pieces[a, k]}}
+                product += [(times[m], _merge_extras(ex, piece)) for m, piece in pieces[a, k]]
             variants = product
-        head = t.signature()[:2]
-        for c, ex, key in variants:
-            term = Term(c, t.exps, t.logpows, ex, t.unit)
-            key = _extras_key(ex) if key is None else key
-            term.__dict__["_signature"] = (*head, key)
-            out.append(term)
+        out += [Term(c, t.exps, t.logpows, ex, t.unit) for c, ex in variants]
     return out
 
 
@@ -1337,11 +1327,12 @@ def _prime_powers(
 ) -> dict[LogComposite, list[list[tuple]]]:
     """For each composite constant log of the terms (in `which`, if given)
     and j up to its highest power k, (log p_1 + ... + log p_m)^j expanded:
-    one entry per product, of its multinomial coefficient, rising prime-log
-    extras, their signature key and their text (log(2)^3 * log(5)), built
-    prime by prime from (log p + rest)^j = sum_i C(j, i) (log p)^i rest^(j - i).
-    Taking i = 1..j before i = 0 (whose keys start at a larger prime) keeps
-    each list in key order."""
+    one entry per product, of its multinomial coefficient, the signature key
+    of its prime logs and its text (log(2)^3 * log(5)), built prime by prime
+    from (log p + rest)^j = sum_i C(j, i) (log p)^i rest^(j - i).  Taking
+    i = 1..j before i = 0 (keys starting at a larger prime), each with
+    rest^(j - i) in order, keeps each list in rising key order; no key of
+    one j is a prefix of another, so that holds with one key appended to all."""
     top: dict[LogComposite, int] = {}
     for t in terms:
         for a, k in t.extras:
@@ -1349,18 +1340,17 @@ def _prime_powers(
                 top[a] = max(k, top.get(a, 0))
     out = {}
     for a, k in top.items():
-        powers: list[list] = [[(1, (), (), "")]] + [[] for _ in range(k)]
+        powers: list[list] = [[(1, (), "")]] + [[] for _ in range(k)]
         for p in reversed(a.primes):
-            atom, atom_key = LogPrime(p), (0, p, ())
-            logs = ["", f"log({p})"] + [f"log({p})^{i}" for i in range(2, k + 1)]
+            heads = [((((0, p, ()), i),), f"log({p})^{i}" if i > 1 else f"log({p})")
+                     for i in range(k + 1)]
             powers = [
                 [
-                    (math.comb(j, i) * c, ((atom, i),) + ex, ((atom_key, i),) + key,
-                     f"{logs[i]} * {text}" if text else logs[i])
-                    if i else (c, ex, key, text)
-                    for i in (*range(1, j + 1), 0)
-                    for c, ex, key, text in powers[j - i]
-                ]
+                    (c * m, head + key, f"{log} * {text}" if text else log)
+                    for i in range(1, j + 1)
+                    for c, (head, log) in ((math.comb(j, i), heads[i]),)
+                    for m, key, text in powers[j - i]
+                ] + powers[j]
                 for j in range(k + 1)
             ]
         out[a] = powers

@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 import string
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 from operator import add
 from typing import Sequence
@@ -458,37 +459,45 @@ def _print_varpow(name: str, e: Fraction) -> str:
 
 def print_expr(e: CExpr, names: Sequence[str] | None = None) -> str:
     """Canonical text: the terms of prime_form(e) in signature order, written
-    from normalize(e) without building them.  _prime_powers expands each
-    composite constant log with each product's signature key and text."""
+    from normalize(e) without building them.  normalize sorts the terms by
+    signature and _rows writes each term's rows in order, so only the rows
+    of several terms that share a monomial and log powers can interleave:
+    in a sum with a composite such a group is sorted by their extras keys."""
     e = normalize(e)
     if not e.terms:
         return "0"
     names = names or [f"x{i+1}" for i in range(e.nvars)]
     powers = _prime_powers(e.terms)
-    rows = [row for t in e.terms for row in _rows(t, powers, names)]
-    if powers:  # a sum with no composite is in signature order already
-        rows.sort(key=lambda row: row[0])
-    text = " ".join(term for _, term in rows)
+    # without a composite each term is one row, and the rows are in order
+    groups = groupby(e.terms, lambda t: t.signature()[:2]) if powers else [((), e.terms)]
+    rows: list[str] = []
+    for _, group in groups:
+        group, keys = list(group), []
+        texts = [row for t in group for row in _rows(t, powers, names, keys)]
+        if powers and len(group) > 1:  # the rows of several terms interleave
+            texts = [texts[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+        rows += texts
+    text = " ".join(rows)
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def _signed(num: int, den: int, text: str) -> str:
-    """num/den times text: the sign, then the magnitude unless it is 1."""
-    if abs(num) != 1 or den != 1 or not text:
-        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-        text = f"{mag} * {text}" if text else mag
-    return ("+ " if num > 0 else "- ") + text
+def _coefficient(num: int, den: int) -> str:
+    """The sign of num/den, then its magnitude unless it is 1, before a product."""
+    mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+    return ("+ " if num > 0 else "- ") + ("" if mag == "1" else mag + " * ")
 
 
-def _rows(t: Term, powers: dict, names: Sequence[str]) -> list[tuple]:
-    """t over primes as printed rows (signature, signed text); the signature
-    only when there are composites to sort by."""
+def _rows(t: Term, powers: dict, names: Sequence[str], keys: list) -> list[str]:
+    """t over primes as printed rows (signed texts) in signature order, their
+    extras keys appended to `keys`: the products of one composite in the
+    order of _prime_powers, then the kept logs; interleaving primes (several
+    composites, a kept prime below one) written by _over_primes, sorted."""
     split = [ak for ak in t.extras if type(ak[0]) is LogComposite] if powers else ()
     kept = tuple(ak for ak in t.extras if ak not in split) if split else t.extras
     if len(split) > 1 or split and any(
             type(a) is LogPrime and a.prime < split[0][0].primes[-1] for a, _ in kept):
-        # interleaving primes (several composites, a kept prime below one): _over_primes
-        return [row for u in _over_primes([t]) for row in _rows(u, powers, names)]
+        terms = sorted(_over_primes([t]), key=Term.signature)
+        return [row for u in terms for row in _rows(u, powers, names, keys)]
     left = [_print_varpow(names[i], ex) for i, ex in enumerate(t.exps) if ex]
     left += [f"log({names[i]})" + (f"^{l}" if l > 1 else "")
              for i, l in enumerate(t.logpows) if l]
@@ -497,20 +506,21 @@ def _rows(t: Term, powers: dict, names: Sequence[str]) -> list[tuple]:
         right.append(_print_unit(t.unit, names))
     num, den = t.coeff.numerator, t.coeff.denominator
     if not split:
-        text = _signed(num, den, " * ".join(left + right))
-        return [(t.signature() if powers else None, text)]
+        keys.append(t.signature()[2])
+        text = " * ".join(left + right)
+        if not text:
+            return [("+ " if num > 0 else "- ") + str(abs(t.coeff))]
+        return [_coefficient(num, den) + text]
     # one composite, whose prime logs come before every kept log
     (a, k), = split
-    exps, logpows, _ = t.signature()
-    kept_key = _extras_key(kept)
+    products, kept_key = powers[a][k], _extras_key(kept)
+    keys += [key + kept_key for _, key, _ in products]
     left = "".join(f + " * " for f in left)
     right = "".join(" * " + f for f in right)
-    rows = []
-    for m, _, key, text in powers[a][k]:
-        g = gcd(m, den)
-        rows.append(((exps, logpows, key + kept_key),
-                     _signed(num * (m // g), den // g, left + text + right)))
-    return rows
+    # the signed coefficient and left factors, once per distinct multinomial
+    heads = {m: _coefficient(num * m // gcd(m, den), den // gcd(m, den)) + left
+             for m in {m for m, _, _ in products}}
+    return [heads[m] + text + right for m, _, text in products]
 
 
 def _print_log(atom, k: int, names: Sequence[str]) -> str:

@@ -16,6 +16,9 @@ import re
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfcalc.cli import main
 from cfcalc.core import (
@@ -23,9 +26,12 @@ from cfcalc.core import (
     ExpVec,
     LogComposite,
     LogPrime,
+    LogUnitAtom,
     LogVar,
     PolyUnit,
     Term,
+    _over_primes,
+    _prime_powers,
     constant_log_items,
     expand_log_power,
     is_zero,
@@ -356,3 +362,114 @@ def test_cancellation_across_a_shared_prime_is_seen():
     )))
     assert is_zero(normalize(six - two_three))
     assert not is_zero(normalize(six))
+
+
+# ---------------------------------------------------------------------------
+# Writing composites over primes
+# ---------------------------------------------------------------------------
+
+
+def _rising(keys) -> bool:
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17]), min_size=2, max_size=6,
+                unique=True),
+       st.lists(st.tuples(st.sampled_from([19, 23, 29]), st.integers(1, 3)),
+                max_size=2, unique_by=lambda pk: pk[0]))
+def test_prime_powers_rise_in_key(primes, kept):
+    # the printer writes the rows of a term alone in its group in the order
+    # of these lists, the key of its larger kept prime logs appended to each,
+    # without sorting them
+    primes = tuple(sorted(primes))
+    a, m = _composite(*primes), len(primes)
+    kept_key = tuple(((0, p, ()), k) for p, k in sorted(kept))
+    powers = _prime_powers([Term.make(1, [0], None, [(a, 8)])])[a]
+    assert len(powers) == 9
+    for j, products in enumerate(powers):
+        assert len(products) == math.comb(j + m - 1, m - 1)
+        assert sum(mult for mult, _, _ in products) == m ** j
+        keys = [key for _, key, _ in products]
+        assert _rising(keys)
+        assert _rising([key + kept_key for key in keys])
+        for mult, key, text in products:
+            # the multinomial and the text of each product follow its key
+            assert [p for (_, p, _), _ in key] == sorted({p for (_, p, _), _ in key})
+            assert sum(i for _, i in key) == j
+            assert mult == math.factorial(j) // math.prod(
+                math.factorial(i) for _, i in key)
+            assert text == " * ".join(
+                f"log({p})" + (f"^{i}" if i > 1 else "") for (_, p, _), i in key)
+
+
+_LOG_P = {p: sympy.Symbol(f"log{p}") for p in (2, 3, 5, 7, 11, 13, 17)}
+_LOG_U = sympy.Symbol("logu")
+_LOG_Y = sympy.Symbol("logy")
+_Y = sympy.Symbol("y")
+_PRIME_UNIT = PolyUnit.build(1, {ExpVec.of([1]): F(1, 2)})
+
+
+def _as_sympy(terms, expand_composites: bool):
+    """The sum of the terms with each log p a symbol, and each composite
+    log(p_1 * ... * p_m) the sum of its primes' symbols when expanded;
+    otherwise no composite may be left."""
+    total = sympy.Integer(0)
+    for t in terms:
+        x = (sympy.Rational(t.coeff.numerator, t.coeff.denominator)
+             * _Y ** sympy.Rational(t.exps[0].numerator, t.exps[0].denominator)
+             * _LOG_Y ** t.logpows[0])
+        for atom, k in t.extras:
+            if isinstance(atom, LogPrime):
+                x *= _LOG_P[atom.prime] ** k
+            elif isinstance(atom, LogUnitAtom):
+                assert atom.unit == _PRIME_UNIT
+                x *= _LOG_U ** k
+            else:
+                assert expand_composites, atom
+                x *= sum(_LOG_P[p] for p in atom.primes) ** k
+        total += x
+    return sympy.expand(total)
+
+
+@st.composite
+def _composite_terms(draw):
+    """Terms with a composite of 2-5 primes to a power k <= 4, beside kept
+    primes above, below or among its primes, a unit log, and sometimes a
+    second composite."""
+    pool = [2, 3, 5, 7, 11, 13, 17]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        primes = sorted(draw(st.lists(st.sampled_from(pool[:6]), min_size=2, max_size=5,
+                                      unique=True)))
+        extras = [(_composite(*primes), draw(st.integers(1, 4)))]
+        rest = [p for p in pool if p not in primes]
+        if len(rest) >= 2 and draw(st.booleans()):
+            extras.append((_composite(*sorted(draw(st.lists(
+                st.sampled_from(rest), min_size=2, max_size=2, unique=True)))),
+                draw(st.integers(1, 2))))
+        extras += [(LogPrime(p), draw(st.integers(1, 2)))
+                   for p in draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))]
+        if draw(st.booleans()):
+            extras.append((LogUnitAtom(_PRIME_UNIT), 1))
+        terms.append(Term.make(
+            draw(st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)),
+            [draw(st.sampled_from([0, 1, F(-1, 2)]))], [draw(st.integers(0, 1))], extras))
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(_composite_terms())
+def test_over_primes_matches_a_sympy_expansion(terms):
+    # (sum of log p)^k multiplied out by sympy with each log p a symbol:
+    # _over_primes writes each term's products once, and prime_form merges
+    # and sorts them into a normal sum over primes
+    want = _as_sympy(terms, True)
+    for t in terms:
+        split = _over_primes([t])
+        assert _as_sympy(split, False) == _as_sympy([t], True)
+        assert len({u.signature() for u in split}) == len(split)
+    p = prime_form(CExpr(1, tuple(terms)))
+    assert _as_sympy(p.terms, False) == want
+    assert len(p.terms) == (len(sympy.Add.make_args(want)) if want != 0 else 0)
+    assert [t.signature() for t in p.terms] == sorted({t.signature() for t in p.terms})

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfcalc import cli
-from cfcalc import integrate
+from cfcalc import cli, core, integrate, parser
 from cfcalc.cells import MonomialBound, ZERO, Zero
 from cfcalc.core import (
     CExpr,
@@ -456,14 +455,18 @@ class TestLinearAccumulation:
         assert built[0] <= 200
 
     def test_printing_over_primes_builds_no_terms(self, monkeypatch):
-        # the 9-term base form of log(30030*y1)^8 prints its 3003 terms over
-        # primes straight from the base terms: no Term and no CExpr is built
+        # the 9-term base forms of log(30030*y1)^8 and of its integral print
+        # their 3003 terms over primes straight from the base terms: no Term,
+        # no CExpr and no call of _over_primes (the integral's 9 terms share
+        # their monomial, so their rows are merged by sorting, not expanded)
         y = ExpVec.unit(1, 0)
         items = log_of_monomial_unit(F(30030), y, PolyUnit.one())
         n = normalize(CExpr(1, tuple(
             Term.make(c, y, lp, ex) for c, lp, ex in expand_log_power(items, 8, 1)
         )))
-        expected = print_expr(prime_form(n), ["y1"])
+        integral = integrate_fubini([(unit_fiber(1), n)], 1).value()
+        assert len(integral.terms) == 9
+        expected = [print_expr(prime_form(n), ["y1"]), print_expr(prime_form(integral), [])]
         built = [0]
         term_init, expr_init = Term.__init__, CExpr.__init__
 
@@ -473,11 +476,17 @@ class TestLinearAccumulation:
                 init(self, *args)
             return counted
 
+        def over_primes(*args):
+            raise AssertionError("the printer wrote a term through _over_primes")
+
         monkeypatch.setattr(Term, "__init__", counting(term_init))
         monkeypatch.setattr(CExpr, "__init__", counting(expr_init))
-        assert print_expr(n, ["y1"]) == expected
+        monkeypatch.setattr(core, "_over_primes", over_primes)
+        monkeypatch.setattr(parser, "_over_primes", over_primes)
+        assert [print_expr(n, ["y1"]), print_expr(integral, [])] == expected
         assert built[0] == 0
-        assert expected.count(" + ") + expected.count(" - ") + 1 == 3003
+        for text in expected:
+            assert text.count(" + ") + text.count(" - ") + 1 == 3003
 
     def test_normalized_sum_is_returned_unchanged(self):
         # normalize marks its result and gives a marked sum back as it is;

@@ -850,6 +850,39 @@ def test_print_expr_matches_prime_form_route_beside_kept_primes(e):
     assert print_expr(e, ["y1", "y2"]) == _print_reference(e, ["y1", "y2"])
 
 
+@st.composite
+def _powers_of_one_composite(draw):
+    """Terms that share a monomial and log powers and carry different powers
+    of one composite, beside kept primes below, between and above its
+    primes, and sometimes a term with two composites: their rows interleave,
+    so print_expr sorts the group."""
+    primes = draw(st.sampled_from([(3, 7), (5, 11), (2, 5, 13), (3, 5, 7), (2, 3, 5, 7)]))
+    pool = [p for p in (2, 3, 5, 7, 11, 13, 17) if p not in primes]
+    exps, logpows = draw(st.sampled_from([[0, 0], [1, 0], [F(-1, 2), 1]])), [0, 1]
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+    terms = []
+    for k in draw(st.lists(st.integers(1, 4), min_size=2, max_size=4, unique=True)):
+        extras = [(_composite(*primes), k)]
+        extras += [(LogPrime(p), draw(st.integers(1, 2)))
+                   for p in draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))]
+        if draw(st.booleans()):
+            extras.append((LogUnitAtom(_UNIT), 1))
+        terms.append(Term.make(draw(coeffs), exps, logpows, extras))
+    if draw(st.booleans()):
+        other = draw(st.sampled_from([(2, 17), (11, 13), (13, 17)]))
+        if not set(other) & set(primes):
+            terms.append(Term.make(draw(coeffs), exps, logpows, [
+                (_composite(*primes), draw(st.integers(1, 3))),
+                (_composite(*other), draw(st.integers(1, 2)))]))
+    return CExpr(2, tuple(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_powers_of_one_composite())
+def test_print_expr_matches_prime_form_route_on_interleaving_groups(e):
+    assert print_expr(e, ["y1", "y2"]) == _print_reference(e, ["y1", "y2"])
+
+
 def _sum(*terms):
     return CExpr(2, tuple(Term.make(*t) for t in terms))
 
