@@ -46,7 +46,7 @@ from .errors import (
     UncertifiedCell,
 )
 from .tables import table
-from .values import Value
+from .values import Value, set_field
 
 # ---------------------------------------------------------------------------
 # Bound kinds
@@ -157,6 +157,7 @@ class Cell(Value):
     thin (graph) variables are substituted away at the source level."""
 
     specs: tuple[FatVar, ...]
+    _certified = False  # set by a passing validate(); not a field
 
     def __post_init__(self):
         for i, spec in enumerate(self.specs):
@@ -224,13 +225,9 @@ class Cell(Value):
                     exps[j] += e * be
         return coeff
 
-    def unit_interval(self, unit: PolyUnit) -> Interval:
-        lo, hi = unit.value_bounds()
-        return (lo, hi)
-
     def bound_interval(self, b: MonomialBound) -> Interval:
         iv = interval_scale(self.monomial_interval(b.exps), b.coeff)
-        return interval_mul(iv, self.unit_interval(b.unit))
+        return interval_mul(iv, b.unit.value_bounds())
 
     # -- certification ------------------------------------------------------
 
@@ -287,12 +284,18 @@ class Cell(Value):
         raise UncertifiedCell("cannot certify bound order (incomparable monomials)")
 
     def validate(self) -> None:
+        """Certify each fiber's bounds inside (0, 1] and in order, or raise.
+        A pass is kept on the instance: validating it again, as prepare_expr
+        does with the cell that normalize_cell certified, costs nothing."""
+        if self._certified:
+            return
         for i, spec in enumerate(self.specs):
             prefix = self.prefix(i)
             prefix.certify_bound(i, spec.upper)
             if isinstance(spec.lower, MonomialBound):
                 prefix.certify_bound(i, spec.lower)
             prefix.certify_less(spec.lower, spec.upper)
+        set_field(self, "_certified", True)
 
     # -- sampling (oracle support) -------------------------------------------
 

@@ -54,8 +54,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _read_source(args) -> str:
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _Usage(f"cannot read {args.input}: {getattr(exc, 'strerror', exc)}")
     if args.source:
         return args.source
     raise _Usage("provide SOURCE text or --input FILE")
@@ -108,22 +111,22 @@ def _pipeline(source: str, with_jacobian: bool, fibers: int = 0,
 def _cmd_prepare(args) -> int:
     source = _read_source(args)
     norm, pulled = _pipeline(source, with_jacobian=False)
-    pieces = prepare_expr(pulled, norm.cell)
+    pieces = [(list(p.J), print_expr(p.terms, norm.names))
+              for p in prepare_expr(pulled, norm.cell)]
     result = {
         "pieces": [
             {
                 "vars": list(norm.names),
-                "terms": print_expr(p.terms, norm.names),
-                "J": list(p.J),
+                "terms": text,
+                "J": J,
                 # cells are centered at 0; the report schema keeps the key
                 "centers": ["0"] * norm.cell.nvars,
             }
-            for p in pieces
+            for J, text in pieces
         ]
     }
     lines = [f"prepared pieces: {len(pieces)}"]
-    for p in pieces:
-        lines.append(f"  J = {list(p.J)}: {print_expr(p.terms, norm.names)}")
+    lines += [f"  J = {J}: {text}" for J, text in pieces]
     return _emit(args, source, result, lines)
 
 
@@ -237,7 +240,9 @@ def _cmd_eval(args) -> int:
     try:
         exact = [Fraction(x) for x in args.at.split(",")]
         point = [float(x) for x in exact]
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except ZeroDivisionError:
+        raise _Usage("bad --at point: zero denominator")
+    except (ValueError, OverflowError) as exc:
         raise _Usage(f"bad --at point: {exc}")
     if len(point) != form.raw_cell.nvars:
         raise _Usage(

@@ -215,9 +215,9 @@ def _expand_composite_logs(e: CExpr, cell: Cell) -> CExpr:
 
 
 def prepare_expr(e: CExpr, cell: Cell) -> list[PreparedCellData]:
-    """Prepare an expression on a normalized cell: expand composite logs and
-    merge signatures.  Returns a list with exactly one piece, for the whole
-    cell."""
+    """Prepare an expression on a normalized cell, validated first (at no
+    cost when it passed before, as normalize_cell's did): expand composite
+    logs and merge signatures.  Returns a one-piece list, for the whole cell."""
     cell.validate()
     J = classify(cell).undetermined_positions()
     prepared = normalize(_expand_composite_logs(normalize(e), cell))

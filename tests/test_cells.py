@@ -26,6 +26,7 @@ from cfcalc.cells import (
     transform_H,
     unmap_point,
 )
+from cfcalc.cli import main
 from cfcalc.core import CExpr, ExpVec, PolyUnit, Term, normalize
 from cfcalc.errors import (
     CalcError,
@@ -33,8 +34,10 @@ from cfcalc.errors import (
     FragmentEscape,
     InconsistentOrientation,
     NotPrepared,
+    UncertifiedCell,
 )
 from cfcalc.parser import parse
+from cfcalc.prepare import prepare_expr
 from tests.conftest import (
     cell_of,
     cell_texts,
@@ -331,3 +334,45 @@ def test_closure_contains_agrees_with_floats_away_from_the_boundary(drawn, point
         if None in sides:
             return
     assert raw.closure_contains(point) is want
+
+
+def test_a_certified_cell_is_not_certified_again(monkeypatch, capsys):
+    # certify_less runs once per variable of a certification: normalize_cell
+    # certifies the triangle's cell and prepare_expr keeps that verdict; the
+    # warm call gets the same cell object back from the normalization table
+    calls = []
+    certify_less = Cell.certify_less
+
+    def counted(self, a, b):
+        calls.append(self)
+        return certify_less(self, a, b)
+
+    monkeypatch.setattr(Cell, "certify_less", counted)
+    argv = ["integrate", "y2 on {0<y1<1, 0<y2<y1}", "--vars", "2"]
+    assert main(argv) == 0  # cold: the autouse fixture emptied the tables
+    assert len(calls) == 2
+    calls.clear()
+    assert main(argv) == 0
+    assert calls == []
+    assert capsys.readouterr().out == "1/6\n" * 2
+
+
+def test_an_uncertifiable_cell_raises_on_every_validate():
+    # {0<y1<1, y1<y2<y1/2}: the lower bound lies above the upper one
+    cell = Cell((fat(ZERO, mono(1, [0, 0])),
+                 fat(mono(1, [1, 0]), mono(F(1, 2), [1, 0]))))
+    for _ in range(3):
+        with pytest.raises(UncertifiedCell, match="cannot certify bound order"):
+            cell.validate()
+    with pytest.raises(UncertifiedCell, match="cannot certify bound order"):
+        prepare_expr(CExpr(2, (Term.make(1, [0, 1], [0, 0]),)), cell)
+
+
+def test_a_certified_cell_compares_hashes_and_prints_as_an_unchecked_one():
+    specs = (fat(ZERO, mono(1, [0, 0])), fat(ZERO, mono(1, [1, 0])))
+    certified, unchecked = Cell(specs), Cell(specs)
+    certified.validate()
+    assert certified._certified and not unchecked._certified
+    assert certified == unchecked
+    assert hash(certified) == hash(unchecked)
+    assert repr(certified) == repr(unchecked)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cfcalc import cli, errors
 from cfcalc.cli import main
+from cfcalc.parser import print_expr
 from cfcalc.tables import clear_tables, table_stats
 from tests.conftest import source_texts
 
@@ -555,6 +556,50 @@ def test_eval_point_beyond_float_range_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage error: bad --at point:" in captured.err
+
+
+def test_eval_point_with_a_zero_denominator_is_a_usage_error(capsys):
+    # the words of the parser's own refusal, not Fraction's "Fraction(1, 0)"
+    assert main(["eval", "y1 on {0<y1<1}", "--at=1/0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: bad --at point: zero denominator\n"
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("nonexistent.cf", "No such file or directory"),
+    (".", "Is a directory"),
+    ("latin-1.cf", "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["missing", "directory", "not-utf-8"])
+def test_an_unreadable_input_is_a_usage_error(name, reason, tmp_path, capsys):
+    # the caller's mistake (exit 1), not an internal error (exit 5)
+    (tmp_path / "latin-1.cf").write_bytes(b"\xff * y1 on {0<y1<1}")
+    path = tmp_path / name
+    assert main(["prepare", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot read {path}: {reason}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("json_", [False, True], ids=["text", "json"])
+def test_prepare_prints_each_piece_once(json_, monkeypatch, capsys):
+    # one text serves the JSON report and the text lines
+    texts = []
+
+    def counted(e, names=None):
+        texts.append(print_expr(e, names))
+        return texts[-1]
+
+    monkeypatch.setattr(cli, "print_expr", counted)
+    argv = ["prepare", "log(30030*y1)^8 on {0<y1<1}"] + ["--json"] * json_
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(texts) == 1
+    if json_:
+        assert json.loads(out)["result"]["pieces"][0]["terms"] == texts[0]
+    else:
+        assert out == f"prepared pieces: 1\n  J = [0]: {texts[0]}\n"
 
 
 def test_eval_outside_the_closure_of_the_cell_is_refused(capsys):
