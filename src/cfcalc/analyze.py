@@ -35,7 +35,6 @@ from .errors import (
     NotPrepared,
 )
 from .sliver import (
-    AffineForm,
     Box,
     Sliver,
     _halve_towards,
@@ -220,15 +219,7 @@ def dominance(e: CExpr, cell: Cell) -> DominanceReport:
         margin = Fraction(1)
         chosen_key = keys[0]
     else:
-        forms = [pull_exponent(ExpVec(k)) for k in keys]
-        forms = [
-            AffineForm(
-                f.constant,
-                f.coeffs[: len(box)]
-                + (Fraction(0),) * max(0, len(box) - len(f.coeffs)),
-            )
-            for f in forms
-        ]
+        forms = [pull_exponent(ExpVec(k), len(box)) for k in keys]
         which, margin, box = separate(forms, box)
         chosen_key = keys[which]
         I3 = tuple(xparts[chosen_key])
@@ -437,7 +428,7 @@ def decay_rate(e: CExpr, cell: Cell) -> DecayRate:
     if rbar <= 0:
         raise NoDecay(f"dominant exponent {rbar} is not positive")
     pos = e.nvars - 1
-    eps = rbar / (2 * lbar + 2) if lbar >= 0 else rbar / 2
+    eps = rbar / (2 * lbar + 2)
     for t in e.terms:
         dr = t.exps[pos] - rbar
         dl = t.logpows[pos] - lbar

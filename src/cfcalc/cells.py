@@ -25,8 +25,10 @@ from .core import (
     PolyUnit,
     RatLike,
     Term,
+    _eval_monomial_exact,
     exact_pow,
     expand_log_power,
+    floor_root,
     frac_pow,
     log_of_monomial_unit,
     normalize,
@@ -102,11 +104,8 @@ class MonomialBound(Value):
         return total if unit is None else total * unit.eval(point)
 
     def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
-        total = self.coeff
-        for i, e in enumerate(self.exps):
-            if e:
-                total *= exact_pow(Fraction(point[i]), e)
-        return total * self.unit.eval_exact(point)
+        mono = _eval_monomial_exact(self.exps, point)
+        return self.coeff * mono * self.unit.eval_exact(point)
 
 
 BoundSpec = Union[Zero, Inf, MonomialBound]
@@ -123,13 +122,18 @@ Interval = tuple[Fraction, Fraction | None]
 
 
 def _pow_bound(q: Fraction, e: Fraction, upper: bool) -> Fraction:
-    """Rational upper (or lower) bound for q**e, exact when possible."""
+    """A rational upper (or lower) bound for q**e, q**e itself when rational.
+
+    Otherwise, with q**u = N/D for e = u/v, r = floor(root_v(N * D^(v-1) *
+    2^(64v))) gives r / (D * 2^64) < q**e < (r + 1) / (D * 2^64), in
+    integers only."""
     v = frac_pow(q, e)
     if v is not None:
         return v
-    f = float(q) ** float(e)
-    f *= 1 + 1e-9 if upper else 1 - 1e-9
-    return Fraction(f).limit_denominator(10 ** 12)
+    n, d = (q ** e.numerator).as_integer_ratio()
+    k = e.denominator
+    r = floor_root(n * d ** (k - 1) << 64 * k, k)
+    return Fraction(r + 1 if upper else r, d << 64)
 
 
 def interval_mul(a: Interval, b: Interval) -> Interval:
@@ -393,6 +397,21 @@ class AxisMap(Value):
             w = 1 / w
         return w / self.scale
 
+    def rewrite(self, c: Fraction, m: ExpVec) -> tuple[Fraction, ExpVec]:
+        """c * old^m in the new coordinates, as (coefficient, exponents):
+        old_pos^e = scale^(zeta e) * eps^e * new_pos^(zeta e).  A
+        fractional power of a mirrored coordinate is refused."""
+        e = m[self.pos]
+        if e == 0:
+            return c, m
+        if self.eps < 0:
+            if e.denominator != 1:
+                raise FragmentEscape("fractional power of a negative coordinate")
+            if e.numerator % 2:
+                c = -c
+        ze = self.zeta * e
+        return c * exact_pow(self.scale, ze), m.with_entry(self.pos, ze)
+
 
 class HStep(Value):
     """old_pos = new_<pos^alpha * (R * new_pos + u(new_<pos)).
@@ -415,10 +434,7 @@ class HStep(Value):
 
     def apply(self, z: Sequence[Fraction]) -> Fraction:
         total = self.unit.eval_exact(z) + self.R * z[self.pos]
-        for i, e in enumerate(self.alpha):
-            if e:
-                total *= exact_pow(Fraction(z[i]), e)
-        return total
+        return total * _eval_monomial_exact(self.alpha, z)
 
 
 MapStep = Union[AxisMap, HStep]
@@ -441,12 +457,8 @@ def unmap_point(steps: Iterable[MapStep], x: Sequence[RatLike]) -> list[Fraction
     z = [Fraction(v) for v in x]
     for step in steps:
         if isinstance(step, HStep):
-            prefix = z[: step.pos]
-            mono = Fraction(1)
-            for i, e in enumerate(step.alpha):
-                if e:
-                    mono *= exact_pow(z[i], e)
-            z[step.pos] = (z[step.pos] / mono - step.unit.eval_exact(prefix)) / step.R
+            mono = _eval_monomial_exact(step.alpha, z)
+            z[step.pos] = (z[step.pos] / mono - step.unit.eval_exact(z[: step.pos])) / step.R
         else:
             z[step.pos] = step.invert(z[step.pos])
     return z
@@ -478,16 +490,8 @@ def _subst_poly_axis(poly: MonoPoly, step: AxisMap) -> MonoPoly:
     """Rewrite a polynomial in cell monomials through an axis map."""
     out: MonoPoly = {}
     for m, c in poly.items():
-        e = m[step.pos]
-        if e == 0:
-            out[m] = out.get(m, Fraction(0)) + c
-            continue
-        if step.eps < 0 and e.denominator != 1:
-            raise FragmentEscape("fractional power of a negative coordinate")
-        factor = exact_pow(step.scale, step.zeta * e)
-        c2 = c * factor * (step.eps ** int(e) if step.eps < 0 else 1)
-        m2 = m.with_entry(step.pos, step.zeta * e)
-        out[m2] = out.get(m2, Fraction(0)) + c2
+        c, m = step.rewrite(c, m)
+        out[m] = out.get(m, Fraction(0)) + c
     return {m: c for m, c in out.items() if c != 0}
 
 
@@ -507,22 +511,12 @@ def _subst_unit_axis(
 
 def _compose_term_axis(t: Term, step: AxisMap, nvars: int) -> list[Term]:
     pos = step.pos
-    coeff = t.coeff
-    exps = t.exps
     logpows = list(t.logpows)
     extras: list = []
     # substituted unit as a polynomial carrier (may fail recertification,
     # in which case it distributes at the end)
     unit_poly = _subst_poly_axis(t.unit.as_poly(nvars), step)
-
-    r = exps[pos]
-    # monomial part
-    if r != 0:
-        if step.eps < 0 and r.denominator != 1:
-            raise FragmentEscape("fractional power of a negative coordinate")
-        factor = exact_pow(step.scale, step.zeta * r)
-        coeff *= factor * (step.eps ** int(r) if step.eps < 0 else 1)
-        exps = exps.with_entry(pos, step.zeta * r)
+    coeff, exps = step.rewrite(t.coeff, t.exps)
     # log part
     log_expansion = None
     s = logpows[pos]
@@ -662,7 +656,7 @@ def transform_H(cell: Cell) -> HTransform:
     """Rewrite asymptotically determined variables through the band map
     so that every variable of the result is asymptotically undetermined;
     prepared functions compose through `compose_with_map` with the steps."""
-    cls = assert_prepared_shape(cell)
+    assert_prepared_shape(cell)
     cur = cell
     steps: list[HStep] = []
     nv = cell.nvars
@@ -700,7 +694,6 @@ def transform_H(cell: Cell) -> HTransform:
         final = classify(cur)
         if not final.all_undetermined():
             raise NotPrepared("transform left a determined variable")
-        _ = cls
     return result
 
 
@@ -803,19 +796,14 @@ def _transform_raw_bound(
     variables."""
     if not isinstance(b, RawMono):
         return b
-    coeff = b.coeff
-    exps = list(b.exps)
+    coeff, exps = b.coeff, b.exps
     for step in steps:
-        e = exps[step.pos]
-        if e == 0:
-            continue
-        if step.eps < 0:
+        if step.eps < 0 and exps[step.pos]:
             raise InconsistentOrientation(
                 "dependent bounds may only reference positive variables"
             )
-        coeff *= exact_pow(step.scale, step.zeta * e)
-        exps[step.pos] = step.zeta * e
-    return RawMono(coeff, ExpVec(tuple(exps)))
+        coeff, exps = step.rewrite(coeff, exps)
+    return RawMono(coeff, exps)
 
 
 def _mono_interval(cell_so_far: Cell, b: RawMono, nv: int) -> Interval:
@@ -864,26 +852,13 @@ def normalize_cell(raw: RawCell) -> CellNormalization:
         cell_so_far = Cell(tuple(specs))
         lower = _transform_raw_bound(rv.lower, steps, nv)
         upper = _transform_raw_bound(rv.upper, steps, nv)
+        eps = 1
         if isinstance(upper, Inf):
             if isinstance(lower, Zero):
                 raise InconsistentOrientation(
                     "the fiber (0, inf) has no single-piece normalization"
                 )
-            assert isinstance(lower, RawMono)
-            llo, lhi = _mono_interval(cell_so_far, lower, nv)
-            if llo < 1:
-                raise InconsistentOrientation(
-                    f"unbounded fiber with lower bound below 1 (from {llo}); "
-                    "split the cell at 1"
-                )
-            steps.append(AxisMap(i, zeta=-1))
-            new_upper = MonomialBound(
-                1 / lower.coeff, lower.exps.pad(nv).scale(-1)
-            )
-            specs.append(FatVar(ZERO, new_upper))
-            continue
-        eps = 1
-        if isinstance(upper, Zero):
+        elif isinstance(upper, Zero):
             # the fiber (-b, 0) mirrors to (0, b)
             if not (isinstance(lower, RawMono) and lower.coeff < 0
                     and lower.exps.is_zero()):
@@ -911,23 +886,28 @@ def normalize_cell(raw: RawCell) -> CellNormalization:
             lower, upper = RawMono(-upper.coeff, upper.exps), RawMono(
                 -lower.coeff, lower.exps
             )
-        llo, lhi = (
-            (Fraction(0), Fraction(0))
-            if isinstance(lower, Zero)
-            else _mono_interval(cell_so_far, lower, nv)
-        )
-        blo, bhi = _mono_interval(cell_so_far, upper, nv)
+        llo = (Fraction(0) if isinstance(lower, Zero)
+               else _mono_interval(cell_so_far, lower, nv)[0])
+        if isinstance(upper, Inf):
+            if llo < 1:
+                raise InconsistentOrientation(
+                    f"unbounded fiber with lower bound below 1 (from {llo}); "
+                    "split the cell at 1"
+                )
+        else:
+            _, bhi = _mono_interval(cell_so_far, upper, nv)
         if llo < 0:
             raise InconsistentOrientation(
                 "fibers containing 0 have no single-piece normalization"
             )
         if llo >= 1:
-            # reciprocal: new = 1/old in (0, 1/lower]
-            assert isinstance(lower, RawMono)
+            # reciprocal: new = 1/old in (1/upper, 1/lower), from 0 when
+            # the upper bound is infinite
             steps.append(AxisMap(i, eps=eps, zeta=-1))
             new_upper = MonomialBound(1 / lower.coeff, lower.exps.pad(nv).scale(-1))
-            new_lower: Union[Zero, MonomialBound] = MonomialBound(
-                1 / upper.coeff, upper.exps.pad(nv).scale(-1)
+            new_lower: Union[Zero, MonomialBound] = (
+                ZERO if isinstance(upper, Inf)
+                else MonomialBound(1 / upper.coeff, upper.exps.pad(nv).scale(-1))
             )
             specs.append(FatVar(new_lower, new_upper))
             continue

@@ -12,8 +12,11 @@ and nothing is ever rounded.
 
 Logs of constants are kept over a coprime base: log 30030 is one atom, not
 the sum of six prime logs, and normalize keeps the constant logs of a sum
-pairwise coprime.  Output is over primes: prime_form builds those terms for
-eval and the analyses, and the printer writes them from the coprime base.
+pairwise coprime.  log_of_monomial_unit is the one producer of constant
+logs; there is no second route (a LogUnitAtom of a constant is refused,
+and Term.make writes no log).  Output is over primes: prime_form builds
+those terms for eval and the analyses, and the printer writes them from the
+coprime base.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ def frac_pow(q: Fraction, r: Fraction) -> Fraction | None:
         return Fraction(1)
     if r.denominator == 1:
         return q ** r.numerator
-    num = _int_nth_root(q.numerator, r.denominator)
-    den = _int_nth_root(q.denominator, r.denominator)
-    if num is None or den is None:
+    k = r.denominator
+    num, den = floor_root(q.numerator, k), floor_root(q.denominator, k)
+    if num ** k != q.numerator or den ** k != q.denominator:
         return None
     return Fraction(num, den) ** r.numerator
 
@@ -74,8 +77,8 @@ def _source_rat(q: Fraction) -> str:
     return str(q) if q.denominator == 1 and q >= 0 else f"({q})"
 
 
-def _int_nth_root(n: int, k: int) -> int | None:
-    """Exact integer k-th root of n >= 1, or None if not a perfect power."""
+def floor_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for integers n >= 1, k >= 1."""
     if n == 1:
         return 1
     # Integer Newton from 2^ceil(bits/k) >= n^(1/k): the iterates decrease
@@ -84,9 +87,8 @@ def _int_nth_root(n: int, k: int) -> int | None:
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    return x if x ** k == n else None
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -240,6 +242,15 @@ def _unit_sort_key(monos: Iterable[tuple[Fraction, ExpVec]]):
     return tuple(sorted((m.exps, c) for c, m in monos))
 
 
+def _certifies(constant: Fraction, coeffs: Sequence[Fraction]) -> bool:
+    """The unit certificate: |constant| > the sum of |c| over the monomial
+    coefficients c of the sign opposite to the constant (a zero constant
+    certifies nothing)."""
+    if constant > 0:
+        return constant + sum(c for c in coeffs if c < 0) > 0
+    return constant < 0 and constant + sum(c for c in coeffs if c > 0) < 0
+
+
 class PolyUnit(Value):
     """A certified nonvanishing polynomial: constant + sum coeff_k * y^exps_k.
 
@@ -268,17 +279,11 @@ class PolyUnit(Value):
             raise UnitCertificateViolated(
                 "unit summands must have nonzero coefficient and exponent"
             )
-        lo, hi = self.value_bounds()
-        if self.constant > 0:
-            if lo <= 0:
-                raise UnitCertificateViolated(
-                    f"unit may cross 0: value range [{lo}, {hi}]"
-                )
-        else:
-            if hi >= 0:
-                raise UnitCertificateViolated(
-                    f"unit may cross 0: value range [{lo}, {hi}]"
-                )
+        if not _certifies(self.constant, [c for c, _ in self.monos]):
+            lo, hi = self.value_bounds()
+            raise UnitCertificateViolated(
+                f"unit may cross 0: value range [{lo}, {hi}]"
+            )
 
     @staticmethod
     def one() -> "PolyUnit":
@@ -412,14 +417,9 @@ def unit_from_poly(poly: MonoPoly, nvars: int) -> PolyUnit:
 
 
 def poly_is_certifiable_unit(poly: MonoPoly) -> bool:
+    """Whether unit_from_poly(poly, n) certifies a unit."""
     constant = sum((c for m, c in poly.items() if m.is_zero()), Fraction(0))
-    if constant == 0:
-        return False
-    neg = sum(
-        (c for m, c in poly.items() if not m.is_zero() and (c < 0) == (constant > 0)),
-        Fraction(0),
-    )
-    return abs(constant) > abs(neg)
+    return _certifies(constant, [c for m, c in poly.items() if not m.is_zero()])
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +449,15 @@ class LogComposite(Value):
 
 
 class LogUnitAtom(Value):
-    """log u for a certified positive polynomial unit, kept opaque."""
+    """log u for a certified monic nonconstant polynomial unit, kept opaque.
+    The log of a constant, the unit's own included, is written over a
+    coprime base of constant logs by log_of_monomial_unit instead."""
 
     unit: PolyUnit
 
     def __post_init__(self):
-        if self.unit.sign < 0:
-            raise FragmentEscape("log of a negative unit")
+        if self.unit.constant != 1 or not self.unit.monos:
+            raise FragmentEscape("log-unit atoms carry monic nonconstant units")
 
 
 class LogExprAtom(Value):
@@ -469,13 +471,6 @@ class LogExprAtom(Value):
 
 
 LogAtom = Union[LogVar, LogPrime, LogComposite, LogUnitAtom, LogExprAtom]
-
-
-def log_const(q: RatLike) -> list[tuple[LogPrime, int]]:
-    """Canonical expansion of log q over prime logs (LogConst surface)."""
-    return [
-        (LogPrime(p), e) for p, e in sorted(log_const_exponents(Fraction(q)).items())
-    ]
 
 
 def _atom_sort_key(atom: LogAtom):
@@ -548,55 +543,27 @@ class Term(Value):
         extras: Iterable[tuple[LogAtom, int]] = (),
         unit: PolyUnit = _UNIT_ONE,
     ) -> "Term":
-        """Canonicalizing constructor.
-
-        Folds LogVar atoms into logpows, expands log-of-constant atoms over
-        primes, normalizes the unit to constant 1 (scale goes to coeff), and
-        sorts extras.  Parts that are canonical already (a trivial unit, and
-        extras a tuple of constant logs with positive powers in rising
-        order, as times_log_power passes them) are taken as they are.
-        """
+        """Canonicalizing constructor: makes the unit monic (its constant
+        goes to coeff), merges and sorts extras.  It writes no log, and a
+        LogVar extra is refused: variable logs belong in logpows.  Parts
+        canonical already (a trivial unit, and extras a tuple of constant
+        logs with positive powers in rising order, as times_log_power passes
+        them) are taken as they are."""
         if not isinstance(exps, ExpVec):
             exps = ExpVec.of(exps)
-        nv = len(exps)
         if type(coeff) is not Fraction:
             coeff = Fraction(coeff)
+        lp = tuple(logpows) if logpows is not None else (0,) * len(exps)
         if unit.is_trivial and type(extras) is tuple and _rising_constant_logs(extras):
-            lp = tuple(logpows) if logpows is not None else (0,) * nv
             return Term(coeff, exps, lp, extras, unit)
-        lp = list(logpows) if logpows is not None else [0] * nv
         atom_pows: dict[LogAtom, int] = {}
         for atom, k in extras:
             if k == 0:
                 continue
             if k < 0:
                 raise ValueError("extra log factors have positive powers")
-            if isinstance(atom, LogVar):
-                lp[atom.pos] += k
-                continue
-            if isinstance(atom, LogUnitAtom):
-                # canonicalize log of a constant: log(p^e) = e log p scales
-                # the coefficient; multi-prime constants expand into sums and
-                # must go through expand_log_power instead.
-                scale, u0 = atom.unit.monic()
-                if u0.is_trivial:
-                    expansion = log_const(scale)
-                    if not expansion:
-                        raise FragmentEscape("log(1) annihilates the term")
-                    if len(expansion) > 1:
-                        raise FragmentEscape(
-                            "log of a multi-prime constant is a sum; expand "
-                            "it with expand_log_power"
-                        )
-                    patom, pe = expansion[0]
-                    coeff *= Fraction(pe) ** k
-                    atom_pows[patom] = atom_pows.get(patom, 0) + k
-                    continue
-                if scale != 1:
-                    raise FragmentEscape(
-                        "log-unit atoms must carry monic units; "
-                        "split the constant with log_const first"
-                    )
+            if type(atom) is LogVar:
+                raise ValueError("variable logs go in logpows, not in extras")
             atom_pows[atom] = atom_pows.get(atom, 0) + k
         if unit is not _UNIT_ONE:
             scale, unit = unit.monic()
@@ -607,7 +574,7 @@ class Term(Value):
                 key=lambda ak: _atom_sort_key(ak[0]),
             )
         )
-        return Term(coeff, exps, tuple(lp), ext, unit)
+        return Term(coeff, exps, lp, ext, unit)
 
     @staticmethod
     def constant(c: RatLike, nvars: int) -> "Term":

@@ -85,12 +85,6 @@ def _draw_cell(
     return _cell(nvars, tuple(record)), tuple(undet)
 
 
-def _monomial(nvars: int, pos: int, power: int) -> ExpVec:
-    exps = [_ZERO] * nvars
-    exps[pos] = Fraction(power)
-    return ExpVec(tuple(exps))
-
-
 # cells kept, least recently used dropped first; validate's 192-seed
 # benchmark pool draws 90 distinct cells
 _CELL_TABLE_SIZE = 256
@@ -111,7 +105,7 @@ def _cell(nvars: int, record: tuple) -> Cell:
         if isinstance(lower_at, int):
             lower = MonomialBound(coeff / lower_at, exps, unit)
         elif lower_at is not None:
-            lower = MonomialBound(coeff / 4, exps + _monomial(nvars, *lower_at), unit)
+            lower = MonomialBound(coeff / 4, exps + ExpVec.unit(nvars, *lower_at), unit)
         specs.append(FatVar(lower, MonomialBound(coeff, exps, unit)))
     cell = Cell(tuple(specs))
     cell.validate()
@@ -126,7 +120,7 @@ _UNIT_TABLE_SIZE = 32
 @table("generators._unit", _UNIT_TABLE_SIZE)
 def _unit(nvars: int, pos: int, power: int, coeff: Fraction) -> PolyUnit:
     """1 + coeff * y_pos^power."""
-    return PolyUnit.build(1, {_monomial(nvars, pos, power): coeff})
+    return PolyUnit.build(1, {ExpVec.unit(nvars, pos, power): coeff})
 
 
 def random_prepared_terms(

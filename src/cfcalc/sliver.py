@@ -46,12 +46,15 @@ class AffineForm(Value):
         return all(c == 0 for c in self.coeffs)
 
 
-def pull_exponent(alpha: ExpVec) -> AffineForm:
-    """Affine exponent of the pull-back of y^alpha along the probe map."""
-    exps = tuple(alpha)
-    if not exps:
-        return AffineForm(Fraction(0), ())
-    return AffineForm(exps[0], exps[1:])
+def pull_exponent(alpha: ExpVec, arity: int | None = None) -> AffineForm:
+    """Affine exponent of the pull-back of y^alpha along the probe map; with
+    an arity, over that many box parameters (coefficients trimmed, or padded
+    with zeros)."""
+    exps = tuple(alpha) or (Fraction(0),)
+    coeffs = exps[1:]
+    if arity is not None:
+        coeffs = coeffs[:arity] + (Fraction(0),) * (arity - len(coeffs))
+    return AffineForm(exps[0], coeffs)
 
 
 def corners(box: Box) -> Iterable[tuple[Fraction, ...]]:
@@ -159,13 +162,7 @@ def shrink_for_decay(beta: ExpVec, s: Sliver) -> tuple[Sliver, Fraction]:
     certifying uniform decay of the pull-back as t_1 -> 0."""
     if beta.is_zero():
         raise ValueError("shrink_for_decay needs a nonzero exponent")
-    form = pull_exponent(beta)
-    # trim/pad the form to the box arity
-    form = AffineForm(
-        form.constant,
-        form.coeffs[: len(s.box)]
-        + (Fraction(0),) * max(0, len(s.box) - len(form.coeffs)),
-    )
+    form = pull_exponent(beta, len(s.box))
     if form.is_constant():
         if form.constant <= 0:
             raise NotBounded(f"exponent form is the nonpositive constant {form.constant}")
@@ -234,11 +231,7 @@ def build_sliver(cell: Cell) -> Sliver:
     for i in range(1, n):
         spec = cell.specs[i]
         upper = spec.upper
-        beta = pull_exponent(upper.exps)
-        beta = AffineForm(
-            beta.constant,
-            beta.coeffs[: len(box)] + (Fraction(0),) * max(0, len(box) - len(beta.coeffs)),
-        )
+        beta = pull_exponent(upper.exps, len(box))
         budgets.append(_log_deviation_budget(upper))
         if isinstance(spec.lower, Zero):
             delta = Fraction(1, 4)
@@ -251,11 +244,7 @@ def build_sliver(cell: Cell) -> Sliver:
             continue
         lower = spec.lower
         budgets.append(_log_deviation_budget(lower))
-        alpha = pull_exponent(lower.exps)
-        alpha = AffineForm(
-            alpha.constant,
-            alpha.coeffs[: len(box)] + (Fraction(0),) * max(0, len(box) - len(alpha.coeffs)),
-        )
+        alpha = pull_exponent(lower.exps, len(box))
         gap = alpha - beta
         m_target = form_max(gap, box)
         if m_target <= 0:

@@ -29,6 +29,7 @@ from cfcalc.cells import (
 from cfcalc.core import (
     CExpr,
     ExpVec,
+    LogComposite,
     LogExprAtom,
     LogPrime,
     LogUnitAtom,
@@ -36,7 +37,6 @@ from cfcalc.core import (
     PolyUnit,
     Term,
     _atom_sort_key,
-    log_const,
     terms_from_poly,
     normalize,
     poly_add,
@@ -44,7 +44,7 @@ from cfcalc.core import (
     poly_scale,
     term_mul,
 )
-from cfcalc.errors import CalcError, FragmentEscape
+from cfcalc.errors import CalcError
 from cfcalc.generators import random_integrable_instance
 from cfcalc.integrate import SForm, build_sform
 
@@ -54,7 +54,8 @@ from cfcalc.integrate import SForm, build_sform
 def _make_reference(
     coeff, exps, logpows=None, extras=(), unit=PolyUnit.one()
 ) -> Term:
-    # Term.make with every input through the canonicalizing route
+    # Term.make with every input through the canonicalizing route: it
+    # writes no log, so a variable log among the extras is refused
     if not isinstance(exps, ExpVec):
         exps = ExpVec.of(exps)
     nv = len(exps)
@@ -67,28 +68,7 @@ def _make_reference(
         if k < 0:
             raise ValueError("extra log factors have positive powers")
         if isinstance(atom, LogVar):
-            lp[atom.pos] += k
-            continue
-        if isinstance(atom, LogUnitAtom):
-            scale, u0 = atom.unit.monic()
-            if u0.is_trivial:
-                expansion = log_const(scale)
-                if not expansion:
-                    raise FragmentEscape("log(1) annihilates the term")
-                if len(expansion) > 1:
-                    raise FragmentEscape(
-                        "log of a multi-prime constant is a sum; expand "
-                        "it with expand_log_power"
-                    )
-                patom, pe = expansion[0]
-                coeff *= F(pe) ** k
-                atom_pows[patom] = atom_pows.get(patom, 0) + k
-                continue
-            if scale != 1:
-                raise FragmentEscape(
-                    "log-unit atoms must carry monic units; "
-                    "split the constant with log_const first"
-                )
+            raise ValueError("variable logs go in logpows, not in extras")
         atom_pows[atom] = atom_pows.get(atom, 0) + k
     if unit is not PolyUnit.one():
         scale, unit = unit.monic()
@@ -233,8 +213,7 @@ _LOG_UNITS = [
     PolyUnit.build(1, {ExpVec.of([2, 0]): F(-1, 3)}),
 ]
 _ATOMS = st.sampled_from(
-    [LogPrime(2), LogPrime(3), LogPrime(5), LogVar(0), LogVar(1)]
-    + [LogUnitAtom(u) for u in _LOG_UNITS]
+    [LogPrime(2), LogPrime(3), LogPrime(5)] + [LogUnitAtom(u) for u in _LOG_UNITS]
 )
 _UNITS = st.sampled_from(
     [
@@ -361,12 +340,12 @@ def test_make_is_idempotent_on_canonical_parts(t):
     assert type(n.coeff) is F and n.coeff == 7
 
 
-# extras in any order, with repeats, variable logs, zero powers and constant
-# unit logs (single-prime, multi-prime, log 1), as a tuple or a list
+# extras in any order, with repeats, zero powers, composite and unit logs,
+# and variable logs, which both routes refuse; as a tuple or a list
 _MAKE_ATOMS = st.sampled_from(
-    [LogPrime(2), LogPrime(3), LogPrime(5), LogVar(0), LogVar(1)]
+    [LogPrime(2), LogPrime(3), LogPrime(5), LogComposite(6, (2, 3))]
+    + [LogVar(0), LogVar(1)]
     + [LogUnitAtom(u) for u in _LOG_UNITS]
-    + [LogUnitAtom(PolyUnit(F(q))) for q in (4, F(1, 3), 6, 1)]
 )
 _MAKE_EXTRAS = st.lists(
     st.tuples(_MAKE_ATOMS, st.integers(min_value=-1, max_value=3)), max_size=4
@@ -395,13 +374,14 @@ def test_make_matches_the_canonicalizing_route(coeff, exps, logpows, extras, uni
         (((LogPrime(3), 1), (LogPrime(2), 1)), False),
         (((LogPrime(2), 1), (LogPrime(2), 2)), False),
         (((LogPrime(2), 0), (LogPrime(3), 1)), False),
-        (((LogVar(1), 2), (LogPrime(5), 1)), False),
-        (((LogUnitAtom(PolyUnit(F(9))), 2),), False),
-        # a negative power, log 1, a multi-prime constant, a non-monic unit
+        # unit and composite logs, which sort after and among the primes
+        (((LogPrime(5), 1), (LogUnitAtom(_LOG_UNITS[0]), 2)), False),
+        (((LogUnitAtom(_LOG_UNITS[1]), 1), (LogComposite(6, (2, 3)), 1)), False),
+        # negative powers, and variable logs, which belong in logpows
         (((LogPrime(2), -1),), True),
-        (((LogUnitAtom(PolyUnit(F(1))), 1),), True),
-        (((LogUnitAtom(PolyUnit(F(6))), 1),), True),
-        (((LogUnitAtom(PolyUnit.build(2, {ExpVec.of([1, 0]): F(1, 2)})), 1),), True),
+        (((LogVar(1), 2), (LogPrime(5), 1)), True),
+        (((LogVar(0), 1),), True),
+        (((LogPrime(3), 1), (LogUnitAtom(_LOG_UNITS[0]), -2)), True),
     ],
 )
 def test_make_cases_match_the_canonicalizing_route(extras, refused):

@@ -18,6 +18,9 @@ from cfcalc.cells import (
     RawMono,
     RawVar,
     ZERO,
+    _compose_term_axis,
+    _pow_bound,
+    _transform_raw_bound,
     classify,
     compose_with_map,
     map_jacobian,
@@ -27,7 +30,7 @@ from cfcalc.cells import (
     unmap_point,
 )
 from cfcalc.cli import main
-from cfcalc.core import CExpr, ExpVec, PolyUnit, Term, normalize
+from cfcalc.core import CExpr, ExpVec, PolyUnit, Term, frac_pow, normalize
 from cfcalc.errors import (
     CalcError,
     CellError,
@@ -376,3 +379,108 @@ def test_a_certified_cell_compares_hashes_and_prints_as_an_unchecked_one():
     assert certified == unchecked
     assert hash(certified) == hash(unchecked)
     assert repr(certified) == repr(unchecked)
+
+
+def _value(c, exps, point):
+    # c * point^exps exactly: an integer power of any coordinate, a
+    # fractional one of a positive coordinate with a rational root
+    for x, e in zip(point, exps):
+        c *= x ** e.numerator if e.denominator == 1 else frac_pow(x, e)
+    return c
+
+
+_SQUARES = st.sampled_from([F(1, 4), F(9, 16), F(1, 9), F(4, 9), F(1)])
+
+
+@st.composite
+def axis_cases(draw):
+    """An axis map of y1 or y2 (a mirror with integer powers of its
+    coordinate, a reciprocal, dyadic scales), c * y^m, a unit monomial and
+    a new-coordinate point whose old coordinates have rational powers."""
+    pos = draw(st.integers(0, 1))
+    step = AxisMap(pos, draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1])),
+                   draw(st.sampled_from([F(1), F(1, 2), F(2), F(1, 4), F(4), F(1, 16)])))
+    # a fractional power needs a positive coordinate and a square scale
+    halves = step.eps == 1 and step.scale in (F(1), F(1, 4), F(4), F(1, 16))
+    mine = st.integers(-6, 6).map(lambda k: F(k, 2) if halves else F(k // 2))
+    other = st.integers(-6, 6).map(lambda k: F(k, 2))
+
+    def exps():
+        e = [draw(other), draw(other)]
+        e[pos] = draw(mine)
+        return ExpVec(tuple(e))
+    c = draw(st.sampled_from([F(1), F(-3, 2), F(2, 5)]))
+    return step, c, exps(), exps(), [draw(_SQUARES), draw(_SQUARES)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis_cases())
+def test_axis_map_rewrite_agrees_with_map_point(case):
+    step, c, m, mu, z = case
+    x = map_point([step], z)
+    want = _value(c, m, x)
+    c2, m2 = step.rewrite(c, m)
+    assert _value(c2, m2, z) == want
+    assert m2[1 - step.pos] == m[1 - step.pos]
+    # a term, and a term with a polynomial unit, through _compose_term_axis
+    cases = [(Term.make(c, m), want)]
+    if not mu.is_zero():
+        unit = PolyUnit.build(1, {mu: F(1, 4)})
+        cases.append((Term.make(c, m, unit=unit), want * (1 + _value(F(1, 4), mu, x))))
+    for t, v in cases:
+        assert sum(u.eval_exact(z) for u in _compose_term_axis(t, step, 2)) == v
+    # a raw bound through _transform_raw_bound: a mirrored coordinate is
+    # refused there, as no dependent bound may reference it
+    b = RawMono(abs(c), m)
+    if step.eps < 0 and m[step.pos]:
+        with pytest.raises(InconsistentOrientation):
+            _transform_raw_bound(b, [step], 2)
+    else:
+        b2 = _transform_raw_bound(b, [step], 2)
+        assert _value(b2.coeff, b2.exps, z) == _value(abs(c), m, x)
+
+
+def test_a_mirrored_negative_power_keeps_an_exact_coefficient(capsys):
+    # y1 = -1/z on (-3, -1): y1^(-1) = -z, with the coefficient exact
+    assert main(["prepare", "1/3 * y1^(-1) on {-3<y1<-1}"]) == 0
+    assert capsys.readouterr().out == "prepared pieces: 1\n  J = []: -1/3 * y1\n"
+    assert main(["integrate", "1/3 * y1^(-1) on {-1/2<y1<-1/3}"]) == 0
+    assert capsys.readouterr().out == "1/3 * log(2) - 1/3 * log(3)\n"
+    assert AxisMap(0, eps=-1).rewrite(F(1, 3), ExpVec.of([-3])) == (F(-1, 3), ExpVec.of([-3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6).filter(bool),
+       st.integers(-15, 15), st.integers(2, 6))
+def test_pow_bound_brackets_an_irrational_power_exactly(q, u, v):
+    e = F(u, v)
+    lo, hi = _pow_bound(q, e, False), _pow_bound(q, e, True)
+    exact = frac_pow(q, e)
+    if exact is not None:
+        assert lo == hi == exact
+        return
+    assert lo ** e.denominator < q ** e.numerator < hi ** e.denominator
+    assert 0 < hi - lo <= F(1, 2 ** 64)
+
+
+def test_pow_bound_of_a_tiny_power_is_not_zero():
+    # (1/1000)^(11/2) = 3.16e-17; rounding through floats made both bounds 0
+    lo, hi = _pow_bound(F(1, 1000), F(11, 2), False), _pow_bound(F(1, 1000), F(11, 2), True)
+    assert F(3162, 10**20) < lo < hi < F(3163, 10**20)
+
+
+_TINY_POWER_CELL = "{0<x1<1/1000, x1^(11/2) < x2 < 1/1000000000000000000000000000000000}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", f"1 on {_TINY_POWER_CELL}", "--vars", "1"],
+    ["prepare", f"1 on {_TINY_POWER_CELL}"],
+    ["check-integrability", f"1 on {_TINY_POWER_CELL}"],
+])
+def test_a_false_bound_order_under_an_irrational_power_is_refused(argv, capsys):
+    # x1^(11/2) > 10^-33 wherever x1 > 10^-6, so the fiber is empty there:
+    # the cell cannot be certified, and the commands exit 3
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot certify bound order" in captured.err

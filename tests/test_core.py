@@ -21,6 +21,7 @@ from cfcalc.core import (
     LogVar,
     PolyUnit,
     Term,
+    constant_log_items,
     differentiate,
     differentiate_expr,
     expand_log_power,
@@ -28,12 +29,14 @@ from cfcalc.core import (
     frac_pow,
     is_zero,
     left_sum,
-    log_const,
     log_of_monomial_unit,
     normalize,
+    poly_is_certifiable_unit,
     times_log_power,
+    unit_from_poly,
 )
 from cfcalc.errors import (
+    FragmentEscape,
     NotNormalized,
     UnitCertificateViolated,
     ZeroTestUnsupported,
@@ -88,9 +91,31 @@ def test_factorize():
 
 
 def test_log_const_prime_expansion():
-    assert log_const(F(4)) == [(LogPrime(2), 2)]
-    assert log_const(F(8, 9)) == [(LogPrime(2), 3), (LogPrime(3), -2)]
-    assert log_const(F(1)) == []
+    # constant_log_items, the one writer of constant logs: log 4 = 2 log 2,
+    # log 8/9 = 3 log 2 - 2 log 3, and log 1 is the empty sum
+    assert constant_log_items(F(4)) == [(F(2), LogPrime(2))]
+    assert constant_log_items(F(8, 9)) == [(F(3), LogPrime(2)), (F(-2), LogPrime(3))]
+    assert constant_log_items(F(1)) == []
+
+
+def test_log_unit_atoms_carry_monic_nonconstant_units():
+    # a constant's log is written over primes, and a unit's constant splits
+    # off first: there is no second route for constant logs
+    y = ExpVec.of([1])
+    LogUnitAtom(PolyUnit.build(1, {y: F(1, 2)}))
+    for unit in (PolyUnit(F(4)), PolyUnit(F(1)), PolyUnit.build(2, {y: F(1, 2)})):
+        with pytest.raises(FragmentEscape, match="monic nonconstant"):
+            LogUnitAtom(unit)
+    with pytest.raises(FragmentEscape, match="monic nonconstant"):
+        LogUnitAtom(PolyUnit.build(-1, {y: F(1, 2)}))
+
+
+def test_make_refuses_a_variable_log_extra():
+    # variable logs belong in logpows; Term.make writes no log
+    for extras in ([(LogVar(0), 1)], ((LogPrime(2), 1), (LogVar(0), 2))):
+        with pytest.raises(ValueError, match="logpows"):
+            Term.make(1, [1], None, extras)
+    assert Term.make(1, [1], [1]).logpows == (1,)
 
 
 def test_normalize_merges_like_terms():
@@ -190,11 +215,49 @@ def test_is_zero_rejects_opaque_atoms():
 
 
 def test_log_const_cancellation_across_terms():
-    # 2*log(4)*y - 4*log(2)*y is identically zero; prime canonicalization
-    # must see it
-    t1 = Term.make(2, [1], extras=[(LogUnitAtom(PolyUnit.constant_unit(4)), 1)])
-    t2 = Term.make(-4, [1], extras=[(LogUnitAtom(PolyUnit.constant_unit(2)), 1)])
-    assert is_zero(normalize(CExpr(1, (t1, t2))))
+    # 2*log(4)*y - 4*log(2)*y is identically zero; the constant logs, both
+    # written over primes by constant_log_items, must see it
+    def log_times(c, q):
+        log_q = expand_log_power(constant_log_items(F(q)), 1, 1)
+        return times_log_power(Term.make(c, [1]), log_q)
+
+    assert is_zero(normalize(CExpr(1, tuple(log_times(2, 4) + log_times(-4, 2)))))
+
+
+# polynomials in y1, y2 over a few monomials, the constant among them at
+# times, with coefficients drawn so that |constant| often equals the sum
+# of the opposing coefficients
+_POLY_MONOS = [ExpVec.of(e) for e in ([0, 0], [1, 0], [0, 1], [1, 1], [F(1, 2), 2])]
+_POLY_COEFFS = st.sampled_from([F(-1), F(-1, 2), F(-1, 4), F(1, 4), F(1, 2), F(1), F(3, 4)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_POLY_MONOS), _POLY_COEFFS, max_size=5))
+def test_certifiable_exactly_when_unit_from_poly_succeeds(poly):
+    try:
+        unit = unit_from_poly(poly, 2)
+    except UnitCertificateViolated:
+        unit = None
+    assert poly_is_certifiable_unit(poly) == (unit is not None)
+    if unit is not None:
+        lo, hi = unit.value_bounds()
+        assert lo > 0 if unit.sign > 0 else hi < 0
+
+
+def test_unit_certificate_boundary():
+    # |constant| equal to the opposing sum is not certified, on either sign
+    y1, y2 = ExpVec.of([1, 0]), ExpVec.of([0, 1])
+    zero = ExpVec.zero(2)
+    for poly in ({zero: F(1), y1: F(-1, 2), y2: F(-1, 2)},
+                 {zero: F(-1), y1: F(3, 4), y2: F(1, 4), ExpVec.of([1, 1]): F(-2)},
+                 {y1: F(1)}):
+        assert not poly_is_certifiable_unit(poly)
+        with pytest.raises(UnitCertificateViolated):
+            unit_from_poly(poly, 2)
+    with pytest.raises(UnitCertificateViolated, match="may cross 0"):
+        PolyUnit.build(1, {y1: F(-1, 2), y2: F(-1, 2)})
+    with pytest.raises(UnitCertificateViolated, match="must be nonzero"):
+        PolyUnit.build(0, {y1: F(1)})
 
 
 def test_unit_certificate_enforced():

@@ -28,6 +28,20 @@ def test_pull_exponent():
     assert pull_exponent(ExpVec.of([F(-1, 2), 2])) == AffineForm(F(-1, 2), (F(2),))
 
 
+def test_pull_exponent_on_a_box_of_given_arity():
+    # the form over `arity` box parameters: trimmed, padded with zeros, or
+    # as it is; an empty exponent is the zero form
+    alpha = ExpVec.of([F(1, 2), 2, -3])
+    assert pull_exponent(alpha, 2) == AffineForm(F(1, 2), (F(2), F(-3)))
+    assert pull_exponent(alpha, 1) == AffineForm(F(1, 2), (F(2),))
+    assert pull_exponent(alpha, 0) == AffineForm(F(1, 2), ())
+    assert pull_exponent(alpha, 4) == AffineForm(F(1, 2), (F(2), F(-3), F(0), F(0)))
+    assert pull_exponent(ExpVec(()), 2) == AffineForm(F(0), (F(0), F(0)))
+    assert pull_exponent(ExpVec(())) == AffineForm(F(0), ())
+    for arity in range(5):
+        assert len(pull_exponent(alpha, arity).coeffs) == arity
+
+
 def test_separate_two_forms():
     box = ((F(0), F(1)),)
     f1 = AffineForm(F(0), (F(1),))      # t2
