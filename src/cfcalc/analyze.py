@@ -37,22 +37,23 @@ from .errors import (
 from .sliver import (
     Box,
     Sliver,
-    _halve_towards,
     box_center,
     build_sliver,
     corners,
     pull_exponent,
     separate,
     shrink_for_decay,
+    shrink_toward,
 )
 from .values import Value
 
 
-def _check_last_var_atoms(t: Term, pos: int) -> None:
-    """Opaque atoms involving the analyzed variable make the monomial
-    exponent criterion unsound (e.g. y^-1 * log(1+y) is integrable at 0);
-    the polynomial fragment cannot re-prepare them, so reject."""
-    if pos in t.opaque_support():
+def refuse_fiber_atoms(t: Term) -> None:
+    """Opaque atoms involving the last variable make the monomial exponent
+    criterion unsound (e.g. y^-1 * log(1+y) is integrable at 0), and the
+    fiber integral cannot carry them as constants; the polynomial fragment
+    cannot re-prepare them, so reject."""
+    if t.nvars - 1 in t.opaque_support():
         raise FragmentEscape(
             "opaque unit-log factor involves the analyzed variable"
         )
@@ -66,12 +67,8 @@ def term_integrable_last(t: Term, cell: Cell) -> bool:
     point?  Constrained fibers (lower bound > 0) are always integrable;
     unconstrained ones integrate iff the exponent exceeds -1 (log powers
     never rescue the harmonic threshold)."""
-    pos = cell.nvars - 1
-    spec = cell.specs[pos]
-    _check_last_var_atoms(t, pos)
-    if isinstance(spec.lower, MonomialBound):
-        return True
-    return t.exps[pos] > -1
+    refuse_fiber_atoms(t)
+    return isinstance(cell.specs[-1].lower, MonomialBound) or t.exps[-1] > -1
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +89,6 @@ class DominanceReport(Value):
     sliver: Sliver
     margin: Fraction
     limit_floor: float
-
-    @property
-    def I4(self) -> tuple[int, ...]:
-        return self.chain[3]
 
 
 def _extras_constant(t: Term) -> float:
@@ -154,9 +147,8 @@ def _bound_away_poly(
     target = max(pts, key=lambda p: abs(peval(p)))
     if abs(peval(target)) <= 1e-12:
         raise FragmentEscape("leading polynomial is numerically zero on the box")
-    target_frac = tuple(Fraction(x).limit_denominator(1 << 20) for x in target)
-    cur = box
-    for _ in range(200):
+
+    def half_center_value(cur: Box) -> float | None:
         radius = max(float(hi - lo) for lo, hi in cur)
         big = max(max(abs(float(lo)), abs(float(hi))) for lo, hi in cur)
         lip = left_sum(
@@ -164,10 +156,15 @@ def _bound_away_poly(
             for m, c in coeffs.items()
         )
         center_val = abs(peval([float(x) for x in box_center(cur)]))
-        if center_val - lip * radius * len(cur) >= center_val / 2 > 0:
-            return cur, center_val / 2
-        cur = _halve_towards(cur, target_frac)
-    raise FragmentEscape("could not certify the leading polynomial away from 0")
+        ok = center_val - lip * radius * len(cur) >= center_val / 2 > 0
+        return center_val / 2 if ok else None
+
+    return shrink_toward(
+        box,
+        tuple(Fraction(x).limit_denominator(1 << 20) for x in target),
+        half_center_value,
+        FragmentEscape("could not certify the leading polynomial away from 0"),
+    )
 
 
 def dominance(e: CExpr, cell: Cell) -> DominanceReport:

@@ -103,10 +103,6 @@ class MonomialBound(Value):
             total *= float(point[i]) ** e
         return total if unit is None else total * unit.eval(point)
 
-    def eval_exact(self, point: Sequence[Fraction]) -> Fraction:
-        mono = _eval_monomial_exact(self.exps, point)
-        return self.coeff * mono * self.unit.eval_exact(point)
-
 
 BoundSpec = Union[Zero, Inf, MonomialBound]
 
@@ -781,12 +777,6 @@ class CellNormalization(Value):
 
     def pull_back(self, e: CExpr, with_jacobian: bool = False) -> CExpr:
         return compose_with_map(e, self.steps, with_jacobian)
-
-    def to_original(self, z: Sequence[RatLike]) -> list[Fraction]:
-        return map_point(self.steps, z)
-
-    def to_normalized(self, x: Sequence[RatLike]) -> list[Fraction]:
-        return unmap_point(self.steps, x)
 
 
 def _transform_raw_bound(

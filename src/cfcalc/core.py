@@ -290,10 +290,6 @@ class PolyUnit(Value):
         return _UNIT_ONE
 
     @staticmethod
-    def constant_unit(c: RatLike) -> "PolyUnit":
-        return PolyUnit(Fraction(c))
-
-    @staticmethod
     def build(constant: RatLike, monos: Mapping[ExpVec, RatLike]) -> "PolyUnit":
         items = tuple(
             sorted(

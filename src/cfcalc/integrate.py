@@ -22,12 +22,11 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 # sum_integrable_last is not called here: bench/tracing.py wraps it by name
-from .analyze import integrable_locus, sum_integrable_last  # noqa: F401
+from .analyze import integrable_locus, refuse_fiber_atoms, sum_integrable_last  # noqa: F401
 from .cells import Cell, MonomialBound, Zero
 from .core import (
     CExpr,
     ExpVec,
-    LogExprAtom,
     PolyUnit,
     RatLike,
     Term,
@@ -39,12 +38,7 @@ from .core import (
     times_log_power,
     times_term,
 )
-from .errors import (
-    BoundUnitUnsupported,
-    FragmentEscape,
-    NotIntegrable,
-    NotPrepared,
-)
+from .errors import BoundUnitUnsupported, NotIntegrable
 from .tables import table
 from .values import Value
 
@@ -120,18 +114,6 @@ class SForm(Value):
     analytic: tuple[tuple[int, CExpr], ...]
 
 
-def _refuse_fiber_atoms(t: Term) -> None:
-    """Refuse a term whose opaque or composite log atoms the fiber integral
-    cannot carry as constants."""
-    if t.nvars - 1 in t.opaque_support():
-        raise FragmentEscape(
-            "opaque unit-log factors involve the integration variable"
-        )
-    for atom, _ in t.extras:
-        if isinstance(atom, LogExprAtom):
-            raise NotPrepared("prepare composite logs before integrating")
-
-
 def _monomial_pieces(t: Term) -> list[tuple[Fraction, ExpVec]]:
     """t's coefficient times its polynomial unit, as (coeff, exps) pieces."""
     if t.unit.is_trivial:
@@ -149,7 +131,7 @@ def build_sform(t: Term) -> SForm:
     (this is what keeps every series in sight finite), the last-variable
     exponent denominators are cleared by y = z^p, and the integer powers are
     sorted into the Laurent/analytic slots."""
-    _refuse_fiber_atoms(t)
+    refuse_fiber_atoms(t)
     nv = t.nvars
     pos = nv - 1
     s = t.logpows[pos]
@@ -196,16 +178,10 @@ def _eval_antider_at_bound(
 ) -> CExpr:
     """Evaluate antiderivative pieces (zpow, logpow, coeff) at z = bound^(1/p).
 
-    Zero bound: every piece must carry a positive power of z, and then the
-    continuous extension vanishes (log powers notwithstanding)."""
+    Zero bound: integrate_shape refuses a Laurent slab over it first, so
+    every piece carries a positive power of z, and the continuous extension
+    vanishes (log powers notwithstanding)."""
     if isinstance(bound, Zero):
-        for zpow, logpow, _ in pieces:
-            if zpow <= 0 and logpow > 0:
-                raise NotIntegrable(
-                    "log power survives at the zero endpoint"
-                )
-            if zpow < 0:
-                raise NotIntegrable("negative power at the zero endpoint")
         return CExpr.zero(base_nv)
     q = bound.coeff
     beta = ExpVec(bound.exps.exps[:base_nv])
@@ -309,7 +285,7 @@ def integrate_last(e: CExpr, cell: Cell) -> CExpr:
             raise NotIntegrable(
                 f"exponent {t.exps[pos]} <= -1 over an unconstrained fiber"
             )
-        _refuse_fiber_atoms(t)
+        refuse_fiber_atoms(t)
         s = t.logpows[pos]
         logpows = t.logpows[:pos]
         pieces = _monomial_pieces(t)

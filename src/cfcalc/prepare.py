@@ -94,73 +94,61 @@ def _flatten_to_poly(e: CExpr) -> MonoPoly:
 
 
 def substitute_thin(raw: RawCell, e: CExpr) -> tuple[RawCell, CExpr]:
-    """Substitute every thin variable by its graph and project it away."""
+    """Substitute every thin variable by its graph and project it away.
+
+    A graph may read an earlier thin variable, so every graph is first
+    written over the kept variables; each term is then rewritten over the
+    kept coordinates in one pass."""
     keep = [i for i, rv in enumerate(raw.vars) if rv.thin is None]
     if len(keep) == raw.nvars:
         return raw, e
-    nv = raw.nvars
+    # thin position -> its graph's coefficient and exponents over kept ones
+    graphs: dict[int, tuple[Fraction, ExpVec]] = {}
+
+    def times_graph(coeff, kept, i, r):
+        """coeff * y^kept times the r-th power of thin variable i's graph."""
+        q, gexps = graphs[i]
+        if q < 0:
+            raise FragmentEscape(f"power of negative thin variable {raw.vars[i].name}")
+        return coeff * exact_pow(q, r), [k + r * g for k, g in zip(kept, gexps)]
+
+    for i, rv in enumerate(raw.vars):
+        if rv.thin is not None:
+            coeff, kept = rv.thin.coeff, [rv.thin.exps[j] for j in keep]
+            for j in graphs:
+                if rv.thin.exps[j]:
+                    coeff, kept = times_graph(coeff, kept, j, rv.thin.exps[j])
+            graphs[i] = coeff, ExpVec(tuple(kept))
     out_terms: list[Term] = []
     for t in e.terms:
         if t.extras or not t.unit.is_trivial:
             raise FragmentEscape(
                 "thin substitution operates on plain source terms"
             )
-        coeff = t.coeff
-        exps = list(t.exps)
-        occurrences: list[list] = []
-        logpows = list(t.logpows)
-        for i, rv in enumerate(raw.vars):
-            if rv.thin is None:
-                continue
-            g = rv.thin
-            r = exps[i]
-            exps[i] = Fraction(0)
-            if r != 0:
-                if g.coeff < 0:
-                    raise FragmentEscape(f"power of negative thin variable {rv.name}")
-                coeff *= exact_pow(g.coeff, r)
-                for j, ge in enumerate(g.exps):
-                    if ge:
-                        exps[j] += r * ge
-            s = logpows[i]
-            if s:
-                logpows[i] = 0
-                items = log_of_monomial_unit(g.coeff, g.exps, PolyUnit.one())
-                occurrences.append(expand_log_power(items, s, nv))
-        acc = [Term.make(coeff, ExpVec(tuple(exps)), logpows)]
+        coeff, kept = t.coeff, [t.exps[j] for j in keep]
+        occurrences = []
+        for i, (q, gexps) in graphs.items():
+            if t.exps[i]:
+                coeff, kept = times_graph(coeff, kept, i, t.exps[i])
+            if t.logpows[i]:
+                items = log_of_monomial_unit(q, gexps, PolyUnit.one())
+                occurrences.append(expand_log_power(items, t.logpows[i], len(keep)))
+        acc = [Term.make(coeff, ExpVec(tuple(kept)), tuple(t.logpows[j] for j in keep))]
         for alternatives in occurrences:
             acc = [x for a in acc for x in times_log_power(a, alternatives)]
         out_terms.extend(acc)
-    # project away the thin coordinates
-    proj_terms = []
-    for t in out_terms:
-        proj_terms.append(
-            Term.make(
-                t.coeff,
-                ExpVec(tuple(t.exps[i] for i in keep)),
-                tuple(t.logpows[i] for i in keep),
-                t.extras,
-            )
-        )
-    new_vars = []
-    for new_i, i in enumerate(keep):
-        rv = raw.vars[i]
 
-        def remap(b):
-            if not isinstance(b, RawMono):
-                return b
-            if any(b.exps[j] != 0 for j in range(nv) if j not in keep):
-                raise FragmentEscape(
-                    "bounds referencing thin variables are unsupported"
-                )
-            return RawMono(b.coeff, ExpVec(tuple(b.exps[j] for j in keep)))
+    def remap(b):
+        if not isinstance(b, RawMono):
+            return b
+        if any(b.exps[j] for j in graphs):
+            raise FragmentEscape("bounds referencing thin variables are unsupported")
+        return RawMono(b.coeff, ExpVec(tuple(b.exps[j] for j in keep)))
 
-        new_vars.append(
-            RawVar(rv.name, remap(rv.lower), remap(rv.upper))
-        )
-    return RawCell(tuple(new_vars)), normalize(
-        CExpr(len(keep), tuple(proj_terms))
-    )
+    kept_vars = [raw.vars[i] for i in keep]
+    return RawCell(
+        tuple(RawVar(rv.name, remap(rv.lower), remap(rv.upper)) for rv in kept_vars)
+    ), normalize(CExpr(len(keep), tuple(out_terms)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .cells import Cell, MonomialBound, Zero, classify
 from .core import ExpVec
@@ -21,6 +21,7 @@ from .errors import NotAllUndetermined, NotBounded, NotPrepared
 from .values import Value
 
 Box = tuple[tuple[Fraction, Fraction], ...]
+T = TypeVar("T")
 
 
 class AffineForm(Value):
@@ -76,12 +77,29 @@ def form_max(f: AffineForm, box: Box) -> Fraction:
     return max(f.value(c) for c in corners(box))
 
 
-def _halve_towards(box: Box, target: Sequence[Fraction]) -> Box:
-    out = []
-    for (lo, hi), t in zip(box, target):
-        mid = (lo + hi) / 2
-        out.append((lo, mid) if t <= mid else (mid, hi))
-    return tuple(out)
+def _positive(x: Fraction) -> Fraction | None:
+    return x if x > 0 else None
+
+
+def shrink_toward(
+    box: Box,
+    target: Sequence[Fraction],
+    certify: Callable[[Box], T | None],
+    failure: Exception,
+) -> tuple[Box, T]:
+    """The first box, halved toward the target point (each side keeps the
+    half that holds the target's coordinate), on which certify gives a value
+    other than None, with that value; after 200 halvings, raise failure."""
+    for _ in range(200):
+        value = certify(box)
+        if value is not None:
+            return box, value
+        halves = []
+        for (lo, hi), t in zip(box, target):
+            mid = (lo + hi) / 2
+            halves.append((lo, mid) if t <= mid else (mid, hi))
+        box = tuple(halves)
+    raise failure
 
 
 def is_subbox(inner: Box, outer: Box) -> bool:
@@ -91,9 +109,7 @@ def is_subbox(inner: Box, outer: Box) -> bool:
     )
 
 
-def separate(
-    forms: Sequence[AffineForm], box: Box, max_iter: int = 200
-) -> tuple[int, Fraction, Box]:
+def separate(forms: Sequence[AffineForm], box: Box) -> tuple[int, Fraction, Box]:
     """Find i, a margin c > 0 and a sub-box V with forms[i] + c <= forms[j]
     on V for every j != i.
 
@@ -118,17 +134,15 @@ def separate(
     if target is None:  # pragma: no cover - distinct forms always separate
         raise ValueError("could not find a separating probe point")
     i = min(range(len(forms)), key=lambda j: forms[j].value(target))
-    V = box
-    for _ in range(max_iter):
-        margin = min(
-            form_min(forms[j] - forms[i], V)
-            for j in range(len(forms))
-            if j != i
-        )
-        if margin > 0:
-            return i, margin, V
-        V = _halve_towards(V, target)
-    raise ValueError("separation did not certify")  # pragma: no cover
+    V, margin = shrink_toward(
+        box,
+        target,
+        lambda V: _positive(min(
+            form_min(forms[j] - forms[i], V) for j in range(len(forms)) if j != i
+        )),
+        ValueError("separation did not certify"),
+    )
+    return i, margin, V
 
 
 class Sliver(Value):
@@ -153,9 +167,6 @@ class Sliver(Value):
             ts.append(float(lo) + (float(hi) - float(lo)) * rng.random())
         return ts
 
-    def center(self) -> list[Fraction]:
-        return [self.epsilon / 2] + list(box_center(self.box))
-
 
 def shrink_for_decay(beta: ExpVec, s: Sliver) -> tuple[Sliver, Fraction]:
     """Shrink the box so the affine exponent of y^beta stays >= c > 0,
@@ -173,14 +184,13 @@ def shrink_for_decay(beta: ExpVec, s: Sliver) -> tuple[Sliver, Fraction]:
     hi = form_max(form, s.box)
     if hi <= 0:
         raise NotBounded("exponent form is nonpositive on the whole box")
-    target = max(corners(s.box), key=form.value)
-    box = s.box
-    for _ in range(200):
-        lo = form_min(form, box)
-        if lo > 0:
-            return Sliver(s.epsilon, box, s.notes + ("decay-shrink",)), lo
-        box = _halve_towards(box, target)
-    raise NotBounded("could not certify a positive exponent floor")
+    box, lo = shrink_toward(
+        s.box,
+        max(corners(s.box), key=form.value),
+        lambda box: _positive(form_min(form, box)),
+        NotBounded("could not certify a positive exponent floor"),
+    )
+    return Sliver(s.epsilon, box, s.notes + ("decay-shrink",)), lo
 
 
 def _log_deviation_budget(bound: MonomialBound) -> float:
@@ -252,20 +262,17 @@ def build_sliver(cell: Cell) -> Sliver:
         # a positive pointwise gap does not give min(alpha) > max(beta) when
         # the forms vary; shrink toward the gap-maximizing corner until the
         # uniform inequalities have room
-        target = max(corners(box), key=gap.value)
-        for _ in range(200):
-            amin = form_min(alpha, box)
-            bmax = form_max(beta, box)
-            if amin - bmax >= m_target / 2:
-                break
-            box = _halve_towards(box, target)
-        else:
-            raise NotPrepared("could not certify the exponent gap")
-        width = amin - bmax
-        assert width > 0
+        box, width = shrink_toward(
+            box,
+            max(corners(box), key=gap.value),
+            lambda box: w if (
+                w := form_min(alpha, box) - form_max(beta, box)
+            ) >= m_target / 2 else None,
+            NotPrepared("could not certify the exponent gap"),
+        )
         delta = width / 4
-        p = bmax + delta
-        q = amin - delta
+        p = form_max(beta, box) + delta
+        q = p + width / 2
         deltas.append(delta)
         box = box + ((p, q),)
         notes.append(f"var{i+1}: ({p}, {q}) delta={delta}")

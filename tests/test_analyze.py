@@ -16,11 +16,20 @@ from cfcalc.analyze import (
     term_integrable_last,
 )
 from cfcalc.cells import ZERO
-from cfcalc.core import CExpr, ExpVec, LogUnitAtom, PolyUnit, Term, normalize
+from cfcalc.core import (
+    CExpr,
+    ExpVec,
+    LogComposite,
+    LogPrime,
+    LogUnitAtom,
+    PolyUnit,
+    Term,
+    normalize,
+)
 from cfcalc.errors import EmptyExpr, FragmentEscape, NoDecay
 from cfcalc.generators import random_probe_sum
 from cfcalc.oracle import divergence_probe
-from cfcalc.sliver import build_sliver, form_min, pull_exponent
+from cfcalc.sliver import box_center, build_sliver, form_min, pull_exponent
 from tests.conftest import cell_of, fat, mono, triangle, unit_fiber, wedge_determined
 
 
@@ -54,7 +63,7 @@ class TestDominance:
         e = CExpr(1, (Term.make(1, [F(-1)]), Term.make(1, [F(-1, 2)])))
         rep = dominance(e, unit_fiber(1))
         assert rep.rbar == -1 and rep.lbar == 0
-        assert rep.I4 == (0,)
+        assert rep.chain[3] == (0,)
         assert rep.W.exps[0] == -1 and rep.W.logpows[0] == 0
 
     def test_log_power_dominates(self):
@@ -88,7 +97,7 @@ class TestDominance:
         )
         rep = dominance(e, cell)
         sl = rep.sliver
-        t = [float(v) for v in sl.center()]
+        t = [float(v) for v in (sl.epsilon / 2, *box_center(sl.box))]
         base = sl.psi(t)
         vals = []
         for k in (10, 20, 30):
@@ -265,6 +274,28 @@ class TestMajorant:
             assert abs(ev) <= hv
             if ev != 0:
                 assert abs(ev) < hv
+
+
+    def test_domination_with_constant_and_unit_logs(self, rng):
+        # log 3, log 6 and log u are bounded by 3, 6 and the rational log
+        # bound of u's range; a term's unit by its certified sup
+        up = PolyUnit.build(1, {ExpVec.of([1, 0]): F(1, 2)})
+        down = PolyUnit.build(1, {ExpVec.of([0, 1]): F(-1, 2)})
+        e = CExpr(
+            2,
+            (
+                Term.make(F(-3, 2), ExpVec.of([F(1, 2), -1]), (2, 0),
+                          [(LogPrime(3), 2)]),
+                Term.make(2, ExpVec.of([0, F(1, 3)]), (0, 1),
+                          [(LogComposite(6, (2, 3)), 1), (LogUnitAtom(up), 1)]),
+                Term.make(1, ExpVec.of([1, 1]), (1, 1),
+                          [(LogUnitAtom(down), 2)], unit=up),
+            ),
+        )
+        h = subanalytic_bound(e)
+        for _ in range(1000):
+            pt = [0.001 + 0.998 * rng.random(), 0.001 + 0.998 * rng.random()]
+            assert h.eval(pt) >= abs(e.eval(pt))
 
 
 class TestDecayRate:

@@ -524,6 +524,37 @@ def test_thin_variable_off_the_fiber_kept(args, expect):
     assert out.splitlines()[-1] == expect
 
 
+@pytest.mark.parametrize(
+    "args,expect",
+    [
+        (("integrate", "x2 on {x1 = 1/2, x2 = x1, 0<x3<1}", "--vars", "1"),
+         "1/2\n"),
+        (("integrate", "log(x2) on {x1 = 1/2, x2 = x1, 0<x3<1}", "--vars", "1"),
+         "-log(2)\n"),
+        (("integrate", "x3 on {0<x1<1, x2 = x1, x3 = x2, 0<x4<1}", "--vars", "1"),
+         "x1\n"),
+        (("prepare", "x2*x3 on {x1 = 1/2, x2 = x1, 0<x3<1}"),
+         "prepared pieces: 1\n  J = [0]: 1/2 * x3\n"),
+    ],
+    ids=["power", "log", "chain-of-three", "prepare"],
+)
+def test_a_graph_reading_a_thin_variable_keeps_its_value(args, expect, capsys):
+    # every graph is written over the kept variables before any term is
+    # substituted, so x2 = x1 carries x1's value, power and log
+    assert main(list(args)) == 0
+    assert capsys.readouterr().out == expect
+
+
+def test_a_graph_reading_a_negative_thin_variable_is_refused(capsys):
+    # x2 = x1^(2) = 1/4 is a power of the negative thin variable x1, refused
+    # as x1^(2) itself is
+    argv = ["integrate", "x2 on {x1 = -1/2, x2 = x1^(2), 0<x3<1}", "--vars", "1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "power of negative thin variable x1" in captured.err
+
+
 def test_nested_log_rejected_cleanly():
     code, _, err = run_cli("prepare", "log(log(x1)) on {0<x1<1}")
     assert code == 3 and "log-free" in err

@@ -248,7 +248,7 @@ def test_log_of_monomial_unit_keeps_the_constant_whole():
         (F(1), _composite(2, 3, 5, 7, 11, 13)), (F(1), LogVar(0)),
     ]
     # the unit's scale joins the constant before it is factored
-    assert log_of_monomial_unit(F(3), y, PolyUnit.constant_unit(2)) == [
+    assert log_of_monomial_unit(F(3), y, PolyUnit(F(2))) == [
         (F(1), _composite(2, 3)), (F(1), LogVar(0)),
     ]
 

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -329,6 +330,39 @@ def test_differentiate_matches_finite_differences(rng):
             num = _finite_difference(e, y, h)
             sym = d.eval([y])
             assert abs(num - sym) <= 1e-6 * max(1.0, abs(sym))
+
+
+def _to_sympy(e, ys):
+    """A sum with units and variable logs as a sympy expression."""
+    total = sympy.Integer(0)
+    for t in e.terms:
+        unit = sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(y ** sympy.Rational(k.numerator, k.denominator) for y, k in zip(ys, m)))
+            for m, c in t.unit.as_poly(e.nvars).items()
+        )
+        total += (
+            sympy.Rational(t.coeff.numerator, t.coeff.denominator)
+            * sympy.Mul(*(y ** sympy.Rational(r.numerator, r.denominator) for y, r in zip(ys, t.exps)))
+            * sympy.Mul(*(sympy.log(y) ** s for y, s in zip(ys, t.logpows)))
+            * unit
+        )
+    return total
+
+
+@pytest.mark.parametrize("pos", [0, 1])
+def test_differentiate_a_nonconstant_unit_matches_sympy(pos):
+    # the unit's own derivative distributes over monomial terms; the unit
+    # reads both variables, so either derivative runs its loop
+    u = PolyUnit.build(
+        1, {ExpVec.of([2, 1]): F(1, 3), ExpVec.of([F(1, 2), 0]): F(-1, 4)}
+    )
+    t = Term.make(F(5, 2), [F(3, 2), -1], [2, 1], unit=u)
+    assert u.derivative(pos, 2)
+    ys = sympy.symbols("y1 y2", positive=True)
+    e = CExpr(2, (t,))
+    got = _to_sympy(differentiate(t, pos), ys)
+    assert sympy.simplify(got - sympy.diff(_to_sympy(e, ys), ys[pos])) == 0
 
 
 @settings(max_examples=60)

@@ -18,6 +18,7 @@ from cfcalc.sliver import (
     pull_exponent,
     separate,
     shrink_for_decay,
+    shrink_toward,
 )
 from tests.conftest import cell_of, fat, mono, parabola_wedge, unit_fiber, wedge_determined
 
@@ -75,6 +76,34 @@ def test_separate_margin_on_corners(rng):
         )
         vals = [f.value(t) for f in forms]
         assert vals[i] + c <= min(v for j, v in enumerate(vals) if j != i)
+
+
+def test_shrink_toward_returns_the_first_certified_box():
+    seen = []
+
+    def certify(box):
+        seen.append(box)
+        width = box[0][1] - box[0][0]
+        return width if width <= F(1, 8) else None
+
+    box, value = shrink_toward(((F(0), F(1)),), (F(1),), certify, AssertionError())
+    # each halving keeps the half that holds the target 1
+    assert seen == [((F(0), F(1)),), ((F(1, 2), F(1)),), ((F(3, 4), F(1)),),
+                    ((F(7, 8), F(1)),)]
+    assert (box, value) == (((F(7, 8), F(1)),), F(1, 8))
+
+
+def test_shrink_toward_raises_the_failure_after_200_halvings():
+    seen = []
+    failure = NotBounded("nothing certifies")
+    with pytest.raises(NotBounded) as info:
+        shrink_toward(((F(0), F(1)), (F(2), F(4))), (F(0), F(3)),
+                      lambda box: seen.append(box), failure)
+    assert info.value is failure
+    # 200 checks: the first before any halving, the last after 199
+    assert len(seen) == 200
+    assert seen[-1][0] == (F(0), F(1, 2 ** 199))
+    assert seen[-1][1][1] - seen[-1][1][0] == F(2, 2 ** 199)
 
 
 def test_shrink_for_decay_examples():
