@@ -159,8 +159,8 @@ class Cell(Value):
     specs: tuple[FatVar, ...]
     _certified = False  # set by a passing validate(); not a field
 
-    def __post_init__(self):
-        for i, spec in enumerate(self.specs):
+    def __init__(self, specs):
+        for i, spec in enumerate(specs):
             for b in (spec.lower, spec.upper):
                 if isinstance(b, Inf):
                     raise CellError("normalized cells have bounded fibers")
@@ -170,6 +170,7 @@ class Cell(Value):
                     raise CellError(
                         f"bound of variable {i} references a later variable"
                     )
+        set_field(self, "specs", specs)
 
     @property
     def nvars(self) -> int:
@@ -328,6 +329,10 @@ class AsymClass(Value):
 
     determined: tuple[bool, ...]
     constrained: tuple[bool, ...]
+
+    def __init__(self, determined, constrained):
+        set_field(self, "determined", determined)
+        set_field(self, "constrained", constrained)
 
     def undetermined_positions(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.determined) if not d)
@@ -704,6 +709,10 @@ class RawMono(Value):
     coeff: Fraction
     exps: ExpVec
 
+    def __init__(self, coeff, exps):
+        set_field(self, "coeff", coeff)
+        set_field(self, "exps", exps)
+
     @staticmethod
     def const(q: RatLike, nvars: int) -> "RawMono":
         return RawMono(Fraction(q), ExpVec.zero(nvars))
@@ -718,9 +727,18 @@ class RawVar(Value):
     upper: RawBound
     thin: RawMono | None = None
 
+    def __init__(self, name, lower, upper, thin=None):
+        set_field(self, "name", name)
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
+        set_field(self, "thin", thin)
+
 
 class RawCell(Value):
     vars: tuple[RawVar, ...]
+
+    def __init__(self, vars):
+        set_field(self, "vars", vars)
 
     @property
     def nvars(self) -> int:

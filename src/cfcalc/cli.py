@@ -378,9 +378,11 @@ def _cmd_validate(args) -> int:
 def build_parser() -> _ArgumentParser:
     """The argument parser, built on first use and shared by every later
     ``main`` call in the process, so nothing may change it once built;
-    ``parse_args`` returns a fresh namespace each time."""
+    ``parse_args`` returns a fresh namespace each time.  Its ``commands``
+    maps each command name to that command's own parser."""
     ap = _ArgumentParser(prog="cfcalc", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
+    ap.commands = sub.choices
 
     def command(name, func, needs_source=True):
         p = sub.add_parser(name)
@@ -388,7 +390,7 @@ def build_parser() -> _ArgumentParser:
             p.add_argument("source", nargs="?", help="source text")
             p.add_argument("--input", help="read source from a file")
         p.add_argument("--json", action="store_true", help="JSON report output")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, cmd=name)
         return p
 
     command("prepare", _cmd_prepare)
@@ -405,9 +407,15 @@ def build_parser() -> _ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line.  A line that starts with a command name is read
+    by that command's parser alone; any other line goes to the root parser,
+    which prints the help or the usage error."""
     ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = ap.parse_args(argv)
+        command = ap.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else ap.parse_args(argv)
         return args.func(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -428,6 +428,9 @@ class LogVar(Value):
 
     pos: int
 
+    def __init__(self, pos):
+        set_field(self, "pos", pos)
+
 
 class LogPrime(Value):
     """log p for a prime p >= 2 (canonical form of log of a constant)."""

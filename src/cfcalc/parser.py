@@ -59,7 +59,7 @@ from .core import (
     _prime_powers,
 )
 from .errors import ParseError
-from .values import Value
+from .values import Value, set_field
 
 # a character that starts no token is a token of its own, so that findall
 # skips only whitespace and the first stray character can be reported
@@ -134,8 +134,8 @@ class _Parser:
         if den and int(den) == 0:
             raise self.fail("zero denominator")
         self.i += 1
-        v = Fraction(int(num), int(den)) if den else Fraction(int(num))
-        return -v if neg else v
+        n = -int(num) if neg else int(num)
+        return Fraction(n, int(den)) if den else Fraction(n)
 
     def times_factor(self, coeff: Fraction, exps: list) -> Fraction:
         """coeff times the number at the current token, returned, or the
@@ -347,7 +347,7 @@ class _Parser:
         if bound is INF:
             return bound
         q, factors = bound
-        exps = [Fraction(0)] * self.nv
+        exps = [_ZERO] * self.nv
         for at, power in factors:
             name = self.toks[at]
             if name not in self.positions:
@@ -357,7 +357,7 @@ class _Parser:
                 raise self.fail(
                     f"bound references {name!r}, which is not an earlier variable", at
                 )
-            exps[j] += power
+            exps[j] = exps[j] + power if exps[j] else power
         if q == 0:
             # 0 * y^e is the bound 0 whatever the variables
             return ZERO
@@ -376,6 +376,10 @@ class SourceForm(Value):
 
     raw_cell: RawCell
     expr: CExpr
+
+    def __init__(self, raw_cell, expr):
+        set_field(self, "raw_cell", raw_cell)
+        set_field(self, "expr", expr)
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -96,29 +96,36 @@ def _flatten_to_poly(e: CExpr) -> MonoPoly:
 def substitute_thin(raw: RawCell, e: CExpr) -> tuple[RawCell, CExpr]:
     """Substitute every thin variable by its graph and project it away.
 
-    A graph may read an earlier thin variable, so every graph is first
-    written over the kept variables; each term is then rewritten over the
-    kept coordinates in one pass."""
+    A graph or a bound may read an earlier thin variable, so every graph is
+    first written over the kept variables, and every bound through them;
+    each term is then rewritten over the kept coordinates in one pass."""
     keep = [i for i, rv in enumerate(raw.vars) if rv.thin is None]
     if len(keep) == raw.nvars:
         return raw, e
-    # thin position -> its graph's coefficient and exponents over kept ones
-    graphs: dict[int, tuple[Fraction, ExpVec]] = {}
+    # thin position -> its graph over the kept variables
+    graphs: dict[int, RawMono] = {}
 
     def times_graph(coeff, kept, i, r):
         """coeff * y^kept times the r-th power of thin variable i's graph."""
-        q, gexps = graphs[i]
-        if q < 0:
+        g = graphs[i]
+        if g.coeff < 0:
             raise FragmentEscape(f"power of negative thin variable {raw.vars[i].name}")
-        return coeff * exact_pow(q, r), [k + r * g for k, g in zip(kept, gexps)]
+        return coeff * exact_pow(g.coeff, r), [k + r * e for k, e in zip(kept, g.exps)]
+
+    def remap(b):
+        """A bound over the kept variables: 0, inf, or a monomial whose
+        thin variables are written through their graphs."""
+        if not isinstance(b, RawMono):
+            return b
+        coeff, kept = b.coeff, [b.exps[j] for j in keep]
+        for i in graphs:
+            if b.exps[i]:
+                coeff, kept = times_graph(coeff, kept, i, b.exps[i])
+        return RawMono(coeff, ExpVec(tuple(kept)))
 
     for i, rv in enumerate(raw.vars):
         if rv.thin is not None:
-            coeff, kept = rv.thin.coeff, [rv.thin.exps[j] for j in keep]
-            for j in graphs:
-                if rv.thin.exps[j]:
-                    coeff, kept = times_graph(coeff, kept, j, rv.thin.exps[j])
-            graphs[i] = coeff, ExpVec(tuple(kept))
+            graphs[i] = remap(rv.thin)
     out_terms: list[Term] = []
     for t in e.terms:
         if t.extras or not t.unit.is_trivial:
@@ -127,23 +134,16 @@ def substitute_thin(raw: RawCell, e: CExpr) -> tuple[RawCell, CExpr]:
             )
         coeff, kept = t.coeff, [t.exps[j] for j in keep]
         occurrences = []
-        for i, (q, gexps) in graphs.items():
+        for i, g in graphs.items():
             if t.exps[i]:
                 coeff, kept = times_graph(coeff, kept, i, t.exps[i])
             if t.logpows[i]:
-                items = log_of_monomial_unit(q, gexps, PolyUnit.one())
+                items = log_of_monomial_unit(g.coeff, g.exps, PolyUnit.one())
                 occurrences.append(expand_log_power(items, t.logpows[i], len(keep)))
         acc = [Term.make(coeff, ExpVec(tuple(kept)), tuple(t.logpows[j] for j in keep))]
         for alternatives in occurrences:
             acc = [x for a in acc for x in times_log_power(a, alternatives)]
         out_terms.extend(acc)
-
-    def remap(b):
-        if not isinstance(b, RawMono):
-            return b
-        if any(b.exps[j] for j in graphs):
-            raise FragmentEscape("bounds referencing thin variables are unsupported")
-        return RawMono(b.coeff, ExpVec(tuple(b.exps[j] for j in keep)))
 
     kept_vars = [raw.vars[i] for i in keep]
     return RawCell(

@@ -121,9 +121,40 @@ def test_parse_error_exit_code():
     assert code == 2 and "parse error" in err
 
 
-def test_usage_error_exit_code():
-    code, _, err = run_cli("integrate")
-    assert code == 1
+@pytest.mark.parametrize("argv", [
+    ("integrate",),
+    (),
+    ("bogus", "1 on {0<y1<1}"),
+    ("--json", "integrate", "1 on {0<y1<1}"),
+], ids=["no-source", "no-command", "unknown-command", "option-before-command"])
+def test_usage_error_exit_code(argv):
+    # a line that names no known command first is read by the root parser
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ")
+
+
+def test_top_level_help_lists_every_command():
+    code, out, err = run_cli("--help")
+    assert code == 0 and err == ""
+    for name in ("prepare", "integrate", "check-integrability", "decay-rate",
+                 "sliver", "eval", "validate"):
+        assert name in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("prepare", "y1 on {0<y1<1}"),
+    ("integrate", "y1 on {0<y1<1}"),
+    ("check-integrability", "y1 on {0<y1<1}"),
+    ("decay-rate", "y1^(1/2) on {0<y1<1}"),
+    ("sliver", "y1 on {0<y1<1}"),
+    ("eval", "y1 on {0<y1<1}", "--at", "1/2"),
+    ("validate", "--seed", "1"),
+], ids=lambda argv: argv[0])
+def test_each_json_report_names_its_command(argv, capsys):
+    # the command's own parser sets cmd, which the envelope reports
+    assert main([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == argv[0]
 
 
 def test_fragment_escape_exit_code():
@@ -535,20 +566,28 @@ def test_thin_variable_off_the_fiber_kept(args, expect):
          "x1\n"),
         (("prepare", "x2*x3 on {x1 = 1/2, x2 = x1, 0<x3<1}"),
          "prepared pieces: 1\n  J = [0]: 1/2 * x3\n"),
+        # a bound reads a thin variable through its graph too
+        (("integrate", "x2 on {x1 = 2, 0<x2<x1}", "--vars", "1"), "2\n"),
+        (("integrate", "x3 on {0<x1<1, x2 = x1^(2), x2<x3<x1}", "--vars", "1"),
+         "1/2 * x1^(2) - 1/2 * x1^(4)\n"),
     ],
-    ids=["power", "log", "chain-of-three", "prepare"],
+    ids=["power", "log", "chain-of-three", "prepare", "bound", "bound-over-fat"],
 )
 def test_a_graph_reading_a_thin_variable_keeps_its_value(args, expect, capsys):
-    # every graph is written over the kept variables before any term is
-    # substituted, so x2 = x1 carries x1's value, power and log
+    # every graph is written over the kept variables before any term or
+    # bound is substituted, so x2 = x1 carries x1's value, power and log
     assert main(list(args)) == 0
     assert capsys.readouterr().out == expect
 
 
-def test_a_graph_reading_a_negative_thin_variable_is_refused(capsys):
+@pytest.mark.parametrize("source", [
+    "x2 on {x1 = -1/2, x2 = x1^(2), 0<x3<1}",
+    "x2 on {x1 = -1, 0<x2<x1^(2)}",
+], ids=["graph", "bound"])
+def test_a_graph_reading_a_negative_thin_variable_is_refused(source, capsys):
     # x2 = x1^(2) = 1/4 is a power of the negative thin variable x1, refused
-    # as x1^(2) itself is
-    argv = ["integrate", "x2 on {x1 = -1/2, x2 = x1^(2), 0<x3<1}", "--vars", "1"]
+    # as x1^(2) itself is, in a graph and in a bound alike
+    argv = ["integrate", source, "--vars", "1"]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -52,9 +52,11 @@ def test_every_value_class_has_an_example():
 @pytest.mark.parametrize("x", _EXAMPLES, ids=lambda x: type(x).__name__)
 def test_value_semantics_are_those_of_a_frozen_dataclass(x):
     cls, fields = type(x), _fields(x)
-    assert hash(x) == hash(fields)
     twin = cls(*fields)
+    # the hash, computed once and kept on x, shows in neither == nor repr
+    assert hash(x) == hash(x) == hash(fields)
     assert twin is not x and twin == x and not twin != x
+    assert hash(twin) == hash(fields)
     # equal fields in another class: unequal both ways
     other = type("Other", (Value,), {"__annotations__": dict(cls.__annotations__)})
     assert other(*fields) != x and x != other(*fields)
@@ -74,6 +76,17 @@ def test_fields_by_keyword_and_by_default():
     assert cells.AxisMap(scale=F(1, 2), pos=1) == cells.AxisMap(1, 1, 1, F(1, 2))
     assert core.Term(F(2), core.ExpVec.of([1]), (0,)).unit is core.PolyUnit.one()
     assert sliver.Sliver(F(1), ()).notes == ()
+    # the classes with their own __init__ take their fields by keyword too
+    e = core.ExpVec.of([1])
+    bound = cells.RawMono(exps=e, coeff=F(2))
+    assert bound == cells.RawMono(F(2), e)
+    raw_var = cells.RawVar(name="x1", lower=cells.ZERO, upper=bound)
+    assert raw_var.thin is None and raw_var == cells.RawVar("x1", cells.ZERO, bound, None)
+    raw = cells.RawCell(vars=(raw_var,))
+    assert parser.SourceForm(expr=_EXPR, raw_cell=raw) == parser.SourceForm(raw, _EXPR)
+    assert cells.Cell(specs=_CELL.specs) == _CELL
+    assert cells.AsymClass(constrained=(False,), determined=(True,)).determined == (True,)
+    assert core.LogVar(pos=1) == core.LogVar(1) != core.LogVar(0)
     with pytest.raises(TypeError):
         cells.AxisMap()
     with pytest.raises(TypeError):
