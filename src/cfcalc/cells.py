@@ -759,6 +759,45 @@ class RawCell(Value):
             for rv, x in zip(self.vars, point))
 
 
+def _constant_value(b) -> Fraction | None:
+    if isinstance(b, Zero):
+        return Fraction(0)
+    if isinstance(b, RawMono) and b.exps.is_zero():
+        return b.coeff
+    return None
+
+
+def empty_between(lo, hi, earlier: Sequence[RawVar]) -> bool:
+    """No value lies strictly between the bounds, whatever the earlier
+    variables are: the bounds are identical, constants in reverse order, or
+    over the whole cell of the earlier variables the upper bound is 0 or
+    negative and the lower one is not negative.  Other monomial bounds are
+    ordered by the cell certificate, which knows the ranges of the earlier
+    variables."""
+    if lo == hi:
+        return True
+    a, b = _constant_value(lo), _constant_value(hi)
+    if a is not None and b is not None:
+        return a >= b
+    if not (isinstance(hi, Zero) or isinstance(hi, RawMono) and hi.coeff < 0):
+        return False
+    positive: list[bool] = []  # earlier variables positive over the cell
+    for rv in earlier:
+        positive.append(rv.thin is None and _sign(rv.lower, positive) in (0, 1))
+    return _sign(hi, positive) in (-1, 0) and _sign(lo, positive) in (0, 1)
+
+
+def _sign(b, positive: Sequence[bool]) -> int | None:
+    """The sign of a bound over the whole cell where the raw cell shows it
+    exactly: 0 for the bound 0, and the sign of a monomial's coefficient
+    when each variable it reads is positive.  None otherwise."""
+    if isinstance(b, Zero):
+        return 0
+    if not isinstance(b, RawMono) or any(e and not p for p, e in zip(positive, b.exps)):
+        return None
+    return 1 if b.coeff > 0 else -1
+
+
 def _side(x: Fraction, b: RawBound, point: Sequence[Fraction]) -> int | None:
     """The sign of x - b(point) in rationals: a bound with fractional
     exponents compares d-th powers, and a negative power of a zero

@@ -108,7 +108,9 @@ class ParseError(CalcError):
     exit_code = 2
     label = "parse error"
 
-    def __init__(self, message: str, line: int = 1, column: int = 0):
-        super().__init__(f"{line}:{column}: {message}")
+    def __init__(self, message: str, line: int | None = None, column: int = 0):
+        # no position where the error shows only after parsing (a fiber
+        # that a thin variable's graph closes)
+        super().__init__(message if line is None else f"{line}:{column}: {message}")
         self.line = line
         self.column = column

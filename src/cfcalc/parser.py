@@ -37,7 +37,7 @@ from math import gcd
 from operator import add
 from typing import Sequence
 
-from .cells import INF, Inf, RawCell, RawMono, RawVar, ZERO, Zero
+from .cells import INF, Inf, RawCell, RawMono, RawVar, ZERO, Zero, empty_between
 from .core import (
     CExpr,
     ExpVec,
@@ -288,7 +288,7 @@ class _Parser:
             hi = self.resolve(upper, i)
             # a non-empty fiber ending at 0 is left to normalize_cell:
             # (-b, 0) mirrors
-            if isinstance(lo, Inf) or _empty_between(lo, hi, rawvars):
+            if isinstance(lo, Inf) or empty_between(lo, hi, rawvars):
                 raise self.fail(f"invalid bounds for {name!r}", at)
             rawvars.append(RawVar(name, lo, hi))
         return RawCell(tuple(rawvars))
@@ -409,45 +409,6 @@ def parse(text: str) -> SourceForm:
     terms = p.parse_expr()
     p.expect_end(on)
     return SourceForm(raw, normalize(CExpr(p.nv, tuple(terms))))
-
-
-def _constant_value(b) -> Fraction | None:
-    if isinstance(b, Zero):
-        return Fraction(0)
-    if isinstance(b, RawMono) and b.exps.is_zero():
-        return b.coeff
-    return None
-
-
-def _empty_between(lo, hi, earlier: Sequence[RawVar]) -> bool:
-    """No value lies strictly between the bounds, whatever the earlier
-    variables are: the bounds are identical, constants in reverse order, or
-    over the whole cell of the earlier variables the upper bound is 0 or
-    negative and the lower one is not negative.  Other monomial bounds are
-    ordered by the cell certificate, which knows the ranges of the earlier
-    variables."""
-    if lo == hi:
-        return True
-    a, b = _constant_value(lo), _constant_value(hi)
-    if a is not None and b is not None:
-        return a >= b
-    if not (isinstance(hi, Zero) or isinstance(hi, RawMono) and hi.coeff < 0):
-        return False
-    positive: list[bool] = []  # earlier variables positive over the cell
-    for rv in earlier:
-        positive.append(rv.thin is None and _sign(rv.lower, positive) in (0, 1))
-    return _sign(hi, positive) in (-1, 0) and _sign(lo, positive) in (0, 1)
-
-
-def _sign(b, positive: Sequence[bool]) -> int | None:
-    """The sign of a bound over the whole cell where the raw cell shows it
-    exactly: 0 for the bound 0, and the sign of a monomial's coefficient
-    when each variable it reads is positive.  None otherwise."""
-    if isinstance(b, Zero):
-        return 0
-    if not isinstance(b, RawMono) or any(e and not p for p, e in zip(positive, b.exps)):
-        return None
-    return 1 if b.coeff > 0 else -1
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cells import Cell, RawCell, RawMono, RawVar, classify
+from .cells import Cell, RawCell, RawMono, RawVar, classify, empty_between
 from .core import (
     CExpr,
     ExpVec,
@@ -30,7 +30,7 @@ from .core import (
     poly_scale,
     times_log_power,
 )
-from .errors import FragmentEscape, NotPrepared
+from .errors import FragmentEscape, NotPrepared, ParseError
 from .values import Value
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,15 @@ def substitute_thin(raw: RawCell, e: CExpr) -> tuple[RawCell, CExpr]:
     for i, rv in enumerate(raw.vars):
         if rv.thin is not None:
             graphs[i] = remap(rv.thin)
+    kept_vars: list[RawVar] = []
+    for i in keep:
+        rv = raw.vars[i]
+        lo, hi = remap(rv.lower), remap(rv.upper)
+        # the parser's empty-fiber test, which saw these bounds before they
+        # read the graphs
+        if empty_between(lo, hi, kept_vars):
+            raise ParseError(f"invalid bounds for {rv.name!r}")
+        kept_vars.append(RawVar(rv.name, lo, hi))
     out_terms: list[Term] = []
     for t in e.terms:
         if t.extras or not t.unit.is_trivial:
@@ -145,10 +154,7 @@ def substitute_thin(raw: RawCell, e: CExpr) -> tuple[RawCell, CExpr]:
             acc = [x for a in acc for x in times_log_power(a, alternatives)]
         out_terms.extend(acc)
 
-    kept_vars = [raw.vars[i] for i in keep]
-    return RawCell(
-        tuple(RawVar(rv.name, remap(rv.lower), remap(rv.upper)) for rv in kept_vars)
-    ), normalize(CExpr(len(keep), tuple(out_terms)))
+    return RawCell(tuple(kept_vars)), normalize(CExpr(len(keep), tuple(out_terms)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,7 @@ class Value:
         get = attrgetter(*names) if names else lambda v: ()
         cls.__eq__ = lambda a, b: get(a) == get(b) if b.__class__ is a.__class__ else NotImplemented
         # attrgetter of one name returns the value, not a 1-tuple
-        key = (lambda v: (get(v),)) if len(names) == 1 else get
-
-        def __hash__(self):
-            """The field tuple's hash, computed once and kept in the
-            instance dict (not a field: repr and == do not see it)."""
-            h = self.__dict__.get("_hash")
-            if h is None:
-                h = self.__dict__["_hash"] = hash(key(self))
-            return h
-
-        cls.__hash__ = __hash__
+        cls.__hash__ = (lambda v: hash((get(v),))) if len(names) == 1 else lambda v: hash(get(v))
 
         def __init__(self, *args, **kwargs):
             missing = len(names) - len(args)

@@ -219,6 +219,13 @@ _CELL_SUBCOMMANDS = ("integrate", "prepare", "check-integrability",
         # an upper bound 0 over a positive monomial
         ("y1 on {0<y1<1, y1<y2<0}", 2,
          "parse error: 1:18: invalid bounds for 'y2'"),
+        # empty only once the bounds read the thin graphs, after parsing:
+        # the parser's refusal, without a position
+        ("x2 on {x1 = 1/2, 1<x2<x1}", 2, "parse error: invalid bounds for 'x2'"),
+        ("x3 on {x1 = 1/2, x2 = x1^(2), x1<x3<x2}", 2,
+         "parse error: invalid bounds for 'x3'"),
+        ("x3 on {0<x1<1, x2 = x1, x2<x3<x1}", 2,
+         "parse error: invalid bounds for 'x3'"),
         # a bound order the cell certificate cannot establish: a refusal
         ("y1 on {0<y1<1, 2*y1<y2<y1}", 3,
          "error: bound of variable 1 not certified inside (0,1]"),
@@ -232,7 +239,8 @@ _CELL_SUBCOMMANDS = ("integrate", "prepare", "check-integrability",
     ids=["equal-constants", "reversed-constants", "equal-fractions",
          "reversed-from-zero", "identical-monomials", "zero-monomial",
          "zero-to-zero", "negative-monomial", "positive-to-negative-monomial",
-         "dependent-to-zero", "uncertified-order", "negative-base-monomial",
+         "dependent-to-zero", "thin-constant", "thin-chain", "thin-identical",
+         "uncertified-order", "negative-base-monomial",
          "negative-base-to-zero"],
 )
 def test_empty_or_uncertified_cell_is_not_an_internal_error(

@@ -15,7 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cfcalc import cli, parser
-from cfcalc.cells import INF, Inf, RawCell, RawMono, RawVar, ZERO, Zero
+from cfcalc.cells import INF, Inf, RawCell, RawMono, RawVar, ZERO, Zero, empty_between
 from cfcalc.core import (
     CExpr,
     ExpVec,
@@ -37,7 +37,6 @@ from cfcalc.errors import CalcError, ParseError
 from cfcalc.parser import (
     SourceForm,
     _KEYWORDS,
-    _empty_between,
     _natural_key,
     _position,
     _print_unit,
@@ -527,7 +526,7 @@ class _ReferenceParser:
             hi = self.resolve(upper, i)
             # a non-empty fiber ending at 0 is left to normalize_cell:
             # (-b, 0) mirrors
-            if isinstance(lo, Inf) or _empty_between(lo, hi, rawvars):
+            if isinstance(lo, Inf) or empty_between(lo, hi, rawvars):
                 raise ParseError(f"invalid bounds for {name!r}", tok.line, tok.col)
             rawvars.append(RawVar(name, lo, hi))
         return RawCell(tuple(rawvars))

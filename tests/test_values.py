@@ -53,7 +53,7 @@ def test_every_value_class_has_an_example():
 def test_value_semantics_are_those_of_a_frozen_dataclass(x):
     cls, fields = type(x), _fields(x)
     twin = cls(*fields)
-    # the hash, computed once and kept on x, shows in neither == nor repr
+    # the field tuple's hash, on every call and for an equal twin
     assert hash(x) == hash(x) == hash(fields)
     assert twin is not x and twin == x and not twin != x
     assert hash(twin) == hash(fields)
